@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from . import rational_linalg as rla
 
@@ -127,22 +127,60 @@ def _check_shape(sc: StructureConstants) -> None:
             raise ValueError(f"c stored with i >= j at ({i},{j},{k}); store i < j only")
 
 
-def validate_algebra(sc: StructureConstants, max_violations: int = 10) -> JacobiReport:
-    """Check the Jacobi identity exactly; list the first few failing quadruples."""
+def _nonzero_constants(sc: StructureConstants):
+    """The nonzero constants as (i, j, k, value), i < j, after the shape check."""
     _check_shape(sc)
+    return [(i, j, k, Fraction(v)) for (i, j, k), v in sc.c.items() if v != 0]
+
+
+def validate_algebra(sc: StructureConstants, max_violations: int = 10) -> JacobiReport:
+    """Check the Jacobi identity exactly; list the first few failing quadruples.
+
+    The constants are scaled to integers by the lcm of their denominators,
+    which leaves every zero test of the (homogeneous) Jacobi sum unchanged,
+    and each double bracket is summed over nonzero constants only.
+    """
+    consts = _nonzero_constants(sc)
+    scale = lcm(*(v.denominator for *_, v in consts))
+    table = [[[] for _ in range(sc.dim)] for _ in range(sc.dim)]  # [i][j] -> [(k, C_ij^k)]
+    for i, j, k, v in consts:
+        n = v.numerator * (scale // v.denominator)
+        table[i][j].append((k, n))
+        table[j][i].append((k, -n))
     violations: list[tuple[int, int, int, int]] = []
     for i, j, k in combinations(range(sc.dim), 3):
-        for l in range(sc.dim):
-            total = Fraction(0)
-            for m in range(sc.dim):
-                total += sc.bracket_coeff(i, j, m) * sc.bracket_coeff(m, k, l)
-                total += sc.bracket_coeff(j, k, m) * sc.bracket_coeff(m, i, l)
-                total += sc.bracket_coeff(k, i, m) * sc.bracket_coeff(m, j, l)
-            if total != 0:
-                violations.append((i, j, k, l))
-                if len(violations) >= max_violations:
-                    return JacobiReport(ok=False, violations=violations)
+        total: dict[int, int] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, v in table[a][b]:
+                for l, w in table[m][c]:
+                    total[l] = total.get(l, 0) + v * w
+        for l in sorted(l for l, t in total.items() if t):
+            violations.append((i, j, k, l))
+            if len(violations) >= max_violations:
+                return JacobiReport(ok=False, violations=violations)
     return JacobiReport(ok=not violations, violations=violations)
+
+
+def _by_target(sc: StructureConstants):
+    """Nonzero constants indexed by target: entry k lists (i, j, C_ij^k)."""
+    out = [[] for _ in range(sc.dim)]
+    for i, j, k, v in _nonzero_constants(sc):
+        out[k].append((i, j, v))
+    return out
+
+
+def _d2_terms(by_target, a: int, b: int):
+    """Nonzero terms (sorted triple, coefficient) of d(w^a ^ w^b).
+
+    Skew-derivation rule: d(w^a ^ w^b) = (d w^a) ^ w^b - w^a ^ (d w^b), where
+    d w^k = -sum_{i<j} C_ij^k w^i ^ w^j.
+    """
+    for i, j, v in by_target[a]:
+        if b != i and b != j:
+            yield tuple(sorted((i, j, b))), -v * _perm_sign_3(i, j, b)
+    for i, j, v in by_target[b]:
+        if a != i and a != j:
+            yield tuple(sorted((a, i, j))), v * _perm_sign_3(a, i, j)
 
 
 def coboundary1(sc: StructureConstants):
@@ -152,58 +190,37 @@ def coboundary1(sc: StructureConstants):
     coefficient -C_ij^k at the sorted pair (i, j).  The conventional 1/2
     is absorbed by summing each unordered pair once.
     """
-    pairs = pair_basis(sc.dim)
-    rows = [[Fraction(0)] * sc.dim for _ in pairs]
-    for p, (i, j) in enumerate(pairs):
-        for k in range(sc.dim):
-            v = sc.bracket_coeff(i, j, k)
-            if v != 0:
-                rows[p][k] = -v
+    pair_idx = {p: n for n, p in enumerate(pair_basis(sc.dim))}
+    rows = [[Fraction(0)] * sc.dim for _ in pair_idx]
+    for k, consts in enumerate(_by_target(sc)):
+        for i, j, v in consts:
+            rows[pair_idx[(i, j)]][k] = -v
     return rows
 
 
 def coboundary2(sc: StructureConstants):
     """Matrix of the differential on 2-forms, triples x pairs.
 
-    Built from the skew-derivation rule applied to each basis 2-form
-    w^a ^ w^b:  d(w^a ^ w^b) = (d w^a) ^ w^b - w^a ^ (d w^b).
+    Column (a, b) is the image d(w^a ^ w^b) of the basis 2-form; it touches
+    only the nonzero C_ij^a and C_ij^b.
     """
     pairs = pair_basis(sc.dim)
-    pair_idx = {p: n for n, p in enumerate(pairs)}
-    triples = triple_basis(sc.dim)
-    triple_idx = {t: n for n, t in enumerate(triples)}
-    rows = [[Fraction(0)] * len(pairs) for _ in triples]
-
-    def add_wedge(col, coeff, a, b, c):
-        # coeff * w^a ^ w^b ^ w^c resolved into the sorted-triple basis
-        if a == b or a == c or b == c:
-            return
-        t = tuple(sorted((a, b, c)))
-        rows[triple_idx[t]][col] += coeff * _perm_sign_3(a, b, c)
-
+    triple_idx = {t: n for n, t in enumerate(triple_basis(sc.dim))}
+    rows = [[Fraction(0)] * len(pairs) for _ in triple_idx]
+    by_target = _by_target(sc)
     for col, (a, b) in enumerate(pairs):
-        for i, j in pairs:
-            cija = sc.bracket_coeff(i, j, a)
-            if cija != 0:
-                add_wedge(col, -cija, i, j, b)  # (d w^a) ^ w^b
-            cijb = sc.bracket_coeff(i, j, b)
-            if cijb != 0:
-                add_wedge(col, cijb, a, i, j)  # - w^a ^ (d w^b)
+        for t, v in _d2_terms(by_target, a, b):
+            rows[triple_idx[t]][col] += v
     return rows
 
 
 def second_cohomology(sc: StructureConstants) -> CohomologyReport:
     """Closed and exact 2-forms, their quotient dimension, and dim ker d1."""
-    d1 = coboundary1(sc)
-    d2 = coboundary2(sc)
-    n_pairs = comb(sc.dim, 2)
-
-    z2_vectors = rla.nullspace(d2, n_pairs)
-    d1_t = [list(col) for col in zip(*d1)] if d1 else []
+    z2_vectors = rla.nullspace(coboundary2(sc), comb(sc.dim, 2))
+    d1_t = [list(col) for col in zip(*coboundary1(sc))]
     b2_vectors = rla.row_space_basis(d1_t)
     dim_b2 = len(b2_vectors)
     dim_z2 = len(z2_vectors)
-    dim_h1 = sc.dim - rla.rank(d1, ncols=sc.dim)
 
     def to_cochain(vec):
         return Cochain(degree=2, dim=sc.dim, coords=tuple(vec))
@@ -212,7 +229,7 @@ def second_cohomology(sc: StructureConstants) -> CohomologyReport:
         dim_z2=dim_z2,
         dim_b2=dim_b2,
         dim_h2=dim_z2 - dim_b2,
-        dim_h1=dim_h1,
+        dim_h1=sc.dim - dim_b2,  # rank d1 = rank d1^T = dim B^2
         z2_basis=[to_cochain(v) for v in z2_vectors],
         b2_basis=[to_cochain(v) for v in b2_vectors],
     )
@@ -226,23 +243,29 @@ def kernel_subalgebra(sc: StructureConstants, omega: Cochain) -> KernelReport:
     """
     if omega.degree != 2 or omega.dim != sc.dim:
         raise ValueError("omega must be a degree-2 cochain over the same algebra")
-    residual = rla.mat_vec(coboundary2(sc), list(omega.coords))
-    if any(x != 0 for x in residual):
+    pairs = pair_basis(sc.dim)
+    triple_idx = {t: n for n, t in enumerate(triple_basis(sc.dim))}
+    by_target = _by_target(sc)
+    residual = [Fraction(0)] * len(triple_idx)
+    for (a, b), w in zip(pairs, omega.coords):
+        if w:
+            for t, v in _d2_terms(by_target, a, b):
+                residual[triple_idx[t]] += w * v
+    if any(residual):
         raise ValueError(f"omega is not closed; d2(omega) = {[str(x) for x in residual]}")
 
-    pairs = pair_basis(sc.dim)
     mat = [[Fraction(0)] * sc.dim for _ in range(sc.dim)]
     for n, (i, j) in enumerate(pairs):
         mat[i][j] = omega.coords[n]
         mat[j][i] = -omega.coords[n]
     h_basis = rla.nullspace(mat, sc.dim)
 
-    closed = True
-    for a in range(len(h_basis)):
-        for b in range(a + 1, len(h_basis)):
-            w = sc.bracket(h_basis[a], h_basis[b])
-            if not rla.in_span(h_basis, w):
-                closed = False
+    # h_basis spans the kernel of ``mat``, so a bracket lies in its span
+    # exactly when ``mat`` annihilates it: no elimination per pair.
+    def annihilated(w):
+        return not any(sum(m * x for m, x in zip(row, w) if x) for row in mat)
+
+    closed = all(annihilated(sc.bracket(u, v)) for u, v in combinations(h_basis, 2))
     return KernelReport(
         h_basis=h_basis,
         is_subalgebra=closed,
@@ -270,18 +293,29 @@ def two_form_from_pairs(sc: StructureConstants, entries: dict[tuple[int, int], F
 # ---------------------------------------------------------------------------
 
 
+def _json_int(value, field: str) -> int:
+    # bool is an int subclass, and int() would truncate 2.7 or parse "2"
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def from_json_dict(data: dict) -> StructureConstants:
     try:
-        dim = int(data["dim"])
+        dim = _json_int(data["dim"], "dim")
         names = tuple(str(s) for s in data["basis"])
         brackets = data["brackets"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"structure-constants JSON missing field: {exc}") from exc
     c: dict[tuple[int, int, int], Fraction] = {}
+    seen: set[tuple[int, int]] = set()
     for entry in brackets:
-        i, j = int(entry["i"]), int(entry["j"])
+        i, j = _json_int(entry["i"], "bracket index i"), _json_int(entry["j"], "bracket index j")
         if i >= j:
             raise ValueError(f"bracket entry must have i < j, got ({i},{j})")
+        if (i, j) in seen:
+            raise ValueError(f"bracket entry ({i},{j}) appears more than once")
+        seen.add((i, j))
         for k_str, v in entry["coeffs"].items():
             val = Fraction(v)
             if val != 0:

@@ -1,72 +1,82 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain ``list[list[Fraction]]`` (row-major).  Elimination is
-fraction-free (Bareiss): rows are first scaled to coprime integers, then
-reduced with the two-term determinant update, so every intermediate entry
-is an exact integer.  Rank and nullspace decisions are therefore exact,
-which is what the cohomology dimensions require.
+Matrices are plain ``list[list[Fraction]]`` (row-major).  Elimination runs
+on sparse integer rows: each row is scaled to coprime integers and kept as
+``{column: value}`` over its nonzero entries.  A row is touched only when it
+has a nonzero in the pivot column; it is then combined with the pivot row by
+the two-term integer update and divided by its content, so every
+intermediate entry is an exact integer.  Rank and nullspace decisions are
+therefore exact, which is what the cohomology dimensions require.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def as_fraction_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def _integer_rows(rows):
-    """Scale each row by the lcm of its denominators (preserves row space
-    and nullspace)."""
-    out = []
-    for row in rows:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
-    return out
+def _content_free(row):
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _bareiss_echelon(rows):
-    """Fraction-free row echelon form of an integer matrix (in place).
+def _integer_row(row):
+    """Nonzero entries of a rational row as ``{column: int}``, scaled to
+    coprime integers (preserves row space and nullspace)."""
+    entries = {c: Fraction(x) for c, x in enumerate(row) if x}
+    scale = lcm(*(x.denominator for x in entries.values()))
+    return _content_free({c: x.numerator * (scale // x.denominator) for c, x in entries.items()})
 
-    Returns the list of pivot columns; the reduced rows stay integral.
+
+def _cancel(row, piv, c):
+    """``row`` with column ``c`` cancelled against pivot row ``piv``."""
+    g = gcd(piv[c], row[c])
+    a, b = piv[c] // g, row[c] // g
+    out = {k: a * v for k, v in row.items()}
+    for k, v in piv.items():
+        w = out.get(k, 0) - b * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return _content_free(out)
+
+
+def _echelon(rows):
+    """Row echelon form as sparse coprime integer rows, in pivot order.
+
+    Rows are bucketed by leading column, so each step touches only the rows
+    whose leading entry sits in the pivot column.  The pivot column of each
+    returned row is its smallest key.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    piv_cols = []
-    prev = 1
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, m):
-            fi = rows[i][c]
-            for j in range(n):
-                rows[i][j] = (piv * rows[i][j] - fi * rows[r][j]) // prev
-        prev = piv
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    return piv_cols
+    by_lead = {}
+    for row in map(_integer_row, rows):
+        if row:
+            by_lead.setdefault(min(row), []).append(row)
+    pivots = []
+    while by_lead:
+        c = min(by_lead)
+        hit = by_lead.pop(c)
+        piv = min(hit, key=len)  # the sparsest pivot row keeps fill-in low
+        pivots.append(piv)
+        for row in hit:
+            if row is not piv:
+                row = _cancel(row, piv, c)
+                if row:
+                    by_lead.setdefault(min(row), []).append(row)
+    return pivots
 
 
 def _primitive(vec):
     """Clear denominators, divide out the content, make the first nonzero
     entry positive.  Canonical representative of the ray through ``vec``."""
-    scale = 1
-    for x in vec:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    scale = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (scale // x.denominator) for x in vec]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     lead = next((v for v in ints if v != 0), 1)
@@ -75,27 +85,30 @@ def _primitive(vec):
     return [Fraction(v) for v in ints]
 
 
-def rank(rows, ncols=None):
-    rows = as_fraction_rows(rows)
-    if not rows or (ncols is not None and ncols == 0):
-        return 0
-    work = _integer_rows(rows)
-    return len(_bareiss_echelon(work))
+def rank(rows):
+    return len(_echelon(rows))
 
 
 def _rref(rows):
-    """Reduced row echelon form over Fraction.  Returns (rows, pivot cols)."""
-    work = _integer_rows(as_fraction_rows(rows)) if rows else []
-    piv_cols = _bareiss_echelon(work)
-    red = [[Fraction(x) for x in work[r]] for r in range(len(piv_cols))]
-    for r in reversed(range(len(piv_cols))):
+    """Reduced row echelon form over Fraction.  Returns (rows, pivot cols).
+
+    Back-substitution stays on the integer rows; each row is divided by its
+    pivot once, at the end.
+    """
+    pivots = _echelon(rows)
+    piv_cols = [min(row) for row in pivots]
+    for r in reversed(range(len(pivots))):
         c = piv_cols[r]
-        piv = red[r][c]
-        red[r] = [x / piv for x in red[r]]
         for i in range(r):
-            f = red[i][c]
-            if f != 0:
-                red[i] = [a - f * b for a, b in zip(red[i], red[r])]
+            if c in pivots[i]:
+                pivots[i] = _cancel(pivots[i], pivots[r], c)
+    ncols = len(rows[0]) if rows else 0
+    red = []
+    for c, row in zip(piv_cols, pivots):
+        dense = [Fraction(0)] * ncols
+        for k, v in row.items():
+            dense[k] = Fraction(v, row[c])
+        red.append(dense)
     return red, piv_cols
 
 

@@ -78,6 +78,35 @@ def test_cohomology_jacobi_failure_exit_2(tmp_path):
     assert report["violations"]
 
 
+def _cohomology_error(tmp_path, capsys, data):
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(json.dumps(data))
+    code = main(["cohomology", str(algebra), "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return code, err
+
+
+def test_cohomology_repeated_bracket_pair_exit_2(tmp_path, capsys):
+    data = {
+        "dim": 3,
+        "basis": ["a", "b", "c"],
+        "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}, {"i": 0, "j": 1, "coeffs": {"0": "1"}}],
+    }
+    code, err = _cohomology_error(tmp_path, capsys, data)
+    assert code == 2
+    assert "appears more than once" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cohomology_non_integer_dim_exit_2(tmp_path, capsys):
+    data = {"dim": 2.7, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "1"}}]}
+    code, err = _cohomology_error(tmp_path, capsys, data)
+    assert code == 2
+    assert "dim must be an integer, got 2.7" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_cohomology_file_equivalent_to_catalog(tmp_path):
     from qps import lie_cohomology as lc
 

@@ -1,12 +1,16 @@
 """Exact cohomology engine: hand-derived small cases, sympy rank oracle,
-and randomized nilpotent-algebra invariants."""
+dense reference loops, closed forms, and randomized nilpotent-algebra
+invariants."""
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qps import lie_cohomology as lc
 from qps import rational_linalg as rla
@@ -16,6 +20,96 @@ def _sc(dim, entries, names=None):
     names = tuple(names or [f"e{i}" for i in range(dim)])
     c = {k: Fraction(v) for k, v in entries.items()}
     return lc.StructureConstants(dim=dim, names=names, c=c)
+
+
+# ---------------------------------------------------------------------------
+# dense reference loops: every index combination through bracket_coeff
+# ---------------------------------------------------------------------------
+
+
+def _dense_jacobi(sc, max_violations):
+    violations = []
+    for i, j, k in combinations(range(sc.dim), 3):
+        for l in range(sc.dim):
+            total = Fraction(0)
+            for m in range(sc.dim):
+                total += sc.bracket_coeff(i, j, m) * sc.bracket_coeff(m, k, l)
+                total += sc.bracket_coeff(j, k, m) * sc.bracket_coeff(m, i, l)
+                total += sc.bracket_coeff(k, i, m) * sc.bracket_coeff(m, j, l)
+            if total != 0:
+                violations.append((i, j, k, l))
+                if len(violations) >= max_violations:
+                    return violations
+    return violations
+
+
+def _dense_coboundary1(sc):
+    pairs = lc.pair_basis(sc.dim)
+    return [[-sc.bracket_coeff(i, j, k) for k in range(sc.dim)] for i, j in pairs]
+
+
+def _dense_coboundary2(sc):
+    pairs = lc.pair_basis(sc.dim)
+    triples = lc.triple_basis(sc.dim)
+    triple_idx = {t: n for n, t in enumerate(triples)}
+    rows = [[Fraction(0)] * len(pairs) for _ in triples]
+
+    def add_wedge(col, coeff, a, b, c):
+        # coeff * w^a ^ w^b ^ w^c resolved into the sorted-triple basis
+        if a == b or a == c or b == c:
+            return
+        inversions = (a > b) + (a > c) + (b > c)
+        rows[triple_idx[tuple(sorted((a, b, c)))]][col] += coeff * (-1) ** inversions
+
+    for col, (a, b) in enumerate(pairs):
+        for i, j in pairs:
+            add_wedge(col, -sc.bracket_coeff(i, j, a), i, j, b)  # (d w^a) ^ w^b
+            add_wedge(col, sc.bracket_coeff(i, j, b), a, i, j)  # - w^a ^ (d w^b)
+    return rows
+
+
+def _to_sympy(mat, cols):
+    return sympy.Matrix(
+        len(mat), cols, [sympy.Rational(x.numerator, x.denominator) for r in mat for x in r]
+    )
+
+
+def _primitive_from_sympy(vec):
+    return rla._primitive([Fraction(int(x.p), int(x.q)) for x in vec])
+
+
+@st.composite
+def _bracket_tables(draw):
+    """Random constants over mixed denominators, d <= 7: either two-step
+    nilpotent (every bracket lands in the last, central, slot, so Jacobi
+    holds) or unrestricted (mostly not a Lie algebra)."""
+    dim = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        keys = [(i, j, dim - 1) for i, j in combinations(range(dim - 1), 2)]
+    else:
+        keys = [(i, j, k) for i, j in combinations(range(dim), 2) for k in range(dim)]
+    values = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6]))
+    c = draw(st.dictionaries(st.sampled_from(keys), values, max_size=30)) if keys else {}
+    return _sc(dim, c)
+
+
+@settings(deadline=None)
+@given(sc=_bracket_tables(), max_violations=st.integers(1, 300))
+def test_sparse_engine_matches_dense_references(sc, max_violations):
+    report = lc.validate_algebra(sc, max_violations=max_violations)
+    assert report.violations == _dense_jacobi(sc, max_violations)
+    assert report.ok == (not report.violations)
+    d1, d2 = lc.coboundary1(sc), lc.coboundary2(sc)
+    assert d1 == _dense_coboundary1(sc)
+    assert d2 == _dense_coboundary2(sc)
+    n_pairs = len(lc.pair_basis(sc.dim))
+    for mat in (d2, [list(col) for col in zip(*d1)]):
+        sm = _to_sympy(mat, n_pairs)
+        assert rla.rank(mat) == sm.rank()
+        assert rla.nullspace(mat, n_pairs) == [_primitive_from_sympy(v) for v in sm.nullspace()]
+        rref, pivots = sm.rref()
+        expected_rows = [_primitive_from_sympy(rref.row(r)) for r in range(len(pivots))]
+        assert rla.row_space_basis(mat) == expected_rows
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +221,9 @@ def test_dimensions_against_sympy_rank_oracle(name):
     d1 = lc.coboundary1(sc)
     d2 = lc.coboundary2(sc)
 
-    def to_sym(mat, cols):
-        return sympy.Matrix(
-            len(mat), cols, [sympy.Rational(x.numerator, x.denominator) for r in mat for x in r]
-        )
-
     n_pairs = len(lc.pair_basis(sc.dim))
-    s1 = to_sym(d1, sc.dim)
-    s2 = to_sym(d2, n_pairs)
+    s1 = _to_sympy(d1, sc.dim)
+    s2 = _to_sympy(d2, n_pairs)
     report = lc.second_cohomology(sc)
     assert report.dim_b2 == s1.rank()
     assert report.dim_z2 == n_pairs - s2.rank()
@@ -152,6 +241,41 @@ def test_galilei_h1_and_h2_both_nontrivial():
     report = lc.second_cohomology(lc.catalog("galilei"))
     assert report.dim_h2 >= 1
     assert report.dim_h1 >= 1
+
+
+def _so(n):
+    """so(n) in the basis L_ab = E_ab - E_ba (a < b), from
+    [L_ij, L_kl] = d_jk L_il + d_il L_jk - d_ik L_jl - d_jl L_ik."""
+    pairs = list(combinations(range(n), 2))
+    idx = {p: m for m, p in enumerate(pairs)}
+    c = {}
+    for x, (i, j) in enumerate(pairs):
+        for y in range(x + 1, len(pairs)):
+            k, l = pairs[y]
+            for delta, coeff, a, b in ((j == k, 1, i, l), (i == l, 1, j, k),
+                                       (i == k, -1, j, l), (j == l, -1, i, k)):
+                if delta and a != b:  # L_ab = -L_ba, L_aa = 0
+                    key = (x, y, idx[(min(a, b), max(a, b))])
+                    c[key] = c.get(key, 0) + (coeff if a < b else -coeff)
+    return _sc(len(pairs), c)
+
+
+def test_so7_is_perfect_with_no_central_extension():
+    # Whitehead: H^1 = H^2 = 0 for a semisimple algebra
+    sc = _so(7)
+    assert sc.dim == 21
+    assert lc.validate_algebra(sc).ok
+    report = lc.second_cohomology(sc)
+    assert (report.dim_h1, report.dim_h2) == (0, 0)
+
+
+def test_h15_cohomology_closed_form():
+    # h_{2n+1}, [Q_i, P_i] = Z: H^1 = 2n, dim H^2 = n(2n - 1) - 1 (Santharoubane)
+    n = 7
+    sc = _sc(2 * n + 1, {(i, n + i, 2 * n): 1 for i in range(n)})
+    assert lc.validate_algebra(sc).ok
+    report = lc.second_cohomology(sc)
+    assert (report.dim_h1, report.dim_h2) == (14, 90)
 
 
 def test_exact_forms_are_closed():
@@ -345,6 +469,27 @@ def test_json_rejects_bad_entries():
         )
     with pytest.raises(ValueError, match="missing"):
         lc.from_json_dict({"dim": 2})
+
+
+def test_json_rejects_repeated_pair():
+    data = {
+        "dim": 3,
+        "basis": ["a", "b", "c"],
+        "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}, {"i": 0, "j": 1, "coeffs": {"0": "1"}}],
+    }
+    with pytest.raises(ValueError, match=r"\(0,1\) appears more than once"):
+        lc.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("dim", 2.7), ("dim", "3"), ("dim", True), ("i", 0.0), ("j", "1")]
+)
+def test_json_rejects_non_integer_dim_and_indices(field, value):
+    entry = {"i": 0, "j": 1, "coeffs": {"2": "1"}}
+    data = {"dim": 3, "basis": ["a", "b", "c"], "brackets": [entry]}
+    (data if field == "dim" else entry)[field] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        lc.from_json_dict(data)
 
 
 def test_cochain_shape_validation():
