@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -62,13 +63,19 @@ def _parse_generator(spec: str):
 
 
 def _parse_region(spec: str) -> loc.RegionSpec:
-    """'disk:R' or 'rect:q0,q1,p0,p1'."""
+    """'disk:R' (0 < R < inf) or 'rect:q0,q1,p0,p1' (q0 < q1, p0 < p1)."""
     if spec.startswith("disk:"):
-        return loc.RegionSpec.disk(float(spec.split(":", 1)[1]))
+        radius = float(spec.split(":", 1)[1])
+        if not 0 < radius < math.inf:
+            raise ValidationFailure(f"disk radius must be positive and finite, got {radius}")
+        return loc.RegionSpec.disk(radius)
     if spec.startswith("rect:"):
         parts = [float(x) for x in spec.split(":", 1)[1].split(",")]
         if len(parts) != 4:
             raise ValidationFailure("rect region needs q0,q1,p0,p1")
+        q0, q1, p0, p1 = parts
+        if not (q0 < q1 and p0 < p1):
+            raise ValidationFailure(f"rect region needs q0 < q1 and p0 < p1, got {parts}")
         return loc.RegionSpec.rect(*parts)
     raise ValidationFailure(f"unknown region {spec!r}; use disk:R or rect:q0,q1,p0,p1")
 
@@ -162,6 +169,7 @@ def cmd_spectrum(args) -> int:
     spec = loc.localization_spectrum(region, eta, grid, ctx, epsilon=args.epsilon)
     summary = loc.clustering_report(spec)
     count, mu = loc.channel_capacity(region, eta, grid, ctx, threshold=args.threshold)
+    ratio = summary.mid_to_near_one_ratio
     report = {
         "config": cfg,
         "trace": spec.trace,
@@ -170,7 +178,8 @@ def cmd_spectrum(args) -> int:
         "near_zero": spec.near_zero,
         "mid": spec.mid,
         "epsilon": spec.epsilon,
-        "mid_to_near_one_ratio": summary.mid_to_near_one_ratio,
+        # infinite when no eigenvalue is near one; strict JSON has no Infinity
+        "mid_to_near_one_ratio": ratio if math.isfinite(ratio) else None,
         "capacity_count": count,
         "capacity_threshold": args.threshold,
     }

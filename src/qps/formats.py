@@ -21,7 +21,8 @@ def fmt(x: float) -> str:
 
 
 def write_json(obj, path=None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON to ``path`` or stdout; NaN or an infinity raises ValueError."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

@@ -307,19 +307,40 @@ def from_json_dict(data: dict) -> StructureConstants:
         brackets = data["brackets"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"structure-constants JSON missing field: {exc}") from exc
+    if not isinstance(brackets, list):
+        raise ValueError("brackets must be a list of bracket entries")
     c: dict[tuple[int, int, int], Fraction] = {}
     seen: set[tuple[int, int]] = set()
     for entry in brackets:
+        if not (
+            isinstance(entry, dict)
+            and {"i", "j", "coeffs"} <= entry.keys()
+            and isinstance(entry["coeffs"], dict)
+        ):
+            raise ValueError(
+                "each bracket entry must be an object with integer fields i, j "
+                "and an object coeffs"
+            )
         i, j = _json_int(entry["i"], "bracket index i"), _json_int(entry["j"], "bracket index j")
         if i >= j:
             raise ValueError(f"bracket entry must have i < j, got ({i},{j})")
         if (i, j) in seen:
             raise ValueError(f"bracket entry ({i},{j}) appears more than once")
         seen.add((i, j))
+        targets: set[int] = set()
         for k_str, v in entry["coeffs"].items():
-            val = Fraction(v)
+            k = int(k_str)
+            if k in targets:
+                raise ValueError(f"bracket entry ({i},{j}) names target {k} more than once")
+            targets.add(k)
+            try:
+                val = Fraction(v)
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise ValueError(
+                    f"bracket entry ({i},{j}) has coefficient {v!r} that is not a rational number"
+                ) from exc
             if val != 0:
-                c[(i, j, int(k_str))] = val
+                c[(i, j, k)] = val
     sc = StructureConstants(dim=dim, names=names, c=c, label=str(data.get("name", "")))
     _check_shape(sc)
     return sc

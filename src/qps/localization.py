@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import _solve_frame
+from .transform import _solve_frame, frame_operator, weighted_gram
 from .wh_model import FockContext, PhaseGrid, _generator_vector, coherent_family, displacement
 
 SQRT2 = np.sqrt(2.0)
@@ -83,11 +83,15 @@ def _symbol_values(f, grid: PhaseGrid) -> np.ndarray:
 
 
 def quantize(f, eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
-    """A(f) = sum_k mu_k f(x_k) |u_k><u_k|; Hermitian by construction."""
+    """A(f) = sum_k mu_k f(x_k) |u_k><u_k|; Hermitian by construction.
+
+    Only the grid points where f is nonzero enter the sum, so an
+    indicator costs the rows of its region.
+    """
     vals = _symbol_values(f, grid)
+    rows = np.flatnonzero(vals)
     fam = coherent_family(eta, grid, ctx)
-    a = (fam.T * (grid.weights * vals)) @ fam.conj()
-    return 0.5 * (a + a.conj().T)
+    return weighted_gram(fam[rows], grid.weights[rows] * vals[rows])
 
 
 def quantize_via_transform(f, eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
@@ -97,12 +101,7 @@ def quantize_via_transform(f, eta, grid: PhaseGrid, ctx: FockContext) -> np.ndar
     identity; at finite truncation S^-1 breaks the symmetry at the
     quadrature-defect order, so the product is re-Hermitized.
     """
-    vals = _symbol_values(f, grid)
-    fam = coherent_family(eta, grid, ctx)
-    a = (fam.T * (grid.weights * vals)) @ fam.conj()
-    s = (fam.T * grid.weights) @ fam.conj()
-    s = 0.5 * (s + s.conj().T)
-    routed = _solve_frame(s, 0.5 * (a + a.conj().T))
+    routed = _solve_frame(frame_operator(eta, grid, ctx), quantize(f, eta, grid, ctx))
     return 0.5 * (routed + routed.conj().T)
 
 

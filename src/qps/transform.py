@@ -40,11 +40,15 @@ def w_transform(eta, grid: PhaseGrid, phi, ctx: FockContext) -> GammaFunctionSam
     return GammaFunctionSamples(values=fam.conj() @ phi, grid=grid)
 
 
+def weighted_gram(fam: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights_k |u_k><u_k| over the rows u_k of fam, Hermitized."""
+    a = (fam.T * weights) @ fam.conj()
+    return 0.5 * (a + a.conj().T)
+
+
 def frame_operator(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     """S = sum_k mu_k |D(alpha_k) eta><D(alpha_k) eta|, Hermitian positive."""
-    fam = coherent_family(eta, grid, ctx)
-    s = (fam.T * grid.weights) @ fam.conj()
-    return 0.5 * (s + s.conj().T)
+    return weighted_gram(coherent_family(eta, grid, ctx), grid.weights)
 
 
 def _solve_frame(s: np.ndarray, rhs: np.ndarray, max_condition: float = 1e6) -> np.ndarray:
@@ -62,10 +66,8 @@ def _solve_frame(s: np.ndarray, rhs: np.ndarray, max_condition: float = 1e6) -> 
 def reconstruct(eta, grid: PhaseGrid, samples: GammaFunctionSamples, ctx: FockContext) -> np.ndarray:
     """Invert the transform: phi = S^-1 sum_k mu_k F_k D(alpha_k) eta."""
     fam = coherent_family(eta, grid, ctx)
-    s = (fam.T * grid.weights) @ fam.conj()
-    s = 0.5 * (s + s.conj().T)
     rhs = fam.T @ (grid.weights * samples.values)
-    return _solve_frame(s, rhs)
+    return _solve_frame(weighted_gram(fam, grid.weights), rhs)
 
 
 def projection_P(eta, grid: PhaseGrid, samples: GammaFunctionSamples, ctx: FockContext) -> GammaFunctionSamples:

@@ -112,13 +112,9 @@ class PhaseGrid:
     spacing: float
     iq: np.ndarray = field(repr=False)
     ip: np.ndarray = field(repr=False)
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index.update(
-                {(int(a), int(b)): k for k, (a, b) in enumerate(zip(self.iq, self.ip))}
-            )
+    _index: dict | None = field(default=None, init=False, repr=False)
+    # (key, family) of the most recent coherent_family call on this grid
+    _family: tuple | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -138,13 +134,15 @@ class PhaseGrid:
 
     def lookup(self, iq: int, ip: int):
         """Index of the lattice point with integer coordinates, or None."""
+        if self._index is None:
+            self._index = {ij: k for k, ij in enumerate(zip(self.iq.tolist(), self.ip.tolist()))}
         return self._index.get((iq, ip))
 
 
 def build_grid(radius: float, spacing: float) -> PhaseGrid:
     """Lattice of cell midpoints covering the disk q^2 + p^2 <= radius^2."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if not 0 < spacing < radius:
         raise ValueError("need 0 < spacing < radius")
     half_cells = int(np.ceil(radius / spacing)) + 1
@@ -155,13 +153,17 @@ def build_grid(radius: float, spacing: float) -> PhaseGrid:
     mask = qq**2 + pp**2 <= radius**2
     points = np.column_stack([qq[mask], pp[mask]])
     weights = np.full(len(points), spacing**2 / (2.0 * np.pi))
+    iq, ip = ii[mask], jj[mask]
+    # read-only, so the grid cannot change under its stored family
+    for arr in (points, weights, iq, ip):
+        arr.flags.writeable = False
     return PhaseGrid(
         points=points,
         weights=weights,
         radius=float(radius),
         spacing=float(spacing),
-        iq=ii[mask],
-        ip=jj[mask],
+        iq=iq,
+        ip=ip,
     )
 
 
@@ -190,7 +192,7 @@ def resolution_generator(kind: str, ctx: FockContext, *, n: int | None = None, r
         vec[n] = 1.0
         label = f"fock({n})"
     elif kind == "squeezed":
-        if r is None or abs(r) > 1.5:
+        if r is None or not abs(r) <= 1.5:
             raise ValueError(f"squeezed generator needs |r| <= 1.5, got {r}")
         t = np.tanh(r)
         for m in range(ctx.n_dim // 2 + 1):
@@ -215,16 +217,25 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     """Row k holds D(alpha_k) eta: the displaced-generator family over the grid.
 
     Only the columns where eta has support are evaluated, so single-Fock
-    generators cost one Laguerre pass over the grid.
+    generators cost one Laguerre pass over the grid.  The grid keeps the
+    most recent family (K x N complex entries), keyed by N and the bytes
+    of eta: a repeat call returns that same array, read-only, and a call
+    with another key replaces it.
     """
-    vec = _generator_vector(eta)
+    vec = np.asarray(_generator_vector(eta), dtype=complex)
     if vec.shape != (ctx.n_dim,):
         raise ValueError(f"generator has dim {vec.shape}, context has {ctx.n_dim}")
+    key = (ctx.n_dim, vec.tobytes())
+    stored = grid._family
+    if stored is not None and stored[0] == key:
+        return stored[1]
     alphas = grid.alpha[:, None]
     ms = np.arange(ctx.n_dim)[None, :]
     fam = np.zeros((len(grid), ctx.n_dim), dtype=complex)
     for n0 in np.nonzero(np.abs(vec) > 0)[0]:
         fam += vec[n0] * _displacement_elements(alphas, ms, int(n0))
+    fam.flags.writeable = False
+    grid._family = (key, fam)
     return fam
 
 

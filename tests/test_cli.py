@@ -107,6 +107,29 @@ def test_cohomology_non_integer_dim_exit_2(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ({"i": 0, "coeffs": {"0": "1"}}, "must be an object"),
+        ({"j": 1, "coeffs": {"0": "1"}}, "must be an object"),
+        ({"i": 0, "j": 1}, "must be an object"),
+        ([0, 1, {"0": "1"}], "must be an object"),
+        ({"i": 0, "j": 1, "coeffs": ["1"]}, "must be an object"),
+        ({"i": 0, "j": 1, "coeffs": {"1": "1", "01": "2"}}, "names target 1 more than once"),
+        ({"i": 0, "j": 1, "coeffs": {"0": None}}, "not a rational number"),
+        ({"i": 0, "j": 1, "coeffs": {"0": "1/0"}}, "not a rational number"),
+    ],
+    ids=["no-j", "no-i", "no-coeffs", "list-entry", "list-coeffs", "repeated-target",
+         "null-coeff", "zero-denominator"],
+)
+def test_cohomology_malformed_bracket_entry_exit_2(tmp_path, capsys, entry, message):
+    data = {"dim": 2, "basis": ["a", "b"], "brackets": [entry]}
+    code, err = _cohomology_error(tmp_path, capsys, data)
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_cohomology_file_equivalent_to_catalog(tmp_path):
     from qps import lie_cohomology as lc
 
@@ -172,6 +195,40 @@ def test_spectrum_quarter_measure_region_passes_nothing(tmp_path):
 
 def test_spectrum_bad_region_exit_2(tmp_path):
     assert main(["spectrum", "--region", "triangle:1"]) == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_spectrum_without_near_one_eigenvalue_writes_strict_json(tmp_path):
+    code, _, out = run(
+        tmp_path, "spectrum", "--dim", "8", "--radius", "4", "--spacing", "0.25",
+        "--region", "disk:1",
+    )
+    assert code == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["near_one"] == 0 and report["mid"] > 0
+    assert report["mid_to_near_one_ratio"] is None
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["spectrum", "--region", "disk:-1"], "disk radius must be positive and finite"),
+        (["spectrum", "--region", "disk:nan"], "disk radius must be positive and finite"),
+        (["spectrum", "--region", "rect:nan,1,0,1"], "rect region needs q0 < q1"),
+        (["spectrum", "--radius", "inf"], "radius must be positive and finite"),
+        (["admissibility", "--generator", "squeezed:nan"], "needs |r| <= 1.5"),
+    ],
+    ids=["disk-negative", "disk-nan", "rect-nan", "radius-inf", "squeezed-nan"],
+)
+def test_non_finite_or_negative_argument_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--dim", "8", "--spacing", "0.25", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

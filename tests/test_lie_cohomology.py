@@ -482,6 +482,39 @@ def test_json_rejects_repeated_pair():
 
 
 @pytest.mark.parametrize(
+    "brackets",
+    [
+        [{"i": 0, "coeffs": {"0": "1"}}],
+        [{"j": 1, "coeffs": {"0": "1"}}],
+        [{"i": 0, "j": 1}],
+        [[0, 1, {"0": "1"}]],
+        [{"i": 0, "j": 1, "coeffs": "1"}],
+        {"i": 0, "j": 1, "coeffs": {"0": "1"}},
+    ],
+    ids=["no-j", "no-i", "no-coeffs", "list-entry", "string-coeffs", "entry-not-in-list"],
+)
+def test_json_rejects_malformed_bracket_entries(brackets):
+    with pytest.raises(ValueError, match="bracket entr"):
+        lc.from_json_dict({"dim": 2, "basis": ["a", "b"], "brackets": brackets})
+
+
+def test_json_rejects_repeated_target():
+    data = {"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1", "01": "2"}}]}
+    with pytest.raises(ValueError, match=r"\(0,1\) names target 1 more than once"):
+        lc.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "value", [None, [1], "1/0", float("nan"), float("inf")],
+    ids=["null", "list", "zero-denominator", "nan", "inf"],
+)
+def test_json_rejects_non_rational_coefficients(value):
+    data = {"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "coeffs": {"0": value}}]}
+    with pytest.raises(ValueError, match="not a rational number"):
+        lc.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
     "field,value", [("dim", 2.7), ("dim", "3"), ("dim", True), ("i", 0.0), ("j", "1")]
 )
 def test_json_rejects_non_integer_dim_and_indices(field, value):

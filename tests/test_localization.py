@@ -103,6 +103,24 @@ def test_indicator_monotonicity(ctx32, grid_ref, eta32):
     assert np.linalg.eigvalsh(a_out - a_in)[0] >= -1e-9
 
 
+@pytest.mark.parametrize(
+    "symbol",
+    [
+        lambda q, p: (q**2 + p**2 <= 9.0).astype(float),
+        lambda q, p: np.cos(q) * np.exp(-(p**2)),
+        lambda q, p: np.zeros_like(q),
+    ],
+    ids=["disk3", "smooth", "zero"],
+)
+def test_quantize_matches_full_grid_sum(ctx24, grid_ref, eta24, symbol):
+    # reference: the weighted sum over every grid point, zero terms included
+    vals = symbol(grid_ref.q, grid_ref.p)
+    fam = wh.coherent_family(eta24, grid_ref, ctx24)
+    full = (fam.T * (grid_ref.weights * vals)) @ fam.conj()
+    full = 0.5 * (full + full.conj().T)
+    assert np.max(np.abs(loc.quantize(vals, eta24, grid_ref, ctx24) - full)) <= 1e-14
+
+
 def test_symbol_shape_validation(ctx24, grid_ref, eta24):
     with pytest.raises(ValueError):
         loc.quantize(np.ones(3), eta24, grid_ref, ctx24)

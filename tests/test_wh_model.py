@@ -8,6 +8,8 @@ from scipy.linalg import expm
 
 from qps import wh_model as wh
 
+from conftest import random_low_block
+
 
 # ---------------------------------------------------------------------------
 # fock_space
@@ -146,6 +148,23 @@ def test_grid_parameter_validation():
         wh.build_grid(-1.0, 0.1)
     with pytest.raises(ValueError):
         wh.build_grid(1.0, 1.5)
+    for radius in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            wh.build_grid(radius, 0.1)
+
+
+def test_grid_arrays_are_read_only():
+    grid = wh.build_grid(3.0, 0.4)
+    for arr in (grid.points, grid.weights, grid.iq, grid.ip, grid.q):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_grid_lookup_indexes_every_lattice_point():
+    grid = wh.build_grid(3.0, 0.4)
+    for k, (iq, ip) in enumerate(zip(grid.iq, grid.ip)):
+        assert grid.lookup(int(iq), int(ip)) == k
+    assert grid.lookup(100, 0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +260,37 @@ def test_admissibility_integral_phase_invariant(ctx24, grid_ref, eta24):
     base = wh.autocorrelation_integrand(eta24.vector, grid_ref, ctx24)
     rotated = wh.autocorrelation_integrand(np.exp(0.7j) * eta24.vector, grid_ref, ctx24)
     assert np.max(np.abs(base - rotated)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# coherent family stored on the grid
+# ---------------------------------------------------------------------------
+
+
+def _family_reference(vec, grid, n_dim):
+    """Rows D(alpha_k) vec from the closed-form matrix elements, no storage."""
+    idx = np.arange(n_dim)
+    elems = wh._displacement_elements(grid.alpha[:, None, None], idx[None, :, None], idx[None, None, :])
+    return elems @ vec
+
+
+def test_repeat_family_call_returns_the_stored_read_only_array(ctx24):
+    grid = wh.build_grid(5.0, 0.4)
+    eta = wh.resolution_generator("fock", ctx24, n=2)
+    first = wh.coherent_family(eta, grid, ctx24)
+    again = wh.coherent_family(eta.vector.copy(), grid, ctx24)
+    assert again is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 0.0
+
+
+def test_family_follows_a_new_generator_or_dimension():
+    grid = wh.build_grid(5.0, 0.4)
+    rng = np.random.default_rng(3)
+    for n_dim in (12, 16, 12):
+        ctx = wh.fock_space(n_dim)
+        for vec in (wh.resolution_generator("ground", ctx).vector, random_low_block(rng, n_dim, 5)):
+            fam = wh.coherent_family(vec, grid, ctx)
+            assert fam.shape == (len(grid), n_dim)
+            assert np.max(np.abs(fam - _family_reference(vec, grid, n_dim))) < 1e-14
