@@ -29,9 +29,12 @@ print(f"energy symbol: quantum {quantum:.6f} = classical {classical:.6f}")
 
 # Completeness: the 484 rank-one densities span all 16 Hermitian
 # dimensions, while the four position projectors span only 4.
+# The condition number of the vectorized densities bounds how much the
+# inversion below can amplify errors in the data.
 report = tom.completeness_rank(eta, grid, ctx)
+cond = report.singular_values[0] / report.smallest_kept_singular_value
 print(f"\ncoherent family rank: {report.gram_rank}/{report.required} "
-      f"(complete: {report.complete}, spectral gap ratio {report.gap_ratio:.1e})")
+      f"(complete: {report.complete}, cond(rows) {cond:.1f})")
 projectors = [np.diag((np.arange(4) == i).astype(complex)) for i in range(4)]
 print(f"position projectors rank: {tom.operator_family_rank(projectors).gram_rank}/16")
 

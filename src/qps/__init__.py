@@ -17,13 +17,4 @@ Submodules:
 - ``cli``: command-line front end (``qps`` entry point).
 """
 
-from . import (  # noqa: F401
-    effect_algebra,
-    lie_cohomology,
-    localization,
-    tomography,
-    transform,
-    wh_model,
-)
-
 __version__ = "0.1.0"

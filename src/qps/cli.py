@@ -3,12 +3,11 @@
 Subcommands: cohomology, spectrum, tomography, effects, transform,
 admissibility.  Every report embeds the fully resolved configuration, and
 identical configuration plus seed produces byte-identical output files.
-The QPS_THREADS environment variable is validated (a positive integer,
-else exit code 2) and otherwise has no effect: it is not recorded in
-reports and selects no parallelism, so it never changes an output byte.
-The BLAS library's own thread count (e.g. OPENBLAS_NUM_THREADS) is
-outside this promise: it can move round-off-level report values, such
-as the relative_error of `qps transform`, in the last digits.
+The BLAS library's thread count (e.g. OPENBLAS_NUM_THREADS) is outside
+this promise: it can move round-off-level report values, such as the
+relative_error of `qps transform`, in the last digits.  Each command
+imports only the layers it uses, so `qps cohomology` loads no numeric
+layer and no scipy.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 validation failure.
 """
@@ -18,35 +17,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import effect_algebra as ea
 from . import formats
-from . import lie_cohomology as lc
-from . import localization as loc
-from . import tomography as tom
-from . import transform as tr
-from . import wh_model as wh
 
 
 class ValidationFailure(Exception):
     """Raised by command bodies for exit code 2."""
-
-
-def _threads_hint() -> int:
-    raw = os.environ.get("QPS_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationFailure(f"QPS_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ValidationFailure(f"QPS_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _parse_generator(spec: str):
@@ -62,26 +43,24 @@ def _parse_generator(spec: str):
     )
 
 
-def _parse_region(spec: str) -> loc.RegionSpec:
-    """'disk:R' (0 < R < inf) or 'rect:q0,q1,p0,p1' (q0 < q1, p0 < p1)."""
+def _parse_region(spec: str):
+    """'disk:R' or 'rect:q0,q1,p0,p1' -> RegionSpec, which validates the values."""
+    from . import localization as loc
+
     if spec.startswith("disk:"):
-        radius = float(spec.split(":", 1)[1])
-        if not 0 < radius < math.inf:
-            raise ValidationFailure(f"disk radius must be positive and finite, got {radius}")
-        return loc.RegionSpec.disk(radius)
+        return loc.RegionSpec.disk(float(spec.split(":", 1)[1]))
     if spec.startswith("rect:"):
         parts = [float(x) for x in spec.split(":", 1)[1].split(",")]
         if len(parts) != 4:
             raise ValidationFailure("rect region needs q0,q1,p0,p1")
-        q0, q1, p0, p1 = parts
-        if not (q0 < q1 and p0 < p1):
-            raise ValidationFailure(f"rect region needs q0 < q1 and p0 < p1, got {parts}")
         return loc.RegionSpec.rect(*parts)
     raise ValidationFailure(f"unknown region {spec!r}; use disk:R or rect:q0,q1,p0,p1")
 
 
 def _setup(args):
     """Grid, Fock context and generator from the common flags."""
+    from . import wh_model as wh
+
     ctx = wh.fock_space(args.dim)
     grid = wh.build_grid(args.radius, args.spacing)
     kind, kwargs = _parse_generator(args.generator)
@@ -90,9 +69,6 @@ def _setup(args):
 
 
 def _config(args, command: str) -> dict:
-    # QPS_THREADS is validated but deliberately not echoed: it has no
-    # other effect, and reports must be byte-identical across its values.
-    _threads_hint()
     cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     cfg["command"] = command
     return cfg
@@ -124,6 +100,8 @@ def _emit(report: dict, args, csv_writer=None) -> None:
 
 
 def cmd_cohomology(args) -> int:
+    from . import lie_cohomology as lc
+
     cfg = _config(args, "cohomology")
     if args.algebra in lc.CATALOG:
         sc = lc.catalog(args.algebra)
@@ -150,7 +128,10 @@ def cmd_cohomology(args) -> int:
 
     report["cohomology"] = lc.cohomology_report_json(lc.second_cohomology(sc))
     if args.omega:
-        coords = tuple(Fraction(x) for x in args.omega.split(","))
+        try:
+            coords = tuple(Fraction(x) for x in args.omega.split(","))
+        except ZeroDivisionError:
+            raise ValidationFailure(f"--omega has a zero denominator: {args.omega!r}")
         omega = lc.Cochain(degree=2, dim=sc.dim, coords=coords)
         report["kernel"] = lc.kernel_report_json(lc.kernel_subalgebra(sc, omega))
     _emit(report, args)
@@ -163,12 +144,14 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import localization as loc
+
     cfg = _config(args, "spectrum")
     ctx, grid, eta = _setup(args)
     region = _parse_region(args.region)
     spec = loc.localization_spectrum(region, eta, grid, ctx, epsilon=args.epsilon)
     summary = loc.clustering_report(spec)
-    count, mu = loc.channel_capacity(region, eta, grid, ctx, threshold=args.threshold)
+    count = spec.count_above(args.threshold)
     ratio = summary.mid_to_near_one_ratio
     report = {
         "config": cfg,
@@ -193,6 +176,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_tomography(args) -> int:
+    from . import tomography as tom
+
     cfg = _config(args, "tomography")
     ctx, grid, eta = _setup(args)
 
@@ -245,6 +230,8 @@ def cmd_tomography(args) -> int:
 
 
 def _standard_battery(grid) -> list:
+    from . import localization as loc
+
     half = loc.RegionSpec.rect(0.0, np.inf, -np.inf, np.inf)
     annulus = loc.RegionSpec.from_mask(
         loc.RegionSpec.disk(3.0).mask(grid) & ~loc.RegionSpec.disk(2.0).mask(grid),
@@ -261,9 +248,9 @@ def _standard_battery(grid) -> list:
 
 
 def cmd_effects(args) -> int:
+    from . import effect_algebra as ea
+
     cfg = _config(args, "effects")
-    if args.trials < 1:
-        raise ValidationFailure(f"--trials must be >= 1, got {args.trials}")
     sampler = ea.effect_sampler(args.dim, seed=args.seed)
     axioms = ea.verify_axioms(sampler, args.trials)
 
@@ -300,6 +287,8 @@ def cmd_effects(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from . import transform as tr
+
     cfg = _config(args, "transform")
     ctx, grid, eta = _setup(args)
     rng = np.random.default_rng(args.seed)
@@ -326,6 +315,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_admissibility(args) -> int:
+    from . import wh_model as wh
+
     cfg = _config(args, "admissibility")
     ctx, grid, eta = _setup(args)
     rep = wh.admissibility(eta, grid, ctx, trials=args.trials, seed=args.seed)
@@ -361,10 +352,15 @@ def _add_output_flags(sub):
     sub.add_argument("--format", choices=["json", "csv"], default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed argument in one line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qps", description="Phase-space quantum mechanics toolkit"
-    )
+    parser = _Parser(prog="qps", description="Phase-space quantum mechanics toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("cohomology", help="cohomology of a structure-constants file")

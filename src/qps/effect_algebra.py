@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .localization import RegionSpec, localization_spectrum, quantize
+from .localization import localization_spectrum, quantize
 from .wh_model import FockContext, PhaseGrid, low_block
 
 DEFINEDNESS_TOL = 1e-9
@@ -162,30 +162,6 @@ def verify_axioms(sampler, trials: int, atol: float = 1e-12) -> AxiomReport:
     return AxiomReport(trials=trials, failures=failures, witnesses=witnesses)
 
 
-def dump_witnesses(report: AxiomReport, directory) -> list:
-    """Write stored counterexample operators as CSV files (row, col, re, im).
-
-    Returns the written paths; nothing is written when the report is clean.
-    """
-    import csv
-    from pathlib import Path
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for i, witness in enumerate(report.witnesses):
-        for j, op in enumerate(witness["operators"]):
-            path = directory / f"witness_{i}_{witness['axiom']}_{j}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["row", "col", "re", "im"])
-                for r in range(op.shape[0]):
-                    for c in range(op.shape[1]):
-                        writer.writerow([r, c, f"{op[r, c].real:.17g}", f"{op[r, c].imag:.17g}"])
-            written.append(path)
-    return written
-
-
 @dataclass
 class PovmReport:
     n_parts: int
@@ -322,26 +298,3 @@ def symbol_imp_godel(f: FuzzySymbol, g: FuzzySymbol) -> FuzzySymbol:
 
 def symbol_imp_luk(f: FuzzySymbol, g: FuzzySymbol) -> FuzzySymbol:
     return FuzzySymbol(np.minimum(1.0, 1.0 - f.values + g.values))
-
-
-_SYMBOL_OPS = {
-    "oplus": symbol_oplus,
-    "neg": symbol_neg,
-    "meet": symbol_meet,
-    "join": symbol_join,
-    "imp_godel": symbol_imp_godel,
-    "imp_luk": symbol_imp_luk,
-}
-
-
-def symbol_mv_ops(f: FuzzySymbol, g: FuzzySymbol | None, op: str) -> FuzzySymbol:
-    """Dispatch the pointwise many-valued operations by name."""
-    if op not in _SYMBOL_OPS:
-        raise ValueError(f"unknown symbol operation {op!r}; have {sorted(_SYMBOL_OPS)}")
-    if op == "neg":
-        return symbol_neg(f)
-    if g is None:
-        raise ValueError(f"operation {op!r} needs two symbols")
-    if f.values.shape != g.values.shape:
-        raise ValueError("symbol shapes differ")
-    return _SYMBOL_OPS[op](f, g)

@@ -12,9 +12,6 @@ import sys
 
 import numpy as np
 
-from .transform import GammaFunctionSamples
-from .wh_model import PhaseGrid
-
 
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -30,7 +27,8 @@ def write_json(obj, path=None) -> None:
             fh.write(text)
 
 
-def write_samples_csv(samples: GammaFunctionSamples, path) -> None:
+def write_samples_csv(samples, path) -> None:
+    """Complex transform samples (``GammaFunctionSamples``) as q,p,re,im,weight."""
     grid = samples.grid
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -47,7 +45,7 @@ def write_samples_csv(samples: GammaFunctionSamples, path) -> None:
             )
 
 
-def write_values_csv(values, grid: PhaseGrid, path) -> None:
+def write_values_csv(values, grid, path) -> None:
     """Real grid function (probabilities, symbols) as q,p,value,weight."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -58,7 +56,7 @@ def write_values_csv(values, grid: PhaseGrid, path) -> None:
             )
 
 
-def read_values_csv(path, grid: PhaseGrid) -> np.ndarray:
+def read_values_csv(path, grid) -> np.ndarray:
     """Read q,p,value rows and align them to the grid by lattice position.
 
     Every grid point must be covered exactly once; points that do not

@@ -360,11 +360,6 @@ def to_json_dict(sc: StructureConstants) -> dict:
     }
 
 
-def load_structure_constants(path) -> StructureConstants:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
-
-
 def abelian(n: int) -> StructureConstants:
     """All brackets zero."""
     return StructureConstants(

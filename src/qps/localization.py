@@ -14,14 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import _solve_frame, frame_operator, weighted_gram
-from .wh_model import FockContext, PhaseGrid, _generator_vector, coherent_family, displacement
-
-SQRT2 = np.sqrt(2.0)
+from .transform import weighted_gram
+from .wh_model import FockContext, PhaseGrid, coherent_family
 
 
-class BoundViolationError(RuntimeError):
-    """A provable spectral bound failed: implementation error, not data."""
+class BoundViolationError(ValueError):
+    """A provable spectral bound failed.
+
+    The bounds hold for a unit generator on a grid that resolves the
+    identity, so a violation means the inputs are outside that setting
+    (or the implementation is wrong), never a reportable spectrum.
+    """
 
 
 @dataclass(frozen=True)
@@ -35,11 +38,16 @@ class RegionSpec:
 
     @classmethod
     def disk(cls, radius: float, center=(0.0, 0.0)) -> "RegionSpec":
+        if not 0 < radius < np.inf:
+            raise ValueError(f"disk radius must be positive and finite, got {radius}")
         return cls(kind="disk", params=(float(radius), float(center[0]), float(center[1])),
                    label=f"disk({radius})")
 
     @classmethod
     def rect(cls, q0: float, q1: float, p0: float, p1: float) -> "RegionSpec":
+        """Closed box; infinite bounds are allowed, empty or NaN sides are not."""
+        if not (q0 < q1 and p0 < p1):
+            raise ValueError(f"rect region needs q0 < q1 and p0 < p1, got {[q0, q1, p0, p1]}")
         return cls(kind="rect", params=(float(q0), float(q1), float(p0), float(p1)),
                    label=f"rect({q0},{q1},{p0},{p1})")
 
@@ -65,14 +73,8 @@ class RegionSpec:
         return float(np.sum(grid.weights[self.mask(grid)]))
 
 
-def rank_one_density(x, eta, ctx: FockContext) -> np.ndarray:
-    """|D(alpha_x) eta><D(alpha_x) eta| at the phase-space point x = (q, p)."""
-    alpha = (x[0] + 1j * x[1]) / SQRT2
-    u = displacement(alpha, ctx) @ _generator_vector(eta)
-    return np.outer(u, u.conj())
-
-
-def _symbol_values(f, grid: PhaseGrid) -> np.ndarray:
+def symbol_values(f, grid: PhaseGrid) -> np.ndarray:
+    """One real value per grid point, from an array or a callable f(q, p)."""
     if callable(f):
         vals = np.asarray(f(grid.q, grid.p), dtype=float)
     else:
@@ -88,21 +90,10 @@ def quantize(f, eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     Only the grid points where f is nonzero enter the sum, so an
     indicator costs the rows of its region.
     """
-    vals = _symbol_values(f, grid)
+    vals = symbol_values(f, grid)
     rows = np.flatnonzero(vals)
     fam = coherent_family(eta, grid, ctx)
     return weighted_gram(fam[rows], grid.weights[rows] * vals[rows])
-
-
-def quantize_via_transform(f, eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
-    """Quantization routed through the transform: S^-1 W* M_f W.
-
-    Agrees with :func:`quantize` exactly when the frame operator is the
-    identity; at finite truncation S^-1 breaks the symmetry at the
-    quadrature-defect order, so the product is re-Hermitized.
-    """
-    routed = _solve_frame(frame_operator(eta, grid, ctx), quantize(f, eta, grid, ctx))
-    return 0.5 * (routed + routed.conj().T)
 
 
 @dataclass
@@ -116,6 +107,12 @@ class SpectrumReport:
     near_zero: int
     mid: int
     epsilon: float
+
+    def count_above(self, threshold: float) -> int:
+        """Number of eigenvalues above ``threshold``, which must lie in (0, 1)."""
+        if not 0 < threshold < 1:
+            raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+        return int(np.sum(self.eigenvalues > threshold))
 
 
 def localization_spectrum(
@@ -155,8 +152,9 @@ def clustering_report(spec: SpectrumReport) -> ClusteringSummary:
     """Check the provable trace/norm bounds and summarize the clustering.
 
     tr A(chi) <= mu(region) and |A(chi)| <= min(1, mu(region)) are exact
-    inequalities of the construction, so violation (beyond rounding slack)
-    raises rather than reports.
+    inequalities of the construction for a unit generator, the norm bound
+    once the frame operator is at most the identity; a violation (beyond
+    rounding slack) raises rather than reports.
     """
     tol = 1.0 + 1e-6
     if spec.trace > spec.mu_delta * tol:
@@ -166,7 +164,8 @@ def clustering_report(spec: SpectrumReport) -> ClusteringSummary:
     top = float(spec.eigenvalues[0]) if len(spec.eigenvalues) else 0.0
     if top > min(1.0, spec.mu_delta) * tol:
         raise BoundViolationError(
-            f"largest eigenvalue {top} exceeds min(1, mu) = {min(1.0, spec.mu_delta)}"
+            f"largest eigenvalue {top} exceeds min(1, mu) = {min(1.0, spec.mu_delta)}; "
+            "a grid this coarse does not resolve the identity"
         )
     if spec.near_one:
         ratio = spec.mid / spec.near_one
@@ -192,8 +191,5 @@ def channel_capacity(
     time-bandwidth channel count when the region is a duration-bandwidth
     rectangle in these units.
     """
-    if not 0 < threshold < 1:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     spec = localization_spectrum(delta, eta, grid, ctx, epsilon=0.1)
-    count = int(np.sum(spec.eigenvalues > threshold))
-    return count, spec.mu_delta
+    return spec.count_above(threshold), spec.mu_delta

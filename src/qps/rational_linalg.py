@@ -15,10 +15,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def as_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def _content_free(row):
     g = gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g > 1 else row
@@ -141,35 +137,3 @@ def row_space_basis(rows):
         return []
     red, piv_cols = _rref(rows)
     return [_primitive(red[r]) for r in range(len(piv_cols))]
-
-
-def in_span(basis, vec):
-    """True iff ``vec`` lies in the span of ``basis`` (exact)."""
-    if all(x == 0 for x in vec):
-        return True
-    if not basis:
-        return False
-    r0 = rank(basis)
-    return rank(list(basis) + [list(vec)]) == r0
-
-
-def mat_mul(a, b):
-    """Exact product of two Fraction matrices."""
-    a = as_fraction_rows(a)
-    b = as_fraction_rows(b)
-    if not a:
-        return []
-    inner = len(a[0])
-    ncols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        out.append(
-            [sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(ncols)]
-        )
-    return out
-
-
-def mat_vec(a, v):
-    a = as_fraction_rows(a)
-    v = [Fraction(x) for x in v]
-    return [sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a]

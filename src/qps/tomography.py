@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localization import quantize, _symbol_values
-from .wh_model import FockContext, PhaseGrid, _generator_vector, coherent_family
-
-SQRT2 = np.sqrt(2.0)
+from .localization import quantize, symbol_values
+from .wh_model import SQRT2, FockContext, PhaseGrid, coherent_family
 
 
 @dataclass
@@ -78,7 +76,7 @@ def expectation_pair(rho: DensityOperator, f, eta, grid: PhaseGrid, ctx: FockCon
     Both numbers are the same finite double sum over grid points and
     matrix entries, accumulated in different orders.
     """
-    vals = _symbol_values(f, grid)
+    vals = symbol_values(f, grid)
     quantum = float(np.trace(rho.matrix @ quantize(vals, eta, grid, ctx)).real)
     density = classical_density(rho, eta, grid, ctx)
     classical = float(np.sum(grid.weights * vals * density.values))
@@ -114,9 +112,16 @@ def unvectorize_hermitian(v: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-def _family_rows(fam: np.ndarray) -> np.ndarray:
+def _family_rows(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     """Vectorized rank-one densities |u_k><u_k| as rows of a real matrix."""
-    k, n = fam.shape
+    required = ctx.n_dim**2
+    if len(grid) < required:
+        raise ValueError(
+            f"grid has {len(grid)} points but {required} operators are needed "
+            "to span the Hermitian space"
+        )
+    fam = coherent_family(eta, grid, ctx)
+    n = ctx.n_dim
     iu, ju = np.triu_indices(n, k=1)
     cross = fam[:, iu] * fam[:, ju].conj()
     return np.concatenate(
@@ -147,14 +152,9 @@ def _rank_report(rows: np.ndarray, svd_cutoff: float) -> CompletenessReport:
     kept = svals > svd_cutoff * svals[0]
     rank = int(np.sum(kept))
     smallest_kept = float(svals[rank - 1]) if rank else 0.0
-
-    # Gap between kept and discarded singular values: probe the k x k Gram
-    # spectrum when feasible, where the discarded tail is explicit.
+    # ratio of the smallest kept to the largest discarded singular value
     if rank < len(svals):
         gap = float(svals[rank - 1] / max(svals[rank], 1e-300))
-    elif rank < k <= 4000:
-        gram = np.linalg.eigvalsh(rows @ rows.T)[::-1]
-        gap = float(np.sqrt(max(gram[rank - 1], 0.0) / max(gram[rank], 1e-300)))
     else:
         gap = float("inf")
     return CompletenessReport(
@@ -170,14 +170,7 @@ def _rank_report(rows: np.ndarray, svd_cutoff: float) -> CompletenessReport:
 
 def completeness_rank(eta, grid: PhaseGrid, ctx: FockContext, svd_cutoff: float = 1e-10) -> CompletenessReport:
     """Rank test of the displaced-generator POVM densities over the grid."""
-    required = ctx.n_dim**2
-    if len(grid) < required:
-        raise ValueError(
-            f"grid has {len(grid)} points but {required} operators are needed "
-            "to span the Hermitian space"
-        )
-    fam = coherent_family(eta, grid, ctx)
-    return _rank_report(_family_rows(fam), svd_cutoff)
+    return _rank_report(_family_rows(eta, grid, ctx), svd_cutoff)
 
 
 class IncompleteFamilyError(ValueError):
@@ -201,6 +194,12 @@ def reconstruct_state(
 ) -> ReconstructionResult:
     """Trace-constrained least squares for rho from Tr(rho T(x_k)) samples.
 
+    The unit-trace constraint is eliminated: x = x0 + Q y with x0 the
+    minimum-norm unit-trace point and Q an orthonormal basis of the
+    traceless coordinates, and y solves the least-squares problem on
+    rows @ Q directly, so the condition number of the rows is never
+    squared.
+
     After the solve, the estimate is repaired onto the density cone
     (negative eigenvalues clipped, trace renormalized); noiseless inputs
     pass through the repair unchanged.  The returned residual is the
@@ -209,21 +208,16 @@ def reconstruct_state(
     probs = np.asarray(probabilities, dtype=float)
     if probs.shape != (len(grid),):
         raise ValueError("need one probability value per grid point")
-    report = completeness_rank(eta, grid, ctx, svd_cutoff)
+    rows = _family_rows(eta, grid, ctx)
+    report = _rank_report(rows, svd_cutoff)
     if not report.complete:
         raise IncompleteFamilyError(report)
 
-    fam = coherent_family(eta, grid, ctx)
-    rows = _family_rows(fam)
-    nsq = ctx.n_dim**2
     trace_row = vectorize_hermitian(np.eye(ctx.n_dim))
-
-    kkt = np.zeros((nsq + 1, nsq + 1))
-    kkt[:nsq, :nsq] = rows.T @ rows
-    kkt[:nsq, nsq] = trace_row
-    kkt[nsq, :nsq] = trace_row
-    rhs = np.concatenate([rows.T @ probs, [1.0]])
-    solution = np.linalg.solve(kkt, rhs)[:nsq]
+    x0 = trace_row / ctx.n_dim
+    traceless = np.linalg.svd(trace_row[None, :])[2][1:].T
+    y = np.linalg.lstsq(rows @ traceless, probs - rows @ x0, rcond=None)[0]
+    solution = x0 + traceless @ y
 
     estimate = unvectorize_hermitian(solution, ctx.n_dim)
     evals, evecs = np.linalg.eigh(estimate)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wh_model import FockContext, PhaseGrid, _generator_vector, coherent_family
+from .wh_model import FockContext, PhaseGrid, coherent_family, generator_vector
 
 
 class FrameConditionError(ValueError):
@@ -127,8 +127,8 @@ def orthogonality_check(
     The relative error uses max(|lhs|, |rhs|, eps_floor * scale) as
     denominator so near-orthogonal quadruples do not divide by zero.
     """
-    v1 = _generator_vector(eta1)
-    v2 = _generator_vector(eta2)
+    v1 = generator_vector(eta1)
+    v2 = generator_vector(eta2)
     phi1 = np.asarray(phi1, dtype=complex)
     phi2 = np.asarray(phi2, dtype=complex)
     fam1 = coherent_family(v1, grid, ctx)

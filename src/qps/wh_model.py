@@ -207,7 +207,8 @@ def resolution_generator(kind: str, ctx: FockContext, *, n: int | None = None, r
     return ResolutionGenerator(vector=vec, kind=label)
 
 
-def _generator_vector(eta) -> np.ndarray:
+def generator_vector(eta) -> np.ndarray:
+    """The vector of a :class:`ResolutionGenerator`, or ``eta`` itself."""
     if isinstance(eta, ResolutionGenerator):
         return eta.vector
     return np.asarray(eta, dtype=complex)
@@ -222,7 +223,7 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     of eta: a repeat call returns that same array, read-only, and a call
     with another key replaces it.
     """
-    vec = np.asarray(_generator_vector(eta), dtype=complex)
+    vec = np.asarray(generator_vector(eta), dtype=complex)
     if vec.shape != (ctx.n_dim,):
         raise ValueError(f"generator has dim {vec.shape}, context has {ctx.n_dim}")
     key = (ctx.n_dim, vec.tobytes())
@@ -232,8 +233,15 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     alphas = grid.alpha[:, None]
     ms = np.arange(ctx.n_dim)[None, :]
     fam = np.zeros((len(grid), ctx.n_dim), dtype=complex)
-    for n0 in np.nonzero(np.abs(vec) > 0)[0]:
-        fam += vec[n0] * _displacement_elements(alphas, ms, int(n0))
+    # Row blocks of about 128 KiB of complex entries: temporaries that small
+    # are reused from the heap, while whole-grid ones are mapped and faulted
+    # in afresh on every call.  The entries do not depend on the blocking.
+    block = max(1, 2**17 // (16 * ctx.n_dim))
+    support = np.nonzero(np.abs(vec) > 0)[0]
+    for start in range(0, len(grid), block):
+        rows = slice(start, start + block)
+        for n0 in support:
+            fam[rows] += vec[n0] * _displacement_elements(alphas[rows], ms, int(n0))
     fam.flags.writeable = False
     grid._family = (key, fam)
     return fam
@@ -241,7 +249,7 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
 
 def autocorrelation_integrand(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     """|<D(alpha_k) eta, eta>|^2 sampled over the grid."""
-    vec = _generator_vector(eta)
+    vec = generator_vector(eta)
     fam = coherent_family(vec, grid, ctx)
     overlap = fam.conj() @ vec
     return np.abs(overlap) ** 2
@@ -255,7 +263,7 @@ def central_phase_deviation(x, y, eta, ctx: FockContext):
     Weyl-Heisenberg family the commutator is a central phase, so the
     deviation is pure truncation error.
     """
-    vec = _generator_vector(eta)
+    vec = generator_vector(eta)
     ax = (x[0] + 1j * x[1]) / SQRT2
     ay = (y[0] + 1j * y[1]) / SQRT2
     v = vec
@@ -313,7 +321,9 @@ def admissibility(
     amplitudes are kept small enough that truncation cannot fake a
     failure.
     """
-    vec = _generator_vector(eta)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    vec = generator_vector(eta)
     norm = np.linalg.norm(vec)
     integrand = autocorrelation_integrand(vec, grid, ctx)
 

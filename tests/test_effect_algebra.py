@@ -137,19 +137,6 @@ def test_trials_validation():
         ea.verify_axioms(ea.effect_sampler(4, seed=0), 0)
 
 
-def test_witness_dump_written_on_failure(tmp_path):
-    # force a witness by checking a deliberately broken "axiom" report
-    report = ea.AxiomReport(trials=1)
-    report.failures["zero_one"] = 1
-    report.witnesses.append({"axiom": "zero_one", "operators": [np.eye(2) / 3]})
-    paths = ea.dump_witnesses(report, tmp_path / "w")
-    assert len(paths) == 1
-    text = paths[0].read_text()
-    assert text.startswith("row,col,re,im")
-    clean = ea.verify_axioms(ea.effect_sampler(4, seed=0), 5)
-    assert ea.dump_witnesses(clean, tmp_path / "none") == []
-
-
 # ---------------------------------------------------------------------------
 # POVM additivity
 # ---------------------------------------------------------------------------
@@ -347,14 +334,6 @@ def test_indicator_symbols_are_fuzzy_symbols(grid_ref):
     assert set(np.unique(f.values)) <= {0.0, 1.0}
 
 
-def test_symbol_dispatch_and_validation():
-    f = ea.FuzzySymbol(np.array([0.5]))
-    g = ea.FuzzySymbol(np.array([0.25]))
-    assert ea.symbol_mv_ops(f, g, "oplus").values[0] == 0.75
-    assert ea.symbol_mv_ops(f, None, "neg").values[0] == 0.5
-    with pytest.raises(ValueError, match="unknown"):
-        ea.symbol_mv_ops(f, g, "xor")
-    with pytest.raises(ValueError, match="two symbols"):
-        ea.symbol_mv_ops(f, None, "meet")
+def test_fuzzy_symbol_rejects_values_outside_unit_interval():
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         ea.FuzzySymbol(np.array([1.5]))

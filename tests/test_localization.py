@@ -16,27 +16,45 @@ from qps import wh_model as wh
 from conftest import random_low_block
 
 
+def rank_one_density(x, eta, ctx):
+    """|D(alpha_x) eta><D(alpha_x) eta| at the phase-space point x = (q, p)."""
+    alpha = (x[0] + 1j * x[1]) / wh.SQRT2
+    u = wh.displacement(alpha, ctx) @ wh.generator_vector(eta)
+    return np.outer(u, u.conj())
+
+
+def quantize_via_transform(f, eta, grid, ctx):
+    """Quantization routed through the transform, S^-1 W* M_f W, re-Hermitized.
+
+    Agrees with quantize exactly when the frame operator is the identity;
+    at finite truncation S^-1 breaks the symmetry at the quadrature-defect
+    order.
+    """
+    routed = np.linalg.solve(tr.frame_operator(eta, grid, ctx), loc.quantize(f, eta, grid, ctx))
+    return 0.5 * (routed + routed.conj().T)
+
+
 # ---------------------------------------------------------------------------
 # rank-one density
 # ---------------------------------------------------------------------------
 
 
 def test_density_at_origin_is_vacuum_projector(ctx24, eta24):
-    t = loc.rank_one_density((0.0, 0.0), eta24, ctx24)
+    t = rank_one_density((0.0, 0.0), eta24, ctx24)
     expected = np.zeros((24, 24))
     expected[0, 0] = 1.0
     assert np.max(np.abs(t - expected)) < 1e-14
 
 
 def test_density_is_rank_one(ctx32, eta32):
-    t = loc.rank_one_density((1.3, -0.4), eta32, ctx32)
+    t = rank_one_density((1.3, -0.4), eta32, ctx32)
     evals = np.linalg.eigvalsh(t)
     assert evals[-1] == pytest.approx(np.trace(t).real, abs=1e-12)
     assert np.max(np.abs(evals[:-1])) < 1e-12
 
 
 def test_density_trace_is_displaced_norm(ctx32, eta32):
-    t = loc.rank_one_density((np.sqrt(2.0), 0.0), eta32, ctx32)  # |alpha| = 1
+    t = rank_one_density((np.sqrt(2.0), 0.0), eta32, ctx32)  # |alpha| = 1
     assert np.trace(t).real == pytest.approx(1.0, abs=1e-8)
 
 
@@ -132,7 +150,7 @@ def test_symbol_shape_validation(ctx24, grid_ref, eta24):
 
 
 def test_routed_constant_symbol_is_identity(ctx24, grid_ref, eta24):
-    a = loc.quantize_via_transform(np.ones(len(grid_ref)), eta24, grid_ref, ctx24)
+    a = quantize_via_transform(np.ones(len(grid_ref)), eta24, grid_ref, ctx24)
     assert np.max(np.abs(a - np.eye(24))) < 1e-10
 
 
@@ -149,7 +167,7 @@ def test_routed_constant_symbol_is_identity(ctx24, grid_ref, eta24):
 )
 def test_both_quantization_routes_agree(ctx24, grid_ref, eta24, symbol):
     direct = loc.quantize(symbol, eta24, grid_ref, ctx24)
-    routed = loc.quantize_via_transform(symbol, eta24, grid_ref, ctx24)
+    routed = quantize_via_transform(symbol, eta24, grid_ref, ctx24)
     blk = slice(0, 9)
     assert np.linalg.norm((direct - routed)[blk, blk], ord=2) <= 5e-3
 
@@ -272,6 +290,17 @@ def test_capacity_threshold_validation(ctx32, grid_ref, eta32):
         loc.channel_capacity(loc.RegionSpec.disk(1.0), eta32, grid_ref, ctx32, threshold=1.5)
 
 
+def test_capacity_count_comes_from_the_spectrum(ctx32, grid_ref, eta32):
+    region = loc.RegionSpec.disk(4.0)
+    spec = loc.localization_spectrum(region, eta32, grid_ref, ctx32)
+    count, mu = loc.channel_capacity(region, eta32, grid_ref, ctx32, threshold=0.3)
+    assert (count, mu) == (spec.count_above(0.3), spec.mu_delta)
+    assert spec.count_above(0.3) == int(np.sum(spec.eigenvalues > 0.3))
+    for threshold in (0.0, 1.0, np.nan):
+        with pytest.raises(ValueError, match="threshold must lie in"):
+            spec.count_above(threshold)
+
+
 # ---------------------------------------------------------------------------
 # regions
 # ---------------------------------------------------------------------------
@@ -282,6 +311,30 @@ def test_region_measures(grid_ref):
     assert disk.measure(grid_ref) == pytest.approx(2.0, abs=0.02)
     rect = loc.RegionSpec.rect(0.0, np.inf, -np.inf, np.inf)
     assert rect.measure(grid_ref) == pytest.approx(np.sum(grid_ref.weights) / 2, abs=0.1)
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+def test_disk_radius_outside_open_positive_line_rejected(radius):
+    with pytest.raises(ValueError, match="disk radius must be positive and finite"):
+        loc.RegionSpec.disk(radius)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (1.0, 1.0, 0.0, 1.0),
+        (2.0, 1.0, 0.0, 1.0),
+        (0.0, 1.0, 1.0, 1.0),
+        (0.0, 1.0, 1.0, -1.0),
+        (np.nan, 1.0, 0.0, 1.0),
+        (0.0, 1.0, 0.0, np.nan),
+        (np.inf, np.inf, 0.0, 1.0),
+    ],
+    ids=["q-empty", "q-reversed", "p-empty", "p-reversed", "q0-nan", "p1-nan", "q-inf-inf"],
+)
+def test_rect_without_positive_sides_rejected(bounds):
+    with pytest.raises(ValueError, match="rect region needs q0 < q1 and p0 < p1"):
+        loc.RegionSpec.rect(*bounds)
 
 
 def test_mask_region_validation(grid_ref):

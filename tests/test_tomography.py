@@ -169,6 +169,9 @@ def test_coherent_family_is_informationally_complete(ctx4, grid4, eta4):
     assert report.complete
     assert report.gram_rank == 16
     assert report.gap_ratio >= 1e6
+    # no singular value is discarded, so the gap ratio is infinite; the
+    # completeness margin is the condition number of the rows (20.5 here)
+    assert report.singular_values[0] / report.smallest_kept_singular_value <= 1e3
 
 
 def test_position_projectors_are_incomplete():

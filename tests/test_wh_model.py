@@ -241,6 +241,12 @@ def test_boundary_decay_precondition_names_radius(ctx24, grid_ref):
     assert report.integral == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_admissibility_needs_a_commutator_trial(ctx24, grid_ref, eta24, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        wh.admissibility(eta24, grid_ref, ctx24, trials=trials)
+
+
 def test_squeezed_generator_needs_wide_grid(ctx24):
     eta = wh.resolution_generator("squeezed", ctx24, r=0.5)
     grid = wh.build_grid(10.0, 0.2)
@@ -283,6 +289,18 @@ def test_repeat_family_call_returns_the_stored_read_only_array(ctx24):
     assert not first.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         first[0, 0] = 0.0
+
+
+def test_blocked_family_equals_the_whole_grid_sum():
+    # 6842 rows in blocks of 341 for N = 24, the last one partial; the
+    # reference adds the same terms in the same order over the whole grid
+    grid = wh.build_grid(7.0, 0.15)
+    ctx = wh.fock_space(24)
+    vec = random_low_block(np.random.default_rng(4), 24)
+    expected = np.zeros((len(grid), 24), dtype=complex)
+    for n0 in range(9):
+        expected += vec[n0] * wh._displacement_elements(grid.alpha[:, None], np.arange(24)[None, :], n0)
+    assert np.array_equal(wh.coherent_family(vec, grid, ctx), expected)
 
 
 def test_family_follows_a_new_generator_or_dimension():
