@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +128,7 @@ def cmd_cohomology(args) -> int:
     report["cohomology"] = lc.cohomology_report_json(lc.second_cohomology(sc))
     if args.omega:
         try:
-            coords = tuple(Fraction(x) for x in args.omega.split(","))
+            coords = tuple(lc.parse_rational(x) for x in args.omega.split(","))
         except ZeroDivisionError:
             raise ValidationFailure(f"--omega has a zero denominator: {args.omega!r}")
         omega = lc.Cochain(degree=2, dim=sc.dim, coords=coords)

@@ -13,10 +13,6 @@ import sys
 import numpy as np
 
 
-def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_json(obj, path=None) -> None:
     """Strict JSON to ``path`` or stdout; NaN or an infinity raises ValueError."""
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -27,42 +23,40 @@ def write_json(obj, path=None) -> None:
             fh.write(text)
 
 
+def _write_columns(path, header, columns) -> None:
+    """One CSV row per entry of the equal-length ``columns``, floats to 17 digits."""
+    row = ",".join(["{:.17g}"] * len(columns))
+    fields = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    lines = [",".join(header)] + [row.format(*f) for f in fields]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_samples_csv(samples, path) -> None:
     """Complex transform samples (``GammaFunctionSamples``) as q,p,re,im,weight."""
     grid = samples.grid
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["q", "p", "re", "im", "weight"])
-        for k in range(len(grid)):
-            writer.writerow(
-                [
-                    fmt(grid.q[k]),
-                    fmt(grid.p[k]),
-                    fmt(samples.values[k].real),
-                    fmt(samples.values[k].imag),
-                    fmt(grid.weights[k]),
-                ]
-            )
+    values = np.asarray(samples.values)
+    _write_columns(
+        path,
+        ["q", "p", "re", "im", "weight"],
+        [grid.q, grid.p, values.real, values.imag, grid.weights],
+    )
 
 
 def write_values_csv(values, grid, path) -> None:
     """Real grid function (probabilities, symbols) as q,p,value,weight."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["q", "p", "value", "weight"])
-        for k in range(len(grid)):
-            writer.writerow(
-                [fmt(grid.q[k]), fmt(grid.p[k]), fmt(values[k]), fmt(grid.weights[k])]
-            )
+    _write_columns(path, ["q", "p", "value", "weight"], [grid.q, grid.p, values, grid.weights])
 
 
 def read_values_csv(path, grid) -> np.ndarray:
     """Read q,p,value rows and align them to the grid by lattice position.
 
-    Every grid point must be covered exactly once; points that do not
-    snap to the lattice are an error.
+    Every grid point must be covered exactly once: a point listed twice,
+    a missing point and a point that does not snap to the lattice are
+    errors.
     """
     values = np.full(len(grid), np.nan)
+    seen = np.zeros(len(grid), dtype=bool)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"q", "p", "value"} <= set(reader.fieldnames):
@@ -78,6 +72,9 @@ def read_values_csv(path, grid) -> np.ndarray:
             k = grid.lookup(int(iq), int(ip))
             if k is None:
                 raise ValueError(f"{path}: point ({q},{p}) lies outside the grid")
+            if seen[k]:
+                raise ValueError(f"{path}: point ({q},{p}) is listed more than once")
+            seen[k] = True
             values[k] = v
     if np.isnan(values).any():
         missing = int(np.isnan(values).sum())
@@ -86,8 +83,4 @@ def read_values_csv(path, grid) -> np.ndarray:
 
 
 def write_spectrum_csv(eigenvalues, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "eigenvalue"])
-        for i, lam in enumerate(eigenvalues):
-            writer.writerow([i, fmt(lam)])
+    _write_columns(path, ["index", "eigenvalue"], [np.arange(len(eigenvalues)), eigenvalues])

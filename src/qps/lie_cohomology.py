@@ -13,6 +13,8 @@ equations, and on 2-forms from the skew-derivation rule.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -293,6 +295,24 @@ def two_form_from_pairs(sc: StructureConstants, entries: dict[tuple[int, int], F
 # ---------------------------------------------------------------------------
 
 
+_DECIMAL_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def parse_rational(value) -> Fraction:
+    """``Fraction(value)``, refusing a decimal exponent that is too large.
+
+    Fraction expands an exponent exactly, so '1e10000000' alone takes
+    seconds.  A string whose exponent exceeds sys.get_int_max_str_digits()
+    in magnitude (4300 by default; 0 lifts the bound) raises ValueError.
+    """
+    if isinstance(value, str):
+        match = _DECIMAL_EXPONENT.search(value)
+        limit = sys.get_int_max_str_digits()
+        if match and limit and abs(int(match.group(1))) > limit:
+            raise ValueError(f"decimal exponent of {value!r} exceeds {limit} in magnitude")
+    return Fraction(value)
+
+
 def _json_int(value, field: str) -> int:
     # bool is an int subclass, and int() would truncate 2.7 or parse "2"
     if type(value) is not int:
@@ -334,10 +354,11 @@ def from_json_dict(data: dict) -> StructureConstants:
                 raise ValueError(f"bracket entry ({i},{j}) names target {k} more than once")
             targets.add(k)
             try:
-                val = Fraction(v)
+                val = parse_rational(v)
             except (TypeError, ValueError, ArithmeticError) as exc:
                 raise ValueError(
-                    f"bracket entry ({i},{j}) has coefficient {v!r} that is not a rational number"
+                    f"bracket entry ({i},{j}) has coefficient {v!r} that is not a rational "
+                    f"number ({exc})"
                 ) from exc
             if val != 0:
                 c[(i, j, k)] = val

@@ -57,6 +57,18 @@ def low_block(ctx: FockContext) -> slice:
     return slice(0, ctx.n_dim // 2 + 1)
 
 
+def _radial(x, m, n):
+    """The part of <m|D(alpha)|n> that depends on alpha only through x = |alpha|^2.
+
+    exp((ln lo! - ln hi!)/2 - x/2) L_lo^(hi-lo)(x), with lo, hi the smaller
+    and larger of m, n.  Broadcasts over ``x``, ``m``, ``n``.
+    """
+    lo = np.minimum(m, n)
+    hi = np.maximum(m, n)
+    radial = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)) - x / 2.0)
+    return radial * eval_genlaguerre(lo, hi - lo, x)
+
+
 def _displacement_elements(alpha, m, n):
     """<m|D(alpha)|n> of the infinite-dimensional displacement operator.
 
@@ -67,14 +79,9 @@ def _displacement_elements(alpha, m, n):
     alpha = np.asarray(alpha, dtype=complex)
     m = np.asarray(m)
     n = np.asarray(n)
-    x = np.abs(alpha) ** 2
-    lo = np.minimum(m, n)
-    hi = np.maximum(m, n)
-    k = hi - lo
-    radial = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)) - x / 2.0)
-    radial = radial * eval_genlaguerre(lo, k, x)
+    k = np.abs(m - n)
     amp = np.where(m >= n, alpha**k, (-np.conj(alpha)) ** k)
-    return radial * amp
+    return _radial(np.abs(alpha) ** 2, m, n) * amp
 
 
 def displacement(alpha: complex, ctx: FockContext) -> np.ndarray:
@@ -217,31 +224,50 @@ def generator_vector(eta) -> np.ndarray:
 def coherent_family(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     """Row k holds D(alpha_k) eta: the displaced-generator family over the grid.
 
-    Only the columns where eta has support are evaluated, so single-Fock
-    generators cost one Laguerre pass over the grid.  The grid keeps the
-    most recent family (K x N complex entries), keyed by N and the bytes
-    of eta: a repeat call returns that same array, read-only, and a call
-    with another key replaces it.
+    Only the columns where eta has support are evaluated.  Each entry of
+    such a column is a radial factor of |alpha|^2 times a power of alpha
+    (on and below the diagonal) or of -conj(alpha) (above it).  The radial
+    factors are evaluated once per distinct |alpha|^2 of the grid, and the
+    powers once per row block for all columns, so a column costs a gather
+    and a product per entry.  The grid keeps the most recent family (K x N
+    complex entries), keyed by N and the bytes of eta: a repeat call
+    returns that same array, read-only, and a call with another key
+    replaces it.
     """
     vec = np.asarray(generator_vector(eta), dtype=complex)
-    if vec.shape != (ctx.n_dim,):
-        raise ValueError(f"generator has dim {vec.shape}, context has {ctx.n_dim}")
-    key = (ctx.n_dim, vec.tobytes())
+    n_dim = ctx.n_dim
+    if vec.shape != (n_dim,):
+        raise ValueError(f"generator has dim {vec.shape}, context has {n_dim}")
+    key = (n_dim, vec.tobytes())
     stored = grid._family
     if stored is not None and stored[0] == key:
         return stored[1]
-    alphas = grid.alpha[:, None]
-    ms = np.arange(ctx.n_dim)[None, :]
-    fam = np.zeros((len(grid), ctx.n_dim), dtype=complex)
-    # Row blocks of about 128 KiB of complex entries: temporaries that small
-    # are reused from the heap, while whole-grid ones are mapped and faulted
-    # in afresh on every call.  The entries do not depend on the blocking.
-    block = max(1, 2**17 // (16 * ctx.n_dim))
+    fam = np.zeros((len(grid), n_dim), dtype=complex)
     support = np.nonzero(np.abs(vec) > 0)[0]
-    for start in range(0, len(grid), block):
-        rows = slice(start, start + block)
-        for n0 in support:
-            fam[rows] += vec[n0] * _displacement_elements(alphas[rows], ms, int(n0))
+    if support.size:
+        alphas = grid.alpha[:, None]
+        # symmetric lattices repeat each radius, often many times over
+        xs, radius_index = np.unique(np.abs(grid.alpha) ** 2, return_inverse=True)
+        radials = [_radial(xs[:, None], np.arange(n_dim)[None, :], n0) for n0 in support]
+        top = support[-1]
+        up_exps = np.arange(n_dim - support[0])
+        down_exps = np.arange(top, 0, -1)
+        # Row blocks of about 128 KiB of complex entries: temporaries that
+        # small are reused from the heap, while whole-grid ones are mapped and
+        # faulted in afresh on every call.  The entries do not depend on the
+        # blocking.
+        block = max(1, 2**17 // (16 * n_dim))
+        for start in range(0, len(grid), block):
+            rows = slice(start, start + block)
+            # column top + e holds the power that <m|D|n0> takes for m - n0 = e:
+            # (-conj alpha)^-e above the diagonal, alpha^e on and below it
+            powers = np.concatenate(
+                [(-np.conj(alphas[rows])) ** down_exps, alphas[rows] ** up_exps], axis=1
+            )
+            block_radii = radius_index[rows]
+            for n0, radial in zip(support, radials):
+                amp = powers[:, top - n0 : top - n0 + n_dim]
+                fam[rows] += vec[n0] * (radial.take(block_radii, axis=0) * amp)
     fam.flags.writeable = False
     grid._family = (key, fam)
     return fam

@@ -145,6 +145,29 @@ def test_cohomology_zero_denominator_omega_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cohomology_huge_omega_exponent_exit_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["cohomology", "so3", "--omega", "1e10000000,0,0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds 4300 in magnitude" in err
+    assert not out.exists()
+
+
+def test_cohomology_huge_coefficient_exponent_exit_2(tmp_path, capsys):
+    data = {"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "1e10000000"}}]}
+    code, err = _cohomology_error(tmp_path, capsys, data)
+    assert code == 2
+    assert "exceeds 4300 in magnitude" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cohomology_decimal_and_fraction_omega_accepted(tmp_path):
+    code, report, _ = run(tmp_path, "cohomology", "so3", "--omega", "1e-3,3/4,2")
+    assert code == 0
+    assert report["config"]["omega"] == "1e-3,3/4,2"
+    assert "kernel" in report
+
+
 def test_cohomology_loads_no_numeric_layer(tmp_path):
     # a fresh interpreter, because this suite has imported every layer
     script = (
@@ -318,6 +341,18 @@ def test_tomography_without_mode_exit_2(tmp_path):
     assert main(["tomography"]) == 2
 
 
+def test_tomography_repeated_csv_point_exit_2(tmp_path, capsys, grid4):
+    csv_in = tmp_path / "probs.csv"
+    formats.write_values_csv(np.full(len(grid4), 0.01), grid4, csv_in)
+    lines = csv_in.read_text().splitlines()
+    csv_in.write_text("\n".join(lines + [lines[1]]) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["tomography", "--probabilities", str(csv_in), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "listed more than once" in err
+    assert not out.exists()
+
+
 def test_tomography_probabilities_file_round_trip(tmp_path, ctx4, grid4, eta4):
     rho = tom.DensityOperator.pure(np.eye(4)[1])
     dens = tom.classical_density(rho, eta4, grid4, ctx4)
@@ -416,6 +451,69 @@ def test_values_csv_missing_point_rejected(tmp_path, grid4):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="no value"):
         formats.read_values_csv(path, grid4)
+
+
+@pytest.mark.parametrize("value", ["0.5", "nan"])
+def test_values_csv_repeated_point_rejected(tmp_path, grid4, value):
+    # the repeat would otherwise replace the first value, even after a NaN
+    values = np.full(len(grid4), 5.8e-10)
+    path = tmp_path / "vals.csv"
+    formats.write_values_csv(values, grid4, path)
+    lines = path.read_text().splitlines()
+    q, p = lines[1].split(",")[:2]
+    lines[1] = f"{q},{p},{value},0.1"
+    path.write_text("\n".join(lines + [f"{q},{p},0.5,0.1"]) + "\n")
+    with pytest.raises(ValueError, match=rf"point \({float(q)},{float(p)}\) is listed more than once"):
+        formats.read_values_csv(path, grid4)
+
+
+def _csv_by_rows(header, rows):
+    """The writers' bytes as the per-row csv.writer loop with ``fmt`` produced them."""
+    import csv
+
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(x) for x in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def _awkward_values(n):
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=n) * np.exp(rng.normal(size=n) * 20)
+    values[:7] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]
+    return values
+
+
+def test_csv_writers_match_the_per_row_loop(tmp_path, grid4):
+    values = _awkward_values(len(grid4))
+    formats.write_values_csv(values, grid4, tmp_path / "vals.csv")
+    expected = _csv_by_rows(
+        ["q", "p", "value", "weight"],
+        ([grid4.q[k], grid4.p[k], values[k], grid4.weights[k]] for k in range(len(grid4))),
+    )
+    assert (tmp_path / "vals.csv").read_bytes() == expected
+
+    complex_values = np.empty(len(grid4), dtype=complex)
+    complex_values.real, complex_values.imag = values, values[::-1]
+    samples = tr.GammaFunctionSamples(grid=grid4, values=complex_values)
+    formats.write_samples_csv(samples, tmp_path / "samples.csv")
+    expected = _csv_by_rows(
+        ["q", "p", "re", "im", "weight"],
+        (
+            [grid4.q[k], grid4.p[k], samples.values[k].real, samples.values[k].imag, grid4.weights[k]]
+            for k in range(len(grid4))
+        ),
+    )
+    assert (tmp_path / "samples.csv").read_bytes() == expected
+
+    formats.write_spectrum_csv(values, tmp_path / "spectrum.csv")
+    expected = _csv_by_rows(["index", "eigenvalue"], ([i, lam] for i, lam in enumerate(values)))
+    assert (tmp_path / "spectrum.csv").read_bytes() == expected
 
 
 def test_values_csv_off_lattice_rejected(tmp_path, grid4):

@@ -516,6 +516,25 @@ def test_json_rejects_non_rational_coefficients(value):
         lc.from_json_dict(data)
 
 
+@pytest.mark.parametrize("text", ["1e10000000", "1e-10000000", "2.5E+4301", "1e4_301"])
+def test_huge_decimal_exponent_rejected(text):
+    with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+        lc.parse_rational(text)
+    data = {"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "coeffs": {"0": text}}]}
+    with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+        lc.from_json_dict(data)
+
+
+def test_rationals_parse_exactly():
+    assert lc.parse_rational("1e-3") == Fraction(1, 1000)
+    assert lc.parse_rational("3/4") == Fraction(3, 4)
+    assert lc.parse_rational("2") == Fraction(2)
+    assert lc.parse_rational(" 1.5e4300 ") == Fraction(15 * 10**4299)
+    assert lc.parse_rational(2) == Fraction(2)
+    data = {"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "1e-3", "1": "3/4"}}]}
+    assert lc.from_json_dict(data).c == {(0, 1, 0): Fraction(1, 1000), (0, 1, 1): Fraction(3, 4)}
+
+
 @pytest.mark.parametrize(
     "field,value", [("dim", 2.7), ("dim", "3"), ("dim", True), ("i", 0.0), ("j", "1")]
 )

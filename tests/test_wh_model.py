@@ -312,3 +312,49 @@ def test_family_follows_a_new_generator_or_dimension():
             fam = wh.coherent_family(vec, grid, ctx)
             assert fam.shape == (len(grid), n_dim)
             assert np.max(np.abs(fam - _family_reference(vec, grid, n_dim))) < 1e-14
+
+
+def _per_column_sum(vec, grid, n_dim):
+    """The support columns of the closed form summed in order over the whole grid."""
+    expected = np.zeros((len(grid), n_dim), dtype=complex)
+    for n0 in np.nonzero(np.abs(vec) > 0)[0]:
+        expected += vec[n0] * wh._displacement_elements(grid.alpha[:, None], np.arange(n_dim)[None, :], n0)
+    return expected
+
+
+def _exactness_generator(name, ctx):
+    if name == "ground":
+        return wh.resolution_generator("ground", ctx).vector
+    if name == "fock:3":
+        return wh.resolution_generator("fock", ctx, n=3).vector
+    if name.startswith("squeezed:"):
+        return wh.resolution_generator("squeezed", ctx, r=float(name.split(":")[1])).vector
+    rng = np.random.default_rng(ctx.n_dim)
+    if name == "full":
+        vec = rng.normal(size=ctx.n_dim) + 1j * rng.normal(size=ctx.n_dim)
+        return vec / np.linalg.norm(vec)
+    return random_low_block(rng, ctx.n_dim, ctx.n_dim // 2)
+
+
+@pytest.mark.parametrize("n_dim", [4, 24, 32])
+@pytest.mark.parametrize("name", ["ground", "fock:3", "squeezed:0.8", "squeezed:-0.8", "full", "low"])
+def test_family_is_exactly_the_per_column_closed_form(name, n_dim):
+    # K = 2432 leaves a partial last row block at N = 4, 24 and 32 (2048, 341, 256 rows)
+    grid = wh.build_grid(5.0, 0.18)
+    ctx = wh.fock_space(n_dim)
+    vec = _exactness_generator(name, ctx)
+    assert np.array_equal(wh.coherent_family(vec, grid, ctx), _per_column_sum(vec, grid, n_dim))
+
+
+def test_symbol_on_some_radii_quantizes_exactly_from_the_closed_form():
+    from qps import localization as loc
+    from qps.transform import weighted_gram
+
+    grid = wh.build_grid(5.0, 0.18)
+    ctx = wh.fock_space(24)
+    vec = random_low_block(np.random.default_rng(9), 24)
+    radius = np.hypot(grid.q, grid.p)
+    symbol = np.where((radius > 2.0) & (radius <= 3.0), 0.5 + 0.1 * radius, 0.0)
+    rows = np.flatnonzero(symbol)
+    expected = weighted_gram(_per_column_sum(vec, grid, 24)[rows], grid.weights[rows] * symbol[rows])
+    assert np.array_equal(loc.quantize(symbol, vec, grid, ctx), expected)
