@@ -57,6 +57,10 @@ def low_block(ctx: FockContext) -> slice:
     return slice(0, ctx.n_dim // 2 + 1)
 
 
+# bytes of radial tables coherent_family holds at once
+_RADIAL_BYTES = 2**23
+
+
 def _radial(x, m, n):
     """The part of <m|D(alpha)|n> that depends on alpha only through x = |alpha|^2.
 
@@ -248,26 +252,33 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
         alphas = grid.alpha[:, None]
         # symmetric lattices repeat each radius, often many times over
         xs, radius_index = np.unique(np.abs(grid.alpha) ** 2, return_inverse=True)
-        radials = [_radial(xs[:, None], np.arange(n_dim)[None, :], n0) for n0 in support]
-        top = support[-1]
-        up_exps = np.arange(n_dim - support[0])
-        down_exps = np.arange(top, 0, -1)
+        # One radial table is len(xs) x N floats; the columns are taken in
+        # chunks whose tables fit in _RADIAL_BYTES together, so a wide
+        # support does not hold all of them at once.
+        chunk = max(1, _RADIAL_BYTES // (8 * xs.size * n_dim))
         # Row blocks of about 128 KiB of complex entries: temporaries that
         # small are reused from the heap, while whole-grid ones are mapped and
-        # faulted in afresh on every call.  The entries do not depend on the
-        # blocking.
+        # faulted in afresh on every call.  Every entry still sums its columns
+        # in support order, so it depends on neither blocking.
         block = max(1, 2**17 // (16 * n_dim))
-        for start in range(0, len(grid), block):
-            rows = slice(start, start + block)
-            # column top + e holds the power that <m|D|n0> takes for m - n0 = e:
-            # (-conj alpha)^-e above the diagonal, alpha^e on and below it
-            powers = np.concatenate(
-                [(-np.conj(alphas[rows])) ** down_exps, alphas[rows] ** up_exps], axis=1
-            )
-            block_radii = radius_index[rows]
-            for n0, radial in zip(support, radials):
-                amp = powers[:, top - n0 : top - n0 + n_dim]
-                fam[rows] += vec[n0] * (radial.take(block_radii, axis=0) * amp)
+        for first in range(0, support.size, chunk):
+            cols = support[first : first + chunk]
+            radials = [_radial(xs[:, None], np.arange(n_dim)[None, :], n0) for n0 in cols]
+            top = cols[-1]
+            up_exps = np.arange(n_dim - cols[0])
+            down_exps = np.arange(top, 0, -1)
+            for start in range(0, len(grid), block):
+                rows = slice(start, start + block)
+                # column top + e holds the power that <m|D|n0> takes for
+                # m - n0 = e: (-conj alpha)^-e above the diagonal, alpha^e on
+                # and below it
+                powers = np.concatenate(
+                    [(-np.conj(alphas[rows])) ** down_exps, alphas[rows] ** up_exps], axis=1
+                )
+                block_radii = radius_index[rows]
+                for n0, radial in zip(cols, radials):
+                    amp = powers[:, top - n0 : top - n0 + n_dim]
+                    fam[rows] += vec[n0] * (radial.take(block_radii, axis=0) * amp)
     fam.flags.writeable = False
     grid._family = (key, fam)
     return fam

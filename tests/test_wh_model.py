@@ -346,6 +346,18 @@ def test_family_is_exactly_the_per_column_closed_form(name, n_dim):
     assert np.array_equal(wh.coherent_family(vec, grid, ctx), _per_column_sum(vec, grid, n_dim))
 
 
+@pytest.mark.parametrize("columns", [1, 5])
+@pytest.mark.parametrize("name", ["full", "squeezed:0.8"])
+def test_family_in_column_chunks_is_exactly_the_closed_form(monkeypatch, name, columns):
+    # a radial budget of `columns` tables splits the support into chunks, the last one partial
+    grid = wh.build_grid(5.0, 0.18)
+    ctx = wh.fock_space(24)
+    distinct = np.unique(np.abs(grid.alpha) ** 2).size
+    monkeypatch.setattr(wh, "_RADIAL_BYTES", columns * 8 * distinct * 24)
+    vec = _exactness_generator(name, ctx)
+    assert np.array_equal(wh.coherent_family(vec, grid, ctx), _per_column_sum(vec, grid, 24))
+
+
 def test_symbol_on_some_radii_quantizes_exactly_from_the_closed_form():
     from qps import localization as loc
     from qps.transform import weighted_gram

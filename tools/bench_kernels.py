@@ -4,7 +4,7 @@ For each generator (ground, fock:3, squeezed:0.5 and a 9-column low-block
 vector) on two grids (the ``roundtrips`` orthogonality grid, R 13, h 0.35,
 N 24, and the ``spectra`` frame, R 7, h 0.098, N 32) it times
 ``wh_model.coherent_family`` on a fresh grid, once to warm up and then
-``--repeats`` times, and records the median and quartiles.  Next to each
+``REPEATS`` times, and records the median and quartiles.  Next to each
 time it records the largest |difference| between the family and the
 closed form summed column by column over the whole grid
 (``_displacement_elements``); an exact build reads 0.
@@ -31,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qps import wh_model as wh  # noqa: E402
 
+REPEATS = 9
 GRIDS = {
     "roundtrips": (13.0, 0.35, 24),
     "spectra": (7.0, 0.098, 32),
@@ -71,13 +72,13 @@ def _machine() -> dict:
     }
 
 
-def bench(repeats: int) -> list:
+def bench() -> list:
     rows = []
     for grid_name, (radius, spacing, n_dim) in GRIDS.items():
         ctx = wh.fock_space(n_dim)
         for gen_name, vec in _generators(n_dim).items():
             times = []
-            for _ in range(repeats + 1):
+            for _ in range(REPEATS + 1):
                 grid = wh.build_grid(radius, spacing)
                 start = time.perf_counter()
                 fam = wh.coherent_family(vec, grid, ctx)
@@ -91,7 +92,7 @@ def bench(repeats: int) -> list:
                     "N": n_dim,
                     "generator": gen_name,
                     "support_columns": int(np.count_nonzero(vec)),
-                    "repeats": repeats,
+                    "repeats": REPEATS,
                     "median_s": float(med),
                     "quartiles_s": [float(q1), float(q3)],
                     "max_abs_diff_closed_form": float(np.max(np.abs(fam - _closed_form(vec, grid, n_dim)))),
@@ -103,11 +104,8 @@ def bench(repeats: int) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON record")
-    parser.add_argument("--repeats", type=int, default=9, help="timed builds after the warm-up")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    record = {"machine": _machine(), "kernels": bench(args.repeats)}
+    record = {"machine": _machine(), "kernels": bench()}
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for row in record["kernels"]:
         print(
