@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -51,18 +52,26 @@ def write_values_csv(values, grid, path) -> None:
 def read_values_csv(path, grid) -> np.ndarray:
     """Read q,p,value rows and align them to the grid by lattice position.
 
-    Every grid point must be covered exactly once: a point listed twice,
-    a missing point and a point that does not snap to the lattice are
-    errors.
+    Every grid point must be covered exactly once, by a finite value: a
+    point listed twice, a missing point, a point that does not snap to the
+    lattice and a NaN or infinite value are errors.
     """
     values = np.full(len(grid), np.nan)
     seen = np.zeros(len(grid), dtype=bool)
+    non_finite = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"q", "p", "value"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected columns q,p,value")
         for row in reader:
-            q, p, v = float(row["q"]), float(row["p"]), float(row["value"])
+            try:
+                q, p, v = float(row["q"]), float(row["p"]), float(row["value"])
+            except (TypeError, ValueError):  # a short row reads None
+                raise ValueError(
+                    f"{path}: line {reader.line_num} needs numbers in q, p and value"
+                ) from None
+            if not (math.isfinite(q) and math.isfinite(p)):
+                raise ValueError(f"{path}: point ({q},{p}) is not on the grid lattice")
             iq = round(q / grid.spacing - 0.5)
             ip = round(p / grid.spacing - 0.5)
             if abs((iq + 0.5) * grid.spacing - q) > 1e-9 * max(1.0, abs(q)) or abs(
@@ -76,6 +85,11 @@ def read_values_csv(path, grid) -> np.ndarray:
                 raise ValueError(f"{path}: point ({q},{p}) is listed more than once")
             seen[k] = True
             values[k] = v
+            if non_finite is None and not math.isfinite(v):
+                non_finite = (q, p, row["value"])
+    if non_finite is not None:
+        q, p, text = non_finite
+        raise ValueError(f"{path}: point ({q},{p}) has value {text!r}, which is not finite")
     if np.isnan(values).any():
         missing = int(np.isnan(values).sum())
         raise ValueError(f"{path}: {missing} grid points have no value")

@@ -39,25 +39,6 @@ class StructureConstants:
     c: dict[tuple[int, int, int], Fraction]
     label: str = ""
 
-    def bracket_coeff(self, i: int, j: int, k: int) -> Fraction:
-        """Coefficient of A_k in [A_i, A_j], any index order."""
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.c.get((i, j, k), Fraction(0))
-        return -self.c.get((j, i, k), Fraction(0))
-
-    def bracket(self, u, v):
-        """Coordinates of [u, v] for rational coordinate vectors u, v."""
-        u = [Fraction(x) for x in u]
-        v = [Fraction(x) for x in v]
-        out = [Fraction(0)] * self.dim
-        for (i, j, k), cijk in self.c.items():
-            w = u[i] * v[j] - u[j] * v[i]
-            if w != 0:
-                out[k] += w * cijk
-        return out
-
 
 @dataclass(frozen=True)
 class Cochain:
@@ -129,26 +110,34 @@ def _check_shape(sc: StructureConstants) -> None:
             raise ValueError(f"c stored with i >= j at ({i},{j},{k}); store i < j only")
 
 
-def _nonzero_constants(sc: StructureConstants):
-    """The nonzero constants as (i, j, k, value), i < j, after the shape check."""
+def _integer_table(sc: StructureConstants):
+    """The nonzero constants as integers, indexed by target, after the shape check.
+
+    Returns (scale, by_target): scale is the lcm of the denominators, and
+    by_target[k] lists (i, j, n) with i < j and n = scale * C_ij^k.  Every
+    zero test downstream is homogeneous in the constants, so the scale
+    changes none of them.
+    """
     _check_shape(sc)
-    return [(i, j, k, Fraction(v)) for (i, j, k), v in sc.c.items() if v != 0]
+    consts = [(i, j, k, Fraction(v)) for (i, j, k), v in sc.c.items() if v != 0]
+    scale = lcm(*(v.denominator for *_, v in consts))
+    by_target = [[] for _ in range(sc.dim)]
+    for i, j, k, v in consts:
+        by_target[k].append((i, j, v.numerator * (scale // v.denominator)))
+    return scale, by_target
 
 
 def validate_algebra(sc: StructureConstants, max_violations: int = 10) -> JacobiReport:
     """Check the Jacobi identity exactly; list the first few failing quadruples.
 
-    The constants are scaled to integers by the lcm of their denominators,
-    which leaves every zero test of the (homogeneous) Jacobi sum unchanged,
-    and each double bracket is summed over nonzero constants only.
+    Each double bracket is summed over the nonzero integer constants only.
     """
-    consts = _nonzero_constants(sc)
-    scale = lcm(*(v.denominator for *_, v in consts))
+    _, by_target = _integer_table(sc)
     table = [[[] for _ in range(sc.dim)] for _ in range(sc.dim)]  # [i][j] -> [(k, C_ij^k)]
-    for i, j, k, v in consts:
-        n = v.numerator * (scale // v.denominator)
-        table[i][j].append((k, n))
-        table[j][i].append((k, -n))
+    for k, consts in enumerate(by_target):
+        for i, j, n in consts:
+            table[i][j].append((k, n))
+            table[j][i].append((k, -n))
     violations: list[tuple[int, int, int, int]] = []
     for i, j, k in combinations(range(sc.dim), 3):
         total: dict[int, int] = {}
@@ -161,14 +150,6 @@ def validate_algebra(sc: StructureConstants, max_violations: int = 10) -> Jacobi
             if len(violations) >= max_violations:
                 return JacobiReport(ok=False, violations=violations)
     return JacobiReport(ok=not violations, violations=violations)
-
-
-def _by_target(sc: StructureConstants):
-    """Nonzero constants indexed by target: entry k lists (i, j, C_ij^k)."""
-    out = [[] for _ in range(sc.dim)]
-    for i, j, k, v in _nonzero_constants(sc):
-        out[k].append((i, j, v))
-    return out
 
 
 def _d2_terms(by_target, a: int, b: int):
@@ -185,6 +166,28 @@ def _d2_terms(by_target, a: int, b: int):
             yield tuple(sorted((a, i, j))), v * _perm_sign_3(a, i, j)
 
 
+def _d2_rows(by_target, dim: int):
+    """d2 as sparse integer rows {triple: {pair column: int}}, in triple
+    order, zero entries and zero rows dropped."""
+    rows: dict[tuple[int, int, int], dict[int, int]] = {}
+    for col, (a, b) in enumerate(pair_basis(dim)):
+        for t, v in _d2_terms(by_target, a, b):
+            row = rows.setdefault(t, {})
+            row[col] = row.get(col, 0) + v
+    out = {}
+    for t in sorted(rows):
+        row = {c: v for c, v in rows[t].items() if v}
+        if row:
+            out[t] = row
+    return out
+
+
+def _d1_transpose_rows(by_target, dim: int):
+    """d1 transposed as sparse integer rows: row k is d w^k over the pairs."""
+    pair_idx = {p: n for n, p in enumerate(pair_basis(dim))}
+    return [{pair_idx[(i, j)]: -n for i, j, n in consts} for consts in by_target]
+
+
 def coboundary1(sc: StructureConstants):
     """Matrix of the differential on 1-forms, pairs x dim.
 
@@ -192,11 +195,11 @@ def coboundary1(sc: StructureConstants):
     coefficient -C_ij^k at the sorted pair (i, j).  The conventional 1/2
     is absorbed by summing each unordered pair once.
     """
-    pair_idx = {p: n for n, p in enumerate(pair_basis(sc.dim))}
-    rows = [[Fraction(0)] * sc.dim for _ in pair_idx]
-    for k, consts in enumerate(_by_target(sc)):
-        for i, j, v in consts:
-            rows[pair_idx[(i, j)]][k] = -v
+    scale, by_target = _integer_table(sc)
+    rows = [[Fraction(0)] * sc.dim for _ in range(comb(sc.dim, 2))]
+    for k, row in enumerate(_d1_transpose_rows(by_target, sc.dim)):
+        for p, v in row.items():
+            rows[p][k] = Fraction(v, scale)
     return rows
 
 
@@ -206,21 +209,26 @@ def coboundary2(sc: StructureConstants):
     Column (a, b) is the image d(w^a ^ w^b) of the basis 2-form; it touches
     only the nonzero C_ij^a and C_ij^b.
     """
-    pairs = pair_basis(sc.dim)
+    scale, by_target = _integer_table(sc)
+    n_pairs = comb(sc.dim, 2)
+    rows = [[Fraction(0)] * n_pairs for _ in range(comb(sc.dim, 3))]
     triple_idx = {t: n for n, t in enumerate(triple_basis(sc.dim))}
-    rows = [[Fraction(0)] * len(pairs) for _ in triple_idx]
-    by_target = _by_target(sc)
-    for col, (a, b) in enumerate(pairs):
-        for t, v in _d2_terms(by_target, a, b):
-            rows[triple_idx[t]][col] += v
+    for t, row in _d2_rows(by_target, sc.dim).items():
+        for col, v in row.items():
+            rows[triple_idx[t]][col] = Fraction(v, scale)
     return rows
 
 
 def second_cohomology(sc: StructureConstants) -> CohomologyReport:
-    """Closed and exact 2-forms, their quotient dimension, and dim ker d1."""
-    z2_vectors = rla.nullspace(coboundary2(sc), comb(sc.dim, 2))
-    d1_t = [list(col) for col in zip(*coboundary1(sc))]
-    b2_vectors = rla.row_space_basis(d1_t)
+    """Closed and exact 2-forms, their quotient dimension, and dim ker d1.
+
+    d2 and the transpose of d1 go to the elimination as sparse integer
+    rows; no dense matrix is built.
+    """
+    _, by_target = _integer_table(sc)
+    n_pairs = comb(sc.dim, 2)
+    z2_vectors = rla.nullspace(list(_d2_rows(by_target, sc.dim).values()), n_pairs)
+    b2_vectors = rla.row_space_basis(_d1_transpose_rows(by_target, sc.dim), n_pairs)
     dim_b2 = len(b2_vectors)
     dim_z2 = len(z2_vectors)
 
@@ -237,40 +245,67 @@ def second_cohomology(sc: StructureConstants) -> CohomologyReport:
     )
 
 
+def _kernel_closed(by_target, rows, h_basis) -> bool:
+    """Whether the kernel basis ``h_basis`` of the skew matrix ``rows`` is
+    closed under the bracket of the integer constants ``by_target``.
+
+    [u, v] lies in the kernel exactly when u^T M_r v = 0 for every row r,
+    with M_r[i][j] = sum_k rows[r][k] C_ij^k, so no bracket is formed.  The
+    kernel vectors are primitive, hence integer.
+    """
+    basis = [{i: int(x) for i, x in enumerate(vec) if x} for vec in h_basis]
+    for row in rows:
+        m_r: dict[tuple[int, int], int] = {}
+        for k, w in row.items():
+            for i, j, n in by_target[k]:
+                m_r[(i, j)] = m_r.get((i, j), 0) + w * n
+        m_r = {ij: v for ij, v in m_r.items() if v}
+        if not m_r:
+            continue
+        images = []  # M_r v for each kernel vector v, over its nonzero entries
+        for v in basis:
+            out: dict[int, int] = {}
+            for (i, j), m in m_r.items():
+                if j in v:
+                    out[i] = out.get(i, 0) + m * v[j]
+                if i in v:
+                    out[j] = out.get(j, 0) - m * v[i]
+            images.append(out)
+        for a, u in enumerate(basis):
+            for image in images[a + 1:]:
+                if sum(x * image[i] for i, x in u.items() if i in image):
+                    return False
+    return True
+
+
 def kernel_subalgebra(sc: StructureConstants, omega: Cochain) -> KernelReport:
     """Radical of a closed 2-form and the closure check that makes it a subalgebra.
 
     Raises if ``omega`` is not closed: an open 2-form has no invariant
-    kernel and the downstream quotient has no meaning.
+    kernel and the downstream quotient has no meaning.  Both checks run on
+    omega and the constants scaled to integers.
     """
     if omega.degree != 2 or omega.dim != sc.dim:
         raise ValueError("omega must be a degree-2 cochain over the same algebra")
-    pairs = pair_basis(sc.dim)
-    triple_idx = {t: n for n, t in enumerate(triple_basis(sc.dim))}
-    by_target = _by_target(sc)
-    residual = [Fraction(0)] * len(triple_idx)
-    for (a, b), w in zip(pairs, omega.coords):
-        if w:
+    scale, by_target = _integer_table(sc)
+    coords = [Fraction(x) for x in omega.coords]
+    omega_scale = lcm(*(x.denominator for x in coords))
+    rows = [{} for _ in range(sc.dim)]  # omega_scale * omega as a skew matrix
+    residual: dict[tuple[int, int, int], int] = {}
+    for (a, b), x in zip(pair_basis(sc.dim), coords):
+        if x:
+            w = x.numerator * (omega_scale // x.denominator)
+            rows[a][b], rows[b][a] = w, -w
             for t, v in _d2_terms(by_target, a, b):
-                residual[triple_idx[t]] += w * v
-    if any(residual):
-        raise ValueError(f"omega is not closed; d2(omega) = {[str(x) for x in residual]}")
+                residual[t] = residual.get(t, 0) + w * v
+    if any(residual.values()):
+        scaled = [Fraction(residual.get(t, 0), scale * omega_scale) for t in triple_basis(sc.dim)]
+        raise ValueError(f"omega is not closed; d2(omega) = {[str(x) for x in scaled]}")
 
-    mat = [[Fraction(0)] * sc.dim for _ in range(sc.dim)]
-    for n, (i, j) in enumerate(pairs):
-        mat[i][j] = omega.coords[n]
-        mat[j][i] = -omega.coords[n]
-    h_basis = rla.nullspace(mat, sc.dim)
-
-    # h_basis spans the kernel of ``mat``, so a bracket lies in its span
-    # exactly when ``mat`` annihilates it: no elimination per pair.
-    def annihilated(w):
-        return not any(sum(m * x for m, x in zip(row, w) if x) for row in mat)
-
-    closed = all(annihilated(sc.bracket(u, v)) for u, v in combinations(h_basis, 2))
+    h_basis = rla.nullspace(rows, sc.dim)
     return KernelReport(
         h_basis=h_basis,
-        is_subalgebra=closed,
+        is_subalgebra=_kernel_closed(by_target, rows, h_basis),
         gamma_dim=sc.dim - len(h_basis),
     )
 
@@ -349,6 +384,12 @@ def from_json_dict(data: dict) -> StructureConstants:
         seen.add((i, j))
         targets: set[int] = set()
         for k_str, v in entry["coeffs"].items():
+            # int() would also read "1_0" as 10, " 1" as 1 and any Unicode digit
+            if not (k_str.isascii() and k_str.isdigit()):
+                raise ValueError(
+                    f"bracket entry ({i},{j}) has target key {k_str!r} that is not a "
+                    "decimal index"
+                )
             k = int(k_str)
             if k in targets:
                 raise ValueError(f"bracket entry ({i},{j}) names target {k} more than once")

@@ -1,18 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain ``list[list[Fraction]]`` (row-major).  Elimination runs
-on sparse integer rows: each row is scaled to coprime integers and kept as
-``{column: value}`` over its nonzero entries.  A row is touched only when it
-has a nonzero in the pivot column; it is then combined with the pivot row by
-the two-term integer update and divided by its content, so every
-intermediate entry is an exact integer.  Rank and nullspace decisions are
-therefore exact, which is what the cohomology dimensions require.
+A matrix is a list of rows; a row is either a dense sequence of rationals
+or a sparse ``{column: int}`` mapping of its nonzero integer entries.
+Elimination runs on sparse integer rows: each row is scaled to coprime
+integers and kept as ``{column: value}`` over its nonzero entries.  A row
+is touched only when it has a nonzero in the pivot column; it is then
+combined with the pivot row by the two-term integer update and divided by
+its content, so every intermediate entry is an exact integer.  The
+null-space and row-space bases are read off the reduced integer rows, and
+``Fraction`` appears only in the returned vectors.  Rank and null-space
+decisions are therefore exact, which is what the cohomology dimensions
+require.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+_ZERO = Fraction(0)
 
 
 def _content_free(row):
@@ -21,8 +27,10 @@ def _content_free(row):
 
 
 def _integer_row(row):
-    """Nonzero entries of a rational row as ``{column: int}``, scaled to
-    coprime integers (preserves row space and nullspace)."""
+    """Nonzero entries of a row as ``{column: int}``, scaled to coprime
+    integers (preserves row space and nullspace)."""
+    if isinstance(row, dict):
+        return _content_free({c: v for c, v in row.items() if v})
     entries = {c: Fraction(x) for c, x in enumerate(row) if x}
     scale = lcm(*(x.denominator for x in entries.values()))
     return _content_free({c: x.numerator * (scale // x.denominator) for c, x in entries.items()})
@@ -43,14 +51,14 @@ def _cancel(row, piv, c):
 
 
 def _echelon(rows):
-    """Row echelon form as sparse coprime integer rows, in pivot order.
+    """Row echelon form of coprime sparse integer rows, in pivot order.
 
     Rows are bucketed by leading column, so each step touches only the rows
     whose leading entry sits in the pivot column.  The pivot column of each
     returned row is its smallest key.
     """
     by_lead = {}
-    for row in map(_integer_row, rows):
+    for row in rows:
         if row:
             by_lead.setdefault(min(row), []).append(row)
     pivots = []
@@ -67,73 +75,60 @@ def _echelon(rows):
     return pivots
 
 
-def _primitive(vec):
-    """Clear denominators, divide out the content, make the first nonzero
-    entry positive.  Canonical representative of the ray through ``vec``."""
-    scale = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (scale // x.denominator) for x in vec]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 1)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
-
-
-def rank(rows):
-    return len(_echelon(rows))
-
-
-def _rref(rows):
-    """Reduced row echelon form over Fraction.  Returns (rows, pivot cols).
-
-    Back-substitution stays on the integer rows; each row is divided by its
-    pivot once, at the end.
-    """
-    pivots = _echelon(rows)
+def _reduced(rows):
+    """Echelon rows back-substituted in integers: each pivot column is
+    nonzero only in its own row.  Returns (rows, pivot columns)."""
+    pivots = _echelon(map(_integer_row, rows))
     piv_cols = [min(row) for row in pivots]
     for r in reversed(range(len(pivots))):
         c = piv_cols[r]
         for i in range(r):
             if c in pivots[i]:
                 pivots[i] = _cancel(pivots[i], pivots[r], c)
-    ncols = len(rows[0]) if rows else 0
-    red = []
-    for c, row in zip(piv_cols, pivots):
-        dense = [Fraction(0)] * ncols
-        for k, v in row.items():
-            dense[k] = Fraction(v, row[c])
-        red.append(dense)
-    return red, piv_cols
+    return pivots, piv_cols
+
+
+def _primitive(entries, ncols):
+    """Dense ``Fraction`` vector of the integer ray ``{column: int}``, with
+    the content divided out and the first nonzero entry positive."""
+    g = gcd(*entries.values())
+    if entries[min(entries)] < 0:
+        g = -g
+    out = [_ZERO] * ncols
+    for c, v in entries.items():
+        out[c] = Fraction(v // g)
+    return out
+
+
+def rank(rows):
+    return len(_echelon(map(_integer_row, rows)))
 
 
 def nullspace(rows, ncols):
-    """Basis of {x : rows @ x = 0} as primitive rational vectors."""
-    if ncols == 0:
-        return []
-    if not rows:
-        basis = []
-        for f in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            basis.append(v)
-        return basis
-    red, piv_cols = _rref(rows)
-    free = [c for c in range(ncols) if c not in piv_cols]
+    """Basis of {x : rows @ x = 0} as primitive rational vectors.
+
+    Free column f gives the vector with entry L at f and -row[f] L / p at
+    the pivot column of each reduced row that touches f, p its pivot entry
+    and L the lcm of those pivots, so every entry is an integer.
+    """
+    red, piv_cols = _reduced(rows)
+    touching = {f: [] for f in range(ncols)}
+    for c in piv_cols:
+        del touching[c]
+    for row, c in zip(red, piv_cols):
+        for f, v in row.items():
+            if f != c:
+                touching[f].append((c, v, row[c]))
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(piv_cols):
-            v[c] = -red[r][f]
-        basis.append(_primitive(v))
+    for f, hits in touching.items():
+        scale = lcm(*(p for _, _, p in hits))
+        vec = {f: scale}
+        for c, v, p in hits:
+            vec[c] = -v * (scale // p)
+        basis.append(_primitive(vec, ncols))
     return basis
 
 
-def row_space_basis(rows):
-    """Basis of the row space as primitive vectors (RREF pivot rows)."""
-    if not rows:
-        return []
-    red, piv_cols = _rref(rows)
-    return [_primitive(red[r]) for r in range(len(piv_cols))]
+def row_space_basis(rows, ncols):
+    """Basis of the row space as primitive vectors (the reduced pivot rows)."""
+    return [_primitive(row, ncols) for row in _reduced(rows)[0]]

@@ -1,5 +1,6 @@
 import os
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,17 @@ def mat_vec(a, v):
     """Exact product of a rational matrix and a rational vector."""
     v = [Fraction(x) for x in v]
     return [sum((Fraction(row[k]) * v[k] for k in range(len(v))), Fraction(0)) for row in a]
+
+
+def primitive(vec):
+    """Canonical rational ray: clear denominators, divide out the content,
+    make the first nonzero entry positive."""
+    vec = [Fraction(x) for x in vec]
+    scale = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (scale // x.denominator) for x in vec]
+    g = gcd(*ints) or 1
+    lead = next((v for v in ints if v != 0), 1)
+    return [Fraction(v // g if lead > 0 else -v // g) for v in ints]
 
 
 def in_span(basis, vec):

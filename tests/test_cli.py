@@ -125,15 +125,27 @@ def test_cohomology_non_integer_dim_exit_2(tmp_path, capsys):
         ({"i": 0, "j": 1, "coeffs": {"1": "1", "01": "2"}}, "names target 1 more than once"),
         ({"i": 0, "j": 1, "coeffs": {"0": None}}, "not a rational number"),
         ({"i": 0, "j": 1, "coeffs": {"0": "1/0"}}, "not a rational number"),
+        ({"i": 0, "j": 1, "coeffs": {"x": "1"}}, "(0,1) has target key 'x' that is not a decimal index"),
     ],
     ids=["no-j", "no-i", "no-coeffs", "list-entry", "list-coeffs", "repeated-target",
-         "null-coeff", "zero-denominator"],
+         "null-coeff", "zero-denominator", "letter-target"],
 )
 def test_cohomology_malformed_bracket_entry_exit_2(tmp_path, capsys, entry, message):
     data = {"dim": 2, "basis": ["a", "b"], "brackets": [entry]}
     code, err = _cohomology_error(tmp_path, capsys, data)
     assert code == 2
     assert message in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("key", ["1_0", "\u0663"], ids=["underscore", "arabic-indic"])
+def test_cohomology_non_decimal_target_key_exit_2(tmp_path, capsys, key):
+    # both used to name a valid target (10 and 3) and exit 0
+    data = {"dim": 11, "basis": [f"e{n}" for n in range(11)],
+            "brackets": [{"i": 0, "j": 1, "coeffs": {key: "1"}}]}
+    code, err = _cohomology_error(tmp_path, capsys, data)
+    assert code == 2
+    assert f"bracket entry (0,1) has target key {key!r} that is not a decimal index" in err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -351,6 +363,43 @@ def test_tomography_repeated_csv_point_exit_2(tmp_path, capsys, grid4):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "listed more than once" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_tomography_non_finite_csv_value_exit_2(tmp_path, capsys, grid4, value):
+    # inf used to reach LAPACK ("Eigenvalues did not converge"); nan read as a missing point
+    csv_in = tmp_path / "probs.csv"
+    formats.write_values_csv(np.full(len(grid4), 0.01), grid4, csv_in)
+    lines = csv_in.read_text().splitlines()
+    q, p = lines[3].split(",")[:2]
+    lines[3] = f"{q},{p},{value},0.1"
+    csv_in.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["tomography", "--probabilities", str(csv_in), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"point ({float(q)},{float(p)}) has value '{value}', which is not finite" in err
+    assert str(csv_in) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("inf,0.2,1.0,0.01", "point (inf,0.2) is not on the grid lattice"),
+        ("nan,0.2,1.0,0.01", "point (nan,0.2) is not on the grid lattice"),
+        ("0.2,0.2", "line 2 needs numbers in q, p and value"),
+        ("0.2,0.2,abc,0.01", "line 2 needs numbers in q, p and value"),
+    ],
+    ids=["inf-coordinate", "nan-coordinate", "short-row", "text-value"],
+)
+def test_tomography_malformed_csv_row_exit_2(tmp_path, capsys, row, message):
+    # an inf coordinate and a short row used to escape as tracebacks
+    csv_in = tmp_path / "probs.csv"
+    csv_in.write_text(f"q,p,value,weight\n{row}\n")
+    assert main(["tomography", "--probabilities", str(csv_in), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{csv_in}: {message}" in err
 
 
 def test_tomography_probabilities_file_round_trip(tmp_path, ctx4, grid4, eta4):

@@ -5,6 +5,7 @@ invariants."""
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from qps import lie_cohomology as lc
 from qps import rational_linalg as rla
 
-from conftest import in_span, mat_mul, mat_vec
+from conftest import in_span, mat_mul, mat_vec, primitive
 
 
 def _sc(dim, entries, names=None):
@@ -29,15 +30,36 @@ def _sc(dim, entries, names=None):
 # ---------------------------------------------------------------------------
 
 
+def bracket_coeff(sc, i, j, k):
+    """Coefficient of A_k in [A_i, A_j], any index order."""
+    if i == j:
+        return Fraction(0)
+    if i < j:
+        return Fraction(sc.c.get((i, j, k), 0))
+    return -Fraction(sc.c.get((j, i, k), 0))
+
+
+def bracket(sc, u, v):
+    """Coordinates of [u, v] for rational coordinate vectors u, v."""
+    u = [Fraction(x) for x in u]
+    v = [Fraction(x) for x in v]
+    out = [Fraction(0)] * sc.dim
+    for (i, j, k), cijk in sc.c.items():
+        w = u[i] * v[j] - u[j] * v[i]
+        if w != 0:
+            out[k] += w * cijk
+    return out
+
+
 def _dense_jacobi(sc, max_violations):
     violations = []
     for i, j, k in combinations(range(sc.dim), 3):
         for l in range(sc.dim):
             total = Fraction(0)
             for m in range(sc.dim):
-                total += sc.bracket_coeff(i, j, m) * sc.bracket_coeff(m, k, l)
-                total += sc.bracket_coeff(j, k, m) * sc.bracket_coeff(m, i, l)
-                total += sc.bracket_coeff(k, i, m) * sc.bracket_coeff(m, j, l)
+                total += bracket_coeff(sc, i, j, m) * bracket_coeff(sc, m, k, l)
+                total += bracket_coeff(sc, j, k, m) * bracket_coeff(sc, m, i, l)
+                total += bracket_coeff(sc, k, i, m) * bracket_coeff(sc, m, j, l)
             if total != 0:
                 violations.append((i, j, k, l))
                 if len(violations) >= max_violations:
@@ -47,7 +69,7 @@ def _dense_jacobi(sc, max_violations):
 
 def _dense_coboundary1(sc):
     pairs = lc.pair_basis(sc.dim)
-    return [[-sc.bracket_coeff(i, j, k) for k in range(sc.dim)] for i, j in pairs]
+    return [[-bracket_coeff(sc, i, j, k) for k in range(sc.dim)] for i, j in pairs]
 
 
 def _dense_coboundary2(sc):
@@ -65,8 +87,8 @@ def _dense_coboundary2(sc):
 
     for col, (a, b) in enumerate(pairs):
         for i, j in pairs:
-            add_wedge(col, -sc.bracket_coeff(i, j, a), i, j, b)  # (d w^a) ^ w^b
-            add_wedge(col, sc.bracket_coeff(i, j, b), a, i, j)  # - w^a ^ (d w^b)
+            add_wedge(col, -bracket_coeff(sc, i, j, a), i, j, b)  # (d w^a) ^ w^b
+            add_wedge(col, bracket_coeff(sc, i, j, b), a, i, j)  # - w^a ^ (d w^b)
     return rows
 
 
@@ -77,7 +99,7 @@ def _to_sympy(mat, cols):
 
 
 def _primitive_from_sympy(vec):
-    return rla._primitive([Fraction(int(x.p), int(x.q)) for x in vec])
+    return primitive([Fraction(int(x.p), int(x.q)) for x in vec])
 
 
 @st.composite
@@ -90,7 +112,7 @@ def _bracket_tables(draw):
         keys = [(i, j, dim - 1) for i, j in combinations(range(dim - 1), 2)]
     else:
         keys = [(i, j, k) for i, j in combinations(range(dim), 2) for k in range(dim)]
-    values = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6]))
+    values = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
     c = draw(st.dictionaries(st.sampled_from(keys), values, max_size=30)) if keys else {}
     return _sc(dim, c)
 
@@ -111,7 +133,85 @@ def test_sparse_engine_matches_dense_references(sc, max_violations):
         assert rla.nullspace(mat, n_pairs) == [_primitive_from_sympy(v) for v in sm.nullspace()]
         rref, pivots = sm.rref()
         expected_rows = [_primitive_from_sympy(rref.row(r)) for r in range(len(pivots))]
-        assert rla.row_space_basis(mat) == expected_rows
+        assert rla.row_space_basis(mat, n_pairs) == expected_rows
+
+
+def _skew_matrix(omega):
+    """Dense Fraction matrix of a 2-cochain: M[i][j] = omega(e_i, e_j)."""
+    mat = [[Fraction(0)] * omega.dim for _ in range(omega.dim)]
+    for (i, j), x in zip(lc.pair_basis(omega.dim), omega.coords):
+        mat[i][j], mat[j][i] = Fraction(x), -Fraction(x)
+    return mat
+
+
+def _reference_closed(sc, mat, h_basis):
+    """Bracket every pair of kernel vectors and test that ``mat`` annihilates it."""
+    return all(
+        not any(mat_vec(mat, bracket(sc, u, v))) for u, v in combinations(h_basis, 2)
+    )
+
+
+def _integer_closure(sc, mat, h_basis):
+    """The integer closure routine on ``mat`` scaled to an integer matrix."""
+    scale = lcm(*(x.denominator for row in mat for x in row))
+    rows = [{j: int(x * scale) for j, x in enumerate(row) if x} for row in mat]
+    return lc._kernel_closed(lc._integer_table(sc)[1], rows, h_basis)
+
+
+@settings(deadline=None)
+@given(sc=_bracket_tables(), data=st.data())
+def test_integer_path_matches_fraction_reference(sc, data):
+    n_pairs = len(lc.pair_basis(sc.dim))
+    report = lc.second_cohomology(sc)
+    d2 = _dense_coboundary2(sc)
+    d1_t = [list(col) for col in zip(*_dense_coboundary1(sc))]
+    z2 = rla.nullspace(d2, n_pairs)
+    assert [list(ch.coords) for ch in report.z2_basis] == z2
+    assert [list(ch.coords) for ch in report.b2_basis] == rla.row_space_basis(d1_t, n_pairs)
+
+    # a closed form: a random combination of the Z^2 basis
+    weights = data.draw(st.lists(st.integers(-3, 3), min_size=len(z2), max_size=len(z2)))
+    coords = [sum((w * v[n] for w, v in zip(weights, z2)), Fraction(0)) for n in range(n_pairs)]
+    scale = data.draw(st.builds(Fraction, st.integers(1, 5), st.integers(1, 6)))
+    omega = lc.Cochain(degree=2, dim=sc.dim, coords=tuple(scale * x for x in coords))
+    mat = _skew_matrix(omega)
+    h_basis = rla.nullspace(mat, sc.dim)
+    kr = lc.kernel_subalgebra(sc, omega)
+    assert kr.h_basis == h_basis
+    assert kr.gamma_dim == sc.dim - len(h_basis)
+    # the kernel of a closed form is a subalgebra on any antisymmetric table
+    assert kr.is_subalgebra is _reference_closed(sc, mat, h_basis) is True
+
+    # an arbitrary form of low rank, so that its kernel has pairs to bracket:
+    # rejected with its exact residual when open; the closure routine agrees
+    # with the reference on its kernel either way
+    values = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
+    entries = data.draw(st.dictionaries(st.sampled_from(range(n_pairs)), values, max_size=3)
+                        if n_pairs else st.just({}))
+    omega = lc.Cochain(degree=2, dim=sc.dim, coords=tuple(
+        entries.get(n, Fraction(0)) for n in range(n_pairs)))
+    residual = mat_vec(d2, omega.coords)
+    mat = _skew_matrix(omega)
+    h_basis = rla.nullspace(mat, sc.dim)
+    if any(residual):
+        with pytest.raises(ValueError) as err:
+            lc.kernel_subalgebra(sc, omega)
+        assert str(err.value) == f"omega is not closed; d2(omega) = {[str(x) for x in residual]}"
+    else:
+        assert lc.kernel_subalgebra(sc, omega).h_basis == h_basis
+    assert _integer_closure(sc, mat, h_basis) is _reference_closed(sc, mat, h_basis)
+
+
+@pytest.mark.parametrize("name,pair", [("galilei", (3, 9)), ("poincare", (0, 1))])
+def test_integer_closure_rejects_kernel_of_open_form(name, pair):
+    sc = lc.catalog(name)
+    omega = lc.two_form_from_pairs(sc, {pair: 1})
+    with pytest.raises(ValueError, match="not closed"):
+        lc.kernel_subalgebra(sc, omega)
+    mat = _skew_matrix(omega)
+    h_basis = rla.nullspace(mat, sc.dim)
+    assert _reference_closed(sc, mat, h_basis) is False
+    assert _integer_closure(sc, mat, h_basis) is False
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +397,7 @@ def test_galilei_mass_cocycle_is_closed_not_exact():
     residual = mat_vec(lc.coboundary2(sc), list(omega.coords))
     assert all(x == 0 for x in residual)
     d1t = [list(col) for col in zip(*lc.coboundary1(sc))]
-    b2 = rla.row_space_basis(d1t)
+    b2 = rla.row_space_basis(d1t, len(lc.pair_basis(sc.dim)))
     assert not in_span(b2, list(omega.coords))
 
 
@@ -401,7 +501,7 @@ def _random_basis_change(rng, sc):
     c_new = {}
     for a in range(dim):
         for b in range(a + 1, dim):
-            w = sc.bracket(m[a], m[b])
+            w = bracket(sc, m[a], m[b])
             coords = mat_vec([list(col) for col in zip(*inv)], w)
             for k, v in enumerate(coords):
                 if v != 0:
@@ -504,6 +604,24 @@ def test_json_rejects_repeated_target():
     data = {"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1", "01": "2"}}]}
     with pytest.raises(ValueError, match=r"\(0,1\) names target 1 more than once"):
         lc.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "key", ["1_0", "\u0663", "x", "-1", "+1", " 1", "1 ", "", "1.0", "\uff11"],
+    ids=["underscore", "arabic-indic", "letter", "minus", "plus", "lead-space",
+         "trail-space", "empty", "decimal-point", "fullwidth"],
+)
+def test_json_rejects_non_decimal_target_keys(key):
+    # int() read "1_0" as target 10 and "\u0663" as target 3
+    data = {"dim": 11, "basis": [f"e{n}" for n in range(11)],
+            "brackets": [{"i": 0, "j": 1, "coeffs": {key: "1"}}]}
+    with pytest.raises(ValueError, match=r"bracket entry \(0,1\) has target key .* not a decimal index"):
+        lc.from_json_dict(data)
+
+
+def test_json_accepts_leading_zero_target_key():
+    data = {"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "coeffs": {"01": "2"}}]}
+    assert lc.from_json_dict(data).c == {(0, 1, 1): Fraction(2)}
 
 
 @pytest.mark.parametrize(

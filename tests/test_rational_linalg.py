@@ -8,7 +8,7 @@ import sympy
 
 from qps import rational_linalg as rla
 
-from conftest import in_span, mat_mul, mat_vec
+from conftest import in_span, mat_mul, mat_vec, primitive
 
 
 def _random_rational_matrix(rng, rows, cols):
@@ -44,7 +44,7 @@ def test_nullspace_of_empty_matrix_is_full():
 def test_row_space_basis_spans_rows():
     rng = np.random.default_rng(3)
     mat = _random_rational_matrix(rng, 5, 4)
-    basis = rla.row_space_basis(mat)
+    basis = rla.row_space_basis(mat, 4)
     assert len(basis) == rla.rank(mat)
     for row in mat:
         assert in_span(basis, row)
@@ -59,8 +59,11 @@ def test_in_span_rejects_outside_vector():
 
 def test_primitive_normalization_deterministic():
     vec = [Fraction(-2, 3), Fraction(4, 3), Fraction(0)]
-    out = rla._primitive(vec)
-    assert out == [Fraction(1), Fraction(-2), Fraction(0)]
+    expected = [Fraction(1), Fraction(-2), Fraction(0)]
+    assert primitive(vec) == expected
+    assert rla.row_space_basis([vec], 3) == [expected]
+    assert rla.row_space_basis([{0: -2, 1: 4}], 3) == [expected]
+    assert rla.nullspace([[Fraction(0), Fraction(0), Fraction(1, 2)], {0: 6, 1: 3}], 3) == [expected]
 
 
 def test_mat_mul_exact():
