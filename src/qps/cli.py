@@ -149,9 +149,9 @@ def cmd_spectrum(args) -> int:
     ctx, grid, eta = _setup(args)
     region = _parse_region(args.region)
     spec = loc.localization_spectrum(region, eta, grid, ctx, epsilon=args.epsilon)
-    summary = loc.clustering_report(spec)
+    loc.clustering_report(spec)
     count = spec.count_above(args.threshold)
-    ratio = summary.mid_to_near_one_ratio
+    ratio = spec.mid_to_near_one_ratio
     report = {
         "config": cfg,
         "trace": spec.trace,
@@ -287,11 +287,12 @@ def cmd_effects(args) -> int:
 
 def cmd_transform(args) -> int:
     from . import transform as tr
+    from . import wh_model as wh
 
     cfg = _config(args, "transform")
     ctx, grid, eta = _setup(args)
     rng = np.random.default_rng(args.seed)
-    block = ctx.n_dim // 2 + 1
+    block = wh.low_block(ctx).stop
     phi = np.zeros(ctx.n_dim, dtype=complex)
     phi[:block] = rng.normal(size=block) + 1j * rng.normal(size=block)
     phi /= np.linalg.norm(phi)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .localization import localization_spectrum, quantize
+from .transform import frame_operator
 from .wh_model import FockContext, PhaseGrid, low_block
 
 DEFINEDNESS_TOL = 1e-9
@@ -142,8 +143,7 @@ def verify_axioms(sampler, trials: int, atol: float = 1e-12) -> AxiomReport:
         if bc is not None:
             a_bc = oplus(a, bc)
             if a_bc is not None:
-                ab2 = oplus(a, b)
-                abc = None if ab2 is None else oplus(ab2, c)
+                abc = None if ab is None else oplus(ab, c)
                 if abc is None:
                     record("associativity", a, b, c)
                 elif np.max(np.abs(a_bc.matrix - abc.matrix)) > atol:
@@ -189,7 +189,7 @@ def povm_check(regions, eta, grid: PhaseGrid, ctx: FockContext) -> PovmReport:
 
     parts = [quantize(mask.astype(float), eta, grid, ctx) for mask in masks]
     total = sum(parts)
-    s = quantize(np.ones(len(grid)), eta, grid, ctx)
+    s = frame_operator(eta, grid, ctx)
     additivity = float(np.linalg.norm(total - s, ord=2))
     blk = low_block(ctx)
     defect = float(np.linalg.norm(s[blk, blk] - np.eye(blk.stop), ord=2))

@@ -188,37 +188,6 @@ def _d1_transpose_rows(by_target, dim: int):
     return [{pair_idx[(i, j)]: -n for i, j, n in consts} for consts in by_target]
 
 
-def coboundary1(sc: StructureConstants):
-    """Matrix of the differential on 1-forms, pairs x dim.
-
-    Column k is the image of the k-th dual basis form: the Maurer-Cartan
-    coefficient -C_ij^k at the sorted pair (i, j).  The conventional 1/2
-    is absorbed by summing each unordered pair once.
-    """
-    scale, by_target = _integer_table(sc)
-    rows = [[Fraction(0)] * sc.dim for _ in range(comb(sc.dim, 2))]
-    for k, row in enumerate(_d1_transpose_rows(by_target, sc.dim)):
-        for p, v in row.items():
-            rows[p][k] = Fraction(v, scale)
-    return rows
-
-
-def coboundary2(sc: StructureConstants):
-    """Matrix of the differential on 2-forms, triples x pairs.
-
-    Column (a, b) is the image d(w^a ^ w^b) of the basis 2-form; it touches
-    only the nonzero C_ij^a and C_ij^b.
-    """
-    scale, by_target = _integer_table(sc)
-    n_pairs = comb(sc.dim, 2)
-    rows = [[Fraction(0)] * n_pairs for _ in range(comb(sc.dim, 3))]
-    triple_idx = {t: n for n, t in enumerate(triple_basis(sc.dim))}
-    for t, row in _d2_rows(by_target, sc.dim).items():
-        for col, v in row.items():
-            rows[triple_idx[t]][col] = Fraction(v, scale)
-    return rows
-
-
 def second_cohomology(sc: StructureConstants) -> CohomologyReport:
     """Closed and exact 2-forms, their quotient dimension, and dim ker d1.
 
@@ -298,9 +267,13 @@ def kernel_subalgebra(sc: StructureConstants, omega: Cochain) -> KernelReport:
             rows[a][b], rows[b][a] = w, -w
             for t, v in _d2_terms(by_target, a, b):
                 residual[t] = residual.get(t, 0) + w * v
-    if any(residual.values()):
-        scaled = [Fraction(residual.get(t, 0), scale * omega_scale) for t in triple_basis(sc.dim)]
-        raise ValueError(f"omega is not closed; d2(omega) = {[str(x) for x in scaled]}")
+    nonzero = [(t, Fraction(v, scale * omega_scale)) for t, v in sorted(residual.items()) if v]
+    if nonzero:
+        first = ", ".join(f"{t} = {x}" for t, x in nonzero[:10])
+        raise ValueError(
+            f"omega is not closed; d2(omega) is nonzero at {len(nonzero)} of "
+            f"{comb(sc.dim, 3)} triples, first: {first}"
+        )
 
     h_basis = rla.nullspace(rows, sc.dim)
     return KernelReport(

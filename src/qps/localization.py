@@ -108,6 +108,13 @@ class SpectrumReport:
     mid: int
     epsilon: float
 
+    @property
+    def mid_to_near_one_ratio(self) -> float:
+        """mid / near_one; infinite when nothing is near one but something is mid."""
+        if self.near_one:
+            return self.mid / self.near_one
+        return float("inf") if self.mid else 0.0
+
     def count_above(self, threshold: float) -> int:
         """Number of eigenvalues above ``threshold``, which must lie in (0, 1)."""
         if not 0 < threshold < 1:
@@ -137,19 +144,8 @@ def localization_spectrum(
     )
 
 
-@dataclass
-class ClusteringSummary:
-    trace: float
-    mu_delta: float
-    near_one: int
-    near_zero: int
-    mid: int
-    epsilon: float
-    mid_to_near_one_ratio: float
-
-
-def clustering_report(spec: SpectrumReport) -> ClusteringSummary:
-    """Check the provable trace/norm bounds and summarize the clustering.
+def clustering_report(spec: SpectrumReport) -> SpectrumReport:
+    """Check the provable trace/norm bounds and return ``spec``.
 
     tr A(chi) <= mu(region) and |A(chi)| <= min(1, mu(region)) are exact
     inequalities of the construction for a unit generator, the norm bound
@@ -167,19 +163,7 @@ def clustering_report(spec: SpectrumReport) -> ClusteringSummary:
             f"largest eigenvalue {top} exceeds min(1, mu) = {min(1.0, spec.mu_delta)}; "
             "a grid this coarse does not resolve the identity"
         )
-    if spec.near_one:
-        ratio = spec.mid / spec.near_one
-    else:
-        ratio = float("inf") if spec.mid else 0.0
-    return ClusteringSummary(
-        trace=spec.trace,
-        mu_delta=spec.mu_delta,
-        near_one=spec.near_one,
-        near_zero=spec.near_zero,
-        mid=spec.mid,
-        epsilon=spec.epsilon,
-        mid_to_near_one_ratio=ratio,
-    )
+    return spec
 
 
 def channel_capacity(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .localization import quantize, symbol_values
+from .transform import GammaFunctionSamples
 from .wh_model import SQRT2, FockContext, PhaseGrid, coherent_family
 
 
@@ -55,19 +56,11 @@ def random_density(rng: np.random.Generator, n: int, rank: int | None = None) ->
     return DensityOperator(m / np.trace(m).real)
 
 
-@dataclass
-class ClassicalDensity:
-    """Real nonnegative samples of Tr(rho T(x)) over the grid."""
-
-    values: np.ndarray
-    grid: PhaseGrid
-
-
-def classical_density(rho: DensityOperator, eta, grid: PhaseGrid, ctx: FockContext) -> ClassicalDensity:
-    """Pointwise Tr(rho T(x_k)) = <u_k| rho |u_k>; nonnegative by positivity."""
+def classical_density(rho: DensityOperator, eta, grid: PhaseGrid, ctx: FockContext) -> GammaFunctionSamples:
+    """Pointwise Tr(rho T(x_k)) = <u_k| rho |u_k>: real, nonnegative by positivity."""
     fam = coherent_family(eta, grid, ctx)
     vals = np.einsum("kn,kn->k", fam.conj() @ rho.matrix, fam).real
-    return ClassicalDensity(values=vals, grid=grid)
+    return GammaFunctionSamples(values=vals, grid=grid)
 
 
 def expectation_pair(rho: DensityOperator, f, eta, grid: PhaseGrid, ctx: FockContext):

@@ -22,7 +22,7 @@ class FrameConditionError(ValueError):
 
 @dataclass
 class GammaFunctionSamples:
-    """Complex samples of a phase-space function, tied to its grid."""
+    """Samples of a phase-space function, tied to its grid."""
 
     values: np.ndarray
     grid: PhaseGrid
@@ -67,7 +67,7 @@ def reconstruct(eta, grid: PhaseGrid, samples: GammaFunctionSamples, ctx: FockCo
     """Invert the transform: phi = S^-1 sum_k mu_k F_k D(alpha_k) eta."""
     fam = coherent_family(eta, grid, ctx)
     rhs = fam.T @ (grid.weights * samples.values)
-    return _solve_frame(weighted_gram(fam, grid.weights), rhs)
+    return _solve_frame(frame_operator(eta, grid, ctx), rhs)
 
 
 def projection_P(eta, grid: PhaseGrid, samples: GammaFunctionSamples, ctx: FockContext) -> GammaFunctionSamples:

@@ -301,11 +301,12 @@ def central_phase_deviation(x, y, eta, ctx: FockContext):
     deviation is pure truncation error.
     """
     vec = generator_vector(eta)
-    ax = (x[0] + 1j * x[1]) / SQRT2
-    ay = (y[0] + 1j * y[1]) / SQRT2
+    dx = displacement((x[0] + 1j * x[1]) / SQRT2, ctx)
+    dy = displacement((y[0] + 1j * y[1]) / SQRT2, ctx)
+    # D(-a) equals D(a)^H entry by entry, and a contiguous copy multiplies bit for bit alike
     v = vec
-    for amp in (ay, ax, -ay, -ax):
-        v = displacement(amp, ctx) @ v
+    for d in (dy, dx, np.ascontiguousarray(dy.conj().T), np.ascontiguousarray(dx.conj().T)):
+        v = d @ v
     beta = np.vdot(vec, v)
     deviation = float(np.linalg.norm(v - beta * vec))
     return beta, deviation
@@ -353,10 +354,12 @@ def admissibility(
     on the outermost grid ring, otherwise the quadrature misses mass and
     the call fails naming the radius that would be needed.
 
-    The commutator check draws ``trials`` point pairs and verifies that
-    each displacement commutator acts on eta as a scalar; sampled
-    amplitudes are kept small enough that truncation cannot fake a
-    failure.
+    The commutator check draws ``trials`` point pairs, builds D(x) and
+    D(y) once per pair, and verifies that their commutator acts on eta as
+    a scalar.  Amplitudes stay small enough that truncation cannot fake a
+    failure: the radius is 0.61 for the ground state at N = 24 but 1.9e-5
+    once eta's support reaches the cutoff (squeezed:0.5 at N = 24 or 32),
+    where ``beta_ok`` says almost nothing.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -171,6 +172,20 @@ def test_cohomology_huge_coefficient_exponent_exit_2(tmp_path, capsys):
     assert code == 2
     assert "exceeds 4300 in magnitude" in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_cohomology_open_omega_names_nonzero_triples_exit_2(tmp_path, capsys):
+    # omega = e^3 ^ e^9 on galilei: d2(omega) is -1 at (1, 5, 9) and 1 at
+    # (2, 4, 9), and zero at the other 118 triples
+    omega = ",".join("1" if pair == (3, 9) else "0" for pair in combinations(range(10), 2))
+    out = tmp_path / "report.json"
+    assert main(["cohomology", "galilei", "--omega", omega, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: omega is not closed; d2(omega) is nonzero at 2 of 120 triples, "
+        "first: (1, 5, 9) = -1, (2, 4, 9) = 1\n"
+    )
+    assert not out.exists()
 
 
 def test_cohomology_decimal_and_fraction_omega_accepted(tmp_path):

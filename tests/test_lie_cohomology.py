@@ -123,9 +123,7 @@ def test_sparse_engine_matches_dense_references(sc, max_violations):
     report = lc.validate_algebra(sc, max_violations=max_violations)
     assert report.violations == _dense_jacobi(sc, max_violations)
     assert report.ok == (not report.violations)
-    d1, d2 = lc.coboundary1(sc), lc.coboundary2(sc)
-    assert d1 == _dense_coboundary1(sc)
-    assert d2 == _dense_coboundary2(sc)
+    d1, d2 = _dense_coboundary1(sc), _dense_coboundary2(sc)
     n_pairs = len(lc.pair_basis(sc.dim))
     for mat in (d2, [list(col) for col in zip(*d1)]):
         sm = _to_sympy(mat, n_pairs)
@@ -196,7 +194,11 @@ def test_integer_path_matches_fraction_reference(sc, data):
     if any(residual):
         with pytest.raises(ValueError) as err:
             lc.kernel_subalgebra(sc, omega)
-        assert str(err.value) == f"omega is not closed; d2(omega) = {[str(x) for x in residual]}"
+        nonzero = [f"{t} = {x}" for t, x in zip(lc.triple_basis(sc.dim), residual) if x]
+        assert str(err.value) == (
+            f"omega is not closed; d2(omega) is nonzero at {len(nonzero)} of "
+            f"{len(residual)} triples, first: {', '.join(nonzero[:10])}"
+        )
     else:
         assert lc.kernel_subalgebra(sc, omega).h_basis == h_basis
     assert _integer_closure(sc, mat, h_basis) is _reference_closed(sc, mat, h_basis)
@@ -253,13 +255,13 @@ def test_malformed_tensor_rejected():
 
 
 # ---------------------------------------------------------------------------
-# coboundary operators
+# coboundary operators (the dense oracles above, checked by hand and d2 d1 = 0)
 # ---------------------------------------------------------------------------
 
 
 def test_coboundary1_h3_hand_values():
     # dual of the center maps to minus the q^ ^ p^ pair; the others vanish
-    d1 = lc.coboundary1(lc.catalog("h3"))
+    d1 = _dense_coboundary1(lc.catalog("h3"))
     pairs = lc.pair_basis(3)
     col = {p: d1[i][2] for i, p in enumerate(pairs)}
     assert col[(0, 1)] == -1 and col[(0, 2)] == 0 and col[(1, 2)] == 0
@@ -267,7 +269,7 @@ def test_coboundary1_h3_hand_values():
 
 
 def test_coboundary1_so3_cyclic():
-    d1 = lc.coboundary1(lc.catalog("so3"))
+    d1 = _dense_coboundary1(lc.catalog("so3"))
     pairs = lc.pair_basis(3)
     idx = {p: i for i, p in enumerate(pairs)}
     # d w^0 = -w^1^w^2, d w^1 = +w^0^w^2, d w^2 = -w^0^w^1
@@ -278,20 +280,20 @@ def test_coboundary1_so3_cyclic():
 
 def test_abelian_coboundaries_vanish():
     sc = lc.abelian(4)
-    assert all(x == 0 for row in lc.coboundary1(sc) for x in row)
-    assert all(x == 0 for row in lc.coboundary2(sc) for x in row)
+    assert all(x == 0 for row in _dense_coboundary1(sc) for x in row)
+    assert all(x == 0 for row in _dense_coboundary2(sc) for x in row)
 
 
 def test_h3_coboundary2_vanishes():
     # every pair image carries a repeated 1-form factor (hand evaluation)
-    d2 = lc.coboundary2(lc.catalog("h3"))
+    d2 = _dense_coboundary2(lc.catalog("h3"))
     assert all(x == 0 for row in d2 for x in row)
 
 
 @pytest.mark.parametrize("name", list(lc.CATALOG))
 def test_complex_property_d2_after_d1_is_zero(name):
     sc = lc.catalog(name)
-    product = mat_mul(lc.coboundary2(sc), lc.coboundary1(sc))
+    product = mat_mul(_dense_coboundary2(sc), _dense_coboundary1(sc))
     assert all(x == 0 for row in product for x in row)
 
 
@@ -320,8 +322,8 @@ def test_cohomology_dimensions(name, dims):
 @pytest.mark.parametrize("name", ["galilei", "poincare"])
 def test_dimensions_against_sympy_rank_oracle(name):
     sc = lc.catalog(name)
-    d1 = lc.coboundary1(sc)
-    d2 = lc.coboundary2(sc)
+    d1 = _dense_coboundary1(sc)
+    d2 = _dense_coboundary2(sc)
 
     n_pairs = len(lc.pair_basis(sc.dim))
     s1 = _to_sympy(d1, sc.dim)
@@ -394,9 +396,9 @@ def test_galilei_mass_cocycle_is_closed_not_exact():
     # central-extension witness behind dim H^2 >= 1
     sc = lc.catalog("galilei")
     omega = lc.two_form_from_pairs(sc, {(3, 6): 1, (4, 7): 1, (5, 8): 1})
-    residual = mat_vec(lc.coboundary2(sc), list(omega.coords))
+    residual = mat_vec(_dense_coboundary2(sc), list(omega.coords))
     assert all(x == 0 for x in residual)
-    d1t = [list(col) for col in zip(*lc.coboundary1(sc))]
+    d1t = [list(col) for col in zip(*_dense_coboundary1(sc))]
     b2 = rla.row_space_basis(d1t, len(lc.pair_basis(sc.dim)))
     assert not in_span(b2, list(omega.coords))
 
@@ -528,7 +530,7 @@ def test_random_nilpotent_algebra_invariants(seed):
     rng = np.random.default_rng(seed)
     sc = _random_basis_change(rng, _random_two_step_nilpotent(rng))
     assert lc.validate_algebra(sc).ok
-    product = mat_mul(lc.coboundary2(sc), lc.coboundary1(sc))
+    product = mat_mul(_dense_coboundary2(sc), _dense_coboundary1(sc))
     assert all(x == 0 for row in product for x in row)
     report = lc.second_cohomology(sc)
     assert report.dim_h2 == report.dim_z2 - report.dim_b2 >= 0

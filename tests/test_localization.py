@@ -66,7 +66,8 @@ def test_density_trace_is_displaced_norm(ctx32, eta32):
 def test_constant_symbol_gives_frame_operator(ctx24, grid_ref, eta24):
     a = loc.quantize(np.ones(len(grid_ref)), eta24, grid_ref, ctx24)
     s = tr.frame_operator(eta24, grid_ref, ctx24)
-    assert np.max(np.abs(a - s)) < 1e-12
+    # bit for bit: povm_check takes S from frame_operator
+    assert np.array_equal(a, s)
     blk = slice(0, 9)
     assert np.linalg.norm(a[blk, blk] - np.eye(9), ord=2) <= 1e-3
 
@@ -239,6 +240,29 @@ def test_clustering_ratio_decreases_with_radius(ctx32, grid_ref, eta32):
         )
         ratios.append(loc.clustering_report(spec).mid_to_near_one_ratio)
     assert ratios[0] > ratios[1] > ratios[2]
+
+
+def _counts_only(near_one, near_zero, mid):
+    return loc.SpectrumReport(
+        eigenvalues=np.zeros(near_one + near_zero + mid),
+        trace=0.0,
+        mu_delta=1.0,
+        near_one=near_one,
+        near_zero=near_zero,
+        mid=mid,
+        epsilon=0.1,
+    )
+
+
+def test_mid_to_near_one_ratio_branches():
+    assert _counts_only(near_one=4, near_zero=20, mid=6).mid_to_near_one_ratio == 1.5
+    assert _counts_only(near_one=0, near_zero=30, mid=2).mid_to_near_one_ratio == float("inf")
+    assert _counts_only(near_one=0, near_zero=32, mid=0).mid_to_near_one_ratio == 0.0
+
+
+def test_clustering_report_returns_the_spectrum_it_checked(ctx32, grid_ref, eta32):
+    spec = loc.localization_spectrum(loc.RegionSpec.disk(3.0), eta32, grid_ref, ctx32)
+    assert loc.clustering_report(spec) is spec
 
 
 def test_bound_violation_raises():

@@ -262,6 +262,38 @@ def test_central_phase_with_coincident_points(ctx24, eta24):
     assert beta == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n_dim", [8, 24])
+def test_displacement_of_minus_alpha_is_the_adjoint_entry_by_entry(n_dim):
+    # central_phase_deviation applies D(a)^H in place of D(-a)
+    ctx = wh.fock_space(n_dim)
+    for alpha in (0.3, -0.7j, 0.4 + 0.25j, -1.1 + 0.6j, 2.0 - 1.5j):
+        d = wh.displacement(alpha, ctx)
+        assert np.array_equal(wh.displacement(-alpha, ctx), d.conj().T)
+
+
+def _four_build_commutator(x, y, vec, ctx):
+    """D(-ax) D(-ay) D(ax) D(ay) vec with each factor built from its amplitude."""
+    ax = (x[0] + 1j * x[1]) / wh.SQRT2
+    ay = (y[0] + 1j * y[1]) / wh.SQRT2
+    v = vec
+    for amp in (ay, ax, -ay, -ax):
+        v = wh.displacement(amp, ctx) @ v
+    beta = np.vdot(vec, v)
+    return beta, float(np.linalg.norm(v - beta * vec))
+
+
+@pytest.mark.parametrize("n_dim", [8, 24])
+def test_central_phase_matches_the_four_build_product_bit_for_bit(n_dim):
+    ctx = wh.fock_space(n_dim)
+    rng = np.random.default_rng(11)
+    for vec in (wh.resolution_generator("ground", ctx).vector, random_low_block(rng, n_dim, 3)):
+        for _ in range(5):
+            x, y = tuple(rng.uniform(-1, 1, size=2)), tuple(rng.uniform(-1, 1, size=2))
+            beta, dev = wh.central_phase_deviation(x, y, vec, ctx)
+            ref_beta, ref_dev = _four_build_commutator(x, y, vec, ctx)
+            assert beta == ref_beta and dev == ref_dev
+
+
 def test_admissibility_integral_phase_invariant(ctx24, grid_ref, eta24):
     base = wh.autocorrelation_integrand(eta24.vector, grid_ref, ctx24)
     rotated = wh.autocorrelation_integrand(np.exp(0.7j) * eta24.vector, grid_ref, ctx24)

@@ -1,5 +1,5 @@
-"""Per-kernel bench of the coherent family build and the exact cohomology
-kernels, each time with a paired accuracy figure.
+"""Per-kernel bench of the coherent family build, the admissibility check and
+the exact cohomology kernels, each time with a paired accuracy figure.
 
 Coherent family: for each generator (ground, fock:3, squeezed:0.5 and a
 9-column low-block vector) on two grids (the ``roundtrips`` orthogonality
@@ -8,6 +8,12 @@ it times ``wh_model.coherent_family`` on a fresh grid.  Next to each time
 it records the largest |difference| between the family and the closed
 form summed column by column over the whole grid
 (``_displacement_elements``); an exact build reads 0.
+
+Admissibility: for ground, fock:3 and squeezed:0.5 on the ``roundtrips``
+orthogonality grid (N 24, K 4,344), family already stored, it times
+``wh_model.admissibility`` at its defaults.  Next to each time it records
+the commutator sample radius and a digest of the exact bits of
+``beta_max_deviation`` and ``d_constant``, which two trees must share.
 
 Cohomology: on so(8), so(9), so(10) and h13 in a dense unimodular basis
 (the benchmark's ``perfbench.inputs`` constructions) it times the Jacobi
@@ -166,14 +172,45 @@ def bench_family() -> list:
     return rows
 
 
+def bench_admissibility() -> list:
+    radius, spacing, n_dim = GRIDS["roundtrips"]
+    ctx = wh.fock_space(n_dim)
+    grid = wh.build_grid(radius, spacing)
+    rows = []
+    for gen_name, vec in _generators(n_dim).items():
+        if gen_name == "9-column":
+            continue
+        wh.coherent_family(vec, grid, ctx)
+        timing, rep = _timed(lambda: wh.admissibility(vec, grid, ctx))
+        rows.append(
+            {
+                "kernel": "wh_model.admissibility",
+                "grid": "roundtrips",
+                "K": len(grid),
+                "N": n_dim,
+                "generator": gen_name,
+                **timing,
+                "sample_radius": float(wh._commutator_sample_radius(ctx, vec)),
+                "beta_max_deviation": rep.beta_max_deviation,
+                "d_constant": rep.d_constant,
+                "values_digest": _digest([rep.beta_max_deviation.hex(), rep.d_constant.hex()]),
+            }
+        )
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON record")
     args = parser.parse_args(argv)
-    record = {"machine": _machine(), "kernels": bench_family() + bench_cohomology()}
+    kernels = bench_family() + bench_admissibility() + bench_cohomology()
+    record = {"machine": _machine(), "kernels": kernels}
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for row in record["kernels"]:
-        if "grid" in row:
+        if "values_digest" in row:
+            label = f"{'admissib.':>10} {row['generator']:>12}"
+            check = f"beta_max_deviation {row['beta_max_deviation']:.3e} digest {row['values_digest']}"
+        elif "grid" in row:
             label = f"{row['grid']:>10} {row['generator']:>12}"
             check = f"max|diff| {row['max_abs_diff_closed_form']:.1e}"
         else:
