@@ -28,13 +28,16 @@ print(f"coherent overlap: computed {np.vdot(ca, cb):.8f}, predicted {predicted:.
 # Admissibility: the autocorrelation must be square-integrable over the
 # grid, and every displacement commutator must act on the generator as a
 # pure phase.  In this normalization the integral is 1 for every unit
-# generator, so the orthogonality constant d is 1.
-for kind, kwargs in [("ground", {}), ("fock", {"n": 1})]:
+# generator, so the orthogonality constant d is 1.  The commutator pairs
+# are drawn within beta_sample_radius, which shrinks as the generator's
+# support nears the cutoff.
+for name, kind, kwargs in [("ground", "ground", {}), ("fock(1)", "fock", {"n": 1})]:
     eta = wh.resolution_generator(kind, ctx, **kwargs)
     report = wh.admissibility(eta, grid, ctx)
-    print(f"\n{eta.kind}: integral = {report.integral:.6f}, d = {report.d_constant:.6f}, "
+    print(f"\n{name}: integral = {report.integral:.6f}, d = {report.d_constant:.6f}, "
           f"commutators central: {report.beta_ok} "
-          f"(max deviation {report.beta_max_deviation:.2e})")
+          f"(max deviation {report.beta_max_deviation:.2e} "
+          f"within radius {report.beta_sample_radius:.3f})")
 
 # A generator whose autocorrelation has not decayed by the grid edge is
 # rejected with the radius that would be needed.

@@ -25,10 +25,6 @@ import numpy as np
 from . import formats
 
 
-class ValidationFailure(Exception):
-    """Raised by command bodies for exit code 2."""
-
-
 def _parse_generator(spec: str):
     """'ground', 'fock:n', or 'squeezed:r' -> (kind, kwargs)."""
     if spec == "ground":
@@ -37,7 +33,7 @@ def _parse_generator(spec: str):
         return "fock", {"n": int(spec.split(":", 1)[1])}
     if spec.startswith("squeezed:"):
         return "squeezed", {"r": float(spec.split(":", 1)[1])}
-    raise ValidationFailure(
+    raise ValueError(
         f"unknown generator {spec!r}; use ground, fock:n, or squeezed:r"
     )
 
@@ -51,9 +47,9 @@ def _parse_region(spec: str):
     if spec.startswith("rect:"):
         parts = [float(x) for x in spec.split(":", 1)[1].split(",")]
         if len(parts) != 4:
-            raise ValidationFailure("rect region needs q0,q1,p0,p1")
+            raise ValueError("rect region needs q0,q1,p0,p1")
         return loc.RegionSpec.rect(*parts)
-    raise ValidationFailure(f"unknown region {spec!r}; use disk:R or rect:q0,q1,p0,p1")
+    raise ValueError(f"unknown region {spec!r}; use disk:R or rect:q0,q1,p0,p1")
 
 
 def _setup(args):
@@ -83,9 +79,9 @@ def _emit(report: dict, args, csv_writer=None) -> None:
     out = getattr(args, "out", None)
     if fmt == "csv":
         if csv_writer is None:
-            raise ValidationFailure("this command has no CSV artifact")
+            raise ValueError("this command has no CSV artifact")
         if out is None:
-            raise ValidationFailure("--format csv requires --out")
+            raise ValueError("--format csv requires --out")
         csv_writer(out)
         return
     formats.write_json(report, out)
@@ -130,7 +126,7 @@ def cmd_cohomology(args) -> int:
         try:
             coords = tuple(lc.parse_rational(x) for x in args.omega.split(","))
         except ZeroDivisionError:
-            raise ValidationFailure(f"--omega has a zero denominator: {args.omega!r}")
+            raise ValueError(f"--omega has a zero denominator: {args.omega!r}")
         omega = lc.Cochain(degree=2, dim=sc.dim, coords=coords)
         report["kernel"] = lc.kernel_report_json(lc.kernel_subalgebra(sc, omega))
     _emit(report, args)
@@ -202,7 +198,7 @@ def cmd_tomography(args) -> int:
         frob = float(np.linalg.norm(result.rho.matrix - rho.matrix))
     else:
         if not args.probabilities:
-            raise ValidationFailure(
+            raise ValueError(
                 "tomography needs --self-test, --positions-only, or --probabilities CSV"
             )
         probs = formats.read_values_csv(args.probabilities, grid)
@@ -263,7 +259,7 @@ def cmd_effects(args) -> int:
             "total_failures": axioms.total_failures,
         },
         "projection_scan": {
-            "projection_gap": scan.projection_gap,
+            "projection_gap": ea.PROJECTION_GAP,
             "all_pass": scan.all_pass,
             "regions": [
                 {
@@ -326,6 +322,7 @@ def cmd_admissibility(args) -> int:
         "d_constant": rep.d_constant,
         "beta_ok": rep.beta_ok,
         "beta_max_deviation": rep.beta_max_deviation,
+        "beta_sample_radius": rep.beta_sample_radius,
     }
     _emit(report, args)
     return 0
@@ -413,9 +410,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"parse error: {exc.msg} at line {exc.lineno}, column {exc.colno}", file=sys.stderr)
         return 1

@@ -20,6 +20,10 @@ from .transform import frame_operator
 from .wh_model import FockContext, PhaseGrid, low_block
 
 DEFINEDNESS_TOL = 1e-9
+# largest entrywise difference verify_axioms accepts between two equal sums
+AXIOM_ATOL = 1e-12
+# smallest max lambda (1 - lambda) projection_scan accepts as "not a projection"
+PROJECTION_GAP = 0.02
 
 
 @dataclass
@@ -44,7 +48,7 @@ class EffectCheck:
     upper_margin: float
 
 
-def is_effect(matrix, tol: float = DEFINEDNESS_TOL) -> EffectCheck:
+def is_effect(matrix) -> EffectCheck:
     """Spectrum-in-[0,1] test with the distances to both ends."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -55,19 +59,20 @@ def is_effect(matrix, tol: float = DEFINEDNESS_TOL) -> EffectCheck:
     evals = np.linalg.eigvalsh(m)
     lower = float(evals[0])
     upper = float(1.0 - evals[-1])
-    return EffectCheck(ok=lower >= -tol and upper >= -tol, lower_margin=lower, upper_margin=upper)
+    ok = lower >= -DEFINEDNESS_TOL and upper >= -DEFINEDNESS_TOL
+    return EffectCheck(ok=ok, lower_margin=lower, upper_margin=upper)
 
 
 def _as_matrix(a) -> np.ndarray:
     return a.matrix if isinstance(a, Effect) else np.asarray(a, dtype=complex)
 
 
-def oplus(a, b, tol: float = DEFINEDNESS_TOL):
+def oplus(a, b):
     """Partial sum: a + b when the sum is still an effect, else None."""
     ma, mb = _as_matrix(a), _as_matrix(b)
     total = ma + mb
     top = np.linalg.eigvalsh(total)[-1]
-    if top > 1.0 + tol:
+    if top > 1.0 + DEFINEDNESS_TOL:
         return None
     return Effect(total)
 
@@ -104,7 +109,7 @@ class AxiomReport:
         return sum(self.failures.values())
 
 
-def verify_axioms(sampler, trials: int, atol: float = 1e-12) -> AxiomReport:
+def verify_axioms(sampler, trials: int) -> AxiomReport:
     """Randomized check of the four effect-algebra axioms.
 
     Per trial, three samples are drawn and the commutativity,
@@ -136,7 +141,7 @@ def verify_axioms(sampler, trials: int, atol: float = 1e-12) -> AxiomReport:
         ba = oplus(b, a)
         if (ab is None) != (ba is None):
             record("commutativity", a, b)
-        elif ab is not None and np.max(np.abs(ab.matrix - ba.matrix)) > atol:
+        elif ab is not None and np.max(np.abs(ab.matrix - ba.matrix)) > AXIOM_ATOL:
             record("commutativity", a, b)
 
         bc = oplus(b, c)
@@ -146,7 +151,7 @@ def verify_axioms(sampler, trials: int, atol: float = 1e-12) -> AxiomReport:
                 abc = None if ab is None else oplus(ab, c)
                 if abc is None:
                     record("associativity", a, b, c)
-                elif np.max(np.abs(a_bc.matrix - abc.matrix)) > atol:
+                elif np.max(np.abs(a_bc.matrix - abc.matrix)) > AXIOM_ATOL:
                     record("associativity", a, b, c)
 
         comp = complement(a)
@@ -164,7 +169,6 @@ def verify_axioms(sampler, trials: int, atol: float = 1e-12) -> AxiomReport:
 
 @dataclass
 class PovmReport:
-    n_parts: int
     additivity_error: float
     identity_defect_low_block: float
     min_part_eigenvalue: float
@@ -195,7 +199,6 @@ def povm_check(regions, eta, grid: PhaseGrid, ctx: FockContext) -> PovmReport:
     defect = float(np.linalg.norm(s[blk, blk] - np.eye(blk.stop), ord=2))
     min_eig = min(float(np.linalg.eigvalsh(part)[0]) for part in parts)
     return PovmReport(
-        n_parts=len(parts),
         additivity_error=additivity,
         identity_defect_low_block=defect,
         min_part_eigenvalue=min_eig,
@@ -214,13 +217,10 @@ class ProjectionScanEntry:
 @dataclass
 class ProjectionScanReport:
     entries: list
-    projection_gap: float
     all_pass: bool
 
 
-def projection_scan(
-    eta, grid: PhaseGrid, ctx: FockContext, deltas, projection_gap: float = 0.02
-) -> ProjectionScanReport:
+def projection_scan(eta, grid: PhaseGrid, ctx: FockContext, deltas) -> ProjectionScanReport:
     """Show quantized indicators are never projections.
 
     For each region, m = max_i lambda_i (1 - lambda_i) measures the
@@ -244,14 +244,10 @@ def projection_scan(
                 label=delta.label,
                 mu_delta=mu,
                 max_spectral_gap=gap,
-                passes=gap >= projection_gap,
+                passes=gap >= PROJECTION_GAP,
             )
         )
-    return ProjectionScanReport(
-        entries=entries,
-        projection_gap=projection_gap,
-        all_pass=all(e.passes for e in entries),
-    )
+    return ProjectionScanReport(entries=entries, all_pass=all(e.passes for e in entries))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ from .localization import quantize, symbol_values
 from .transform import GammaFunctionSamples
 from .wh_model import SQRT2, FockContext, PhaseGrid, coherent_family
 
+# singular values below this fraction of the largest count as zero in a rank
+SVD_CUTOFF = 1e-10
+
 
 @dataclass
 class DensityOperator:
@@ -124,7 +127,6 @@ def _family_rows(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
 
 @dataclass
 class CompletenessReport:
-    operator_count: int
     gram_rank: int
     required: int
     complete: bool
@@ -133,16 +135,16 @@ class CompletenessReport:
     singular_values: np.ndarray
 
 
-def operator_family_rank(operators, svd_cutoff: float = 1e-10) -> CompletenessReport:
+def operator_family_rank(operators) -> CompletenessReport:
     """Numerical rank of a family of Hermitian operators in operator space."""
     rows = np.array([vectorize_hermitian(op) for op in operators])
-    return _rank_report(rows, svd_cutoff)
+    return _rank_report(rows)
 
 
-def _rank_report(rows: np.ndarray, svd_cutoff: float) -> CompletenessReport:
-    k, nsq = rows.shape
+def _rank_report(rows: np.ndarray) -> CompletenessReport:
+    nsq = rows.shape[1]
     svals = np.linalg.svd(rows, compute_uv=False)
-    kept = svals > svd_cutoff * svals[0]
+    kept = svals > SVD_CUTOFF * svals[0]
     rank = int(np.sum(kept))
     smallest_kept = float(svals[rank - 1]) if rank else 0.0
     # ratio of the smallest kept to the largest discarded singular value
@@ -151,7 +153,6 @@ def _rank_report(rows: np.ndarray, svd_cutoff: float) -> CompletenessReport:
     else:
         gap = float("inf")
     return CompletenessReport(
-        operator_count=k,
         gram_rank=rank,
         required=nsq,
         complete=rank == nsq,
@@ -161,9 +162,9 @@ def _rank_report(rows: np.ndarray, svd_cutoff: float) -> CompletenessReport:
     )
 
 
-def completeness_rank(eta, grid: PhaseGrid, ctx: FockContext, svd_cutoff: float = 1e-10) -> CompletenessReport:
+def completeness_rank(eta, grid: PhaseGrid, ctx: FockContext) -> CompletenessReport:
     """Rank test of the displaced-generator POVM densities over the grid."""
-    return _rank_report(_family_rows(eta, grid, ctx), svd_cutoff)
+    return _rank_report(_family_rows(eta, grid, ctx))
 
 
 class IncompleteFamilyError(ValueError):
@@ -182,9 +183,7 @@ class ReconstructionResult:
     completeness: CompletenessReport
 
 
-def reconstruct_state(
-    probabilities, eta, grid: PhaseGrid, ctx: FockContext, svd_cutoff: float = 1e-10
-) -> ReconstructionResult:
+def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> ReconstructionResult:
     """Trace-constrained least squares for rho from Tr(rho T(x_k)) samples.
 
     The unit-trace constraint is eliminated: x = x0 + Q y with x0 the
@@ -202,7 +201,7 @@ def reconstruct_state(
     if probs.shape != (len(grid),):
         raise ValueError("need one probability value per grid point")
     rows = _family_rows(eta, grid, ctx)
-    report = _rank_report(rows, svd_cutoff)
+    report = _rank_report(rows)
     if not report.complete:
         raise IncompleteFamilyError(report)
 

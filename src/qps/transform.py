@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wh_model import FockContext, PhaseGrid, coherent_family, generator_vector
+from .wh_model import FockContext, PhaseGrid, autocorrelation_integrand, coherent_family
+
+# largest frame-operator condition number _solve_frame inverts
+MAX_FRAME_CONDITION = 1e6
+# floor of the orthogonality relative-error denominator, in units of the norm product
+ORTHOGONALITY_EPS_FLOOR = 1e-2
 
 
 class FrameConditionError(ValueError):
@@ -51,12 +56,12 @@ def frame_operator(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     return weighted_gram(coherent_family(eta, grid, ctx), grid.weights)
 
 
-def _solve_frame(s: np.ndarray, rhs: np.ndarray, max_condition: float = 1e6) -> np.ndarray:
+def _solve_frame(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     evals = np.linalg.eigvalsh(s)
     smallest = max(evals[0], 0.0)
-    if smallest <= 0 or evals[-1] / smallest > max_condition:
+    if smallest <= 0 or evals[-1] / smallest > MAX_FRAME_CONDITION:
         raise FrameConditionError(
-            f"frame operator condition number exceeds {max_condition:.0e}; "
+            f"frame operator condition number exceeds {MAX_FRAME_CONDITION:.0e}; "
             "the grid does not cover the truncated Fock space - increase the radius "
             "or lower the dimension"
         )
@@ -112,34 +117,28 @@ class OrthogonalityReport:
 
 
 def orthogonality_check(
-    eta1,
-    eta2,
-    phi1,
-    phi2,
-    grid: PhaseGrid,
-    ctx: FockContext,
-    eps_floor: float = 1e-2,
+    eta1, eta2, phi1, phi2, grid: PhaseGrid, ctx: FockContext
 ) -> OrthogonalityReport:
     """Quadrature of <phi1, u1(x)><u2(x), phi2> against (1/d) <eta2,eta1><phi1,phi2>.
 
     d comes from the admissibility integral of eta1, recomputed on this
     grid rather than assumed; for unit generators of this family d = 1.
-    The relative error uses max(|lhs|, |rhs|, eps_floor * scale) as
-    denominator so near-orthogonal quadruples do not divide by zero.
+    The relative error uses max(|lhs|, |rhs|, ORTHOGONALITY_EPS_FLOOR *
+    scale) as denominator so near-orthogonal quadruples do not divide by
+    zero.
     """
-    v1 = generator_vector(eta1)
-    v2 = generator_vector(eta2)
+    v1 = np.asarray(eta1, dtype=complex)
+    v2 = np.asarray(eta2, dtype=complex)
     phi1 = np.asarray(phi1, dtype=complex)
     phi2 = np.asarray(phi2, dtype=complex)
-    fam1 = coherent_family(v1, grid, ctx)
-    fam2 = coherent_family(v2, grid, ctx)
-
-    f1 = fam1.conj() @ phi1
-    f2 = fam2.conj() @ phi2
+    # eta1's family first: the grid keeps only its latest family, so
+    # eta2's build comes after every use of eta1's
+    integral = float(np.sum(grid.weights * autocorrelation_integrand(v1, grid, ctx)))
+    d_used = float(np.linalg.norm(v1) ** 4 / integral)
+    f1 = coherent_family(v1, grid, ctx).conj() @ phi1
+    f2 = coherent_family(v2, grid, ctx).conj() @ phi2
     lhs = complex(np.sum(grid.weights * np.conj(f1) * f2))
 
-    integral = float(np.sum(grid.weights * np.abs(fam1.conj() @ v1) ** 2))
-    d_used = float(np.linalg.norm(v1) ** 4 / integral)
     rhs = complex(np.vdot(v2, v1) * np.vdot(phi1, phi2) / d_used)
 
     scale = (
@@ -148,7 +147,7 @@ def orthogonality_check(
         * np.linalg.norm(phi1)
         * np.linalg.norm(phi2)
     )
-    denom = max(abs(lhs), abs(rhs), eps_floor * scale, 1e-300)
+    denom = max(abs(lhs), abs(rhs), ORTHOGONALITY_EPS_FLOOR * scale, 1e-300)
     return OrthogonalityReport(
         lhs=lhs,
         rhs=rhs,

@@ -178,16 +178,9 @@ def build_grid(radius: float, spacing: float) -> PhaseGrid:
     )
 
 
-@dataclass
-class ResolutionGenerator:
-    """Unit vector modeling the measuring instrument."""
-
-    vector: np.ndarray
-    kind: str
-
-
-def resolution_generator(kind: str, ctx: FockContext, *, n: int | None = None, r: float | None = None) -> ResolutionGenerator:
-    """Build a generator: 'ground', 'fock' (needs n < N), 'squeezed' (needs |r| <= 1.5).
+def resolution_generator(kind: str, ctx: FockContext, *, n: int | None = None, r: float | None = None) -> np.ndarray:
+    """Unit vector modeling the measuring instrument: 'ground', 'fock'
+    (needs n < N) or 'squeezed' (needs |r| <= 1.5).
 
     The squeezed vacuum uses the even-photon closed form
     c_{2m} ~ (-tanh r)^m sqrt((2m)!)/(2^m m!) and is renormalized after
@@ -196,12 +189,10 @@ def resolution_generator(kind: str, ctx: FockContext, *, n: int | None = None, r
     vec = np.zeros(ctx.n_dim, dtype=complex)
     if kind == "ground":
         vec[0] = 1.0
-        label = "ground"
     elif kind == "fock":
         if n is None or not 0 <= n < ctx.n_dim:
             raise ValueError(f"fock generator needs 0 <= n < {ctx.n_dim}, got {n}")
         vec[n] = 1.0
-        label = f"fock({n})"
     elif kind == "squeezed":
         if r is None or not abs(r) <= 1.5:
             raise ValueError(f"squeezed generator needs |r| <= 1.5, got {r}")
@@ -212,17 +203,9 @@ def resolution_generator(kind: str, ctx: FockContext, *, n: int | None = None, r
             log_mag = 0.5 * gammaln(2 * m + 1) - m * np.log(2.0) - gammaln(m + 1)
             vec[2 * m] = (-t) ** m * np.exp(log_mag)
         vec /= np.linalg.norm(vec)
-        label = f"squeezed({r})"
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
-    return ResolutionGenerator(vector=vec, kind=label)
-
-
-def generator_vector(eta) -> np.ndarray:
-    """The vector of a :class:`ResolutionGenerator`, or ``eta`` itself."""
-    if isinstance(eta, ResolutionGenerator):
-        return eta.vector
-    return np.asarray(eta, dtype=complex)
+    return vec
 
 
 def coherent_family(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
@@ -238,7 +221,7 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     returns that same array, read-only, and a call with another key
     replaces it.
     """
-    vec = np.asarray(generator_vector(eta), dtype=complex)
+    vec = np.asarray(eta, dtype=complex)
     n_dim = ctx.n_dim
     if vec.shape != (n_dim,):
         raise ValueError(f"generator has dim {vec.shape}, context has {n_dim}")
@@ -286,7 +269,7 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
 
 def autocorrelation_integrand(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     """|<D(alpha_k) eta, eta>|^2 sampled over the grid."""
-    vec = generator_vector(eta)
+    vec = np.asarray(eta, dtype=complex)
     fam = coherent_family(vec, grid, ctx)
     overlap = fam.conj() @ vec
     return np.abs(overlap) ** 2
@@ -300,7 +283,7 @@ def central_phase_deviation(x, y, eta, ctx: FockContext):
     Weyl-Heisenberg family the commutator is a central phase, so the
     deviation is pure truncation error.
     """
-    vec = generator_vector(eta)
+    vec = np.asarray(eta, dtype=complex)
     dx = displacement((x[0] + 1j * x[1]) / SQRT2, ctx)
     dy = displacement((y[0] + 1j * y[1]) / SQRT2, ctx)
     # D(-a) equals D(a)^H entry by entry, and a contiguous copy multiplies bit for bit alike
@@ -329,52 +312,52 @@ def _commutator_sample_radius(ctx: FockContext, eta_vec: np.ndarray) -> float:
     return min(np.sqrt(lo) / 2.0, 1.0)
 
 
+# largest commutator deviation that still counts as a central phase
+BETA_TOL = 1e-6
+# largest autocorrelation allowed on the outermost grid ring
+BOUNDARY_TOL = 1e-7
+
+
 @dataclass
 class AdmissibilityReport:
     integral: float
     d_constant: float
     beta_ok: bool
     beta_max_deviation: float
+    beta_sample_radius: float
 
 
 def admissibility(
-    eta,
-    grid: PhaseGrid,
-    ctx: FockContext,
-    *,
-    trials: int = 50,
-    seed: int = 0,
-    beta_tol: float = 1e-6,
-    boundary_tol: float = 1e-7,
+    eta, grid: PhaseGrid, ctx: FockContext, *, trials: int = 50, seed: int = 0
 ) -> AdmissibilityReport:
     """Square-integrability of the generator autocorrelation, and the
     resulting orthogonality constant 1/d = |eta|^-4 * integral.
 
-    Preconditions: the integrand must have decayed below ``boundary_tol``
+    Preconditions: the integrand must have decayed below ``BOUNDARY_TOL``
     on the outermost grid ring, otherwise the quadrature misses mass and
     the call fails naming the radius that would be needed.
 
     The commutator check draws ``trials`` point pairs, builds D(x) and
     D(y) once per pair, and verifies that their commutator acts on eta as
-    a scalar.  Amplitudes stay small enough that truncation cannot fake a
-    failure: the radius is 0.61 for the ground state at N = 24 but 1.9e-5
-    once eta's support reaches the cutoff (squeezed:0.5 at N = 24 or 32),
-    where ``beta_ok`` says almost nothing.
+    a scalar.  Amplitudes stay below ``beta_sample_radius`` so truncation
+    cannot fake a failure: the radius is 0.61 for the ground state at
+    N = 24 but 1.9e-5 once eta's support reaches the cutoff (squeezed:0.5
+    at N = 24 or 32), where ``beta_ok`` says almost nothing.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    vec = generator_vector(eta)
+    vec = np.asarray(eta, dtype=complex)
     norm = np.linalg.norm(vec)
     integrand = autocorrelation_integrand(vec, grid, ctx)
 
     r = np.hypot(grid.q, grid.p)
     rim = r >= grid.radius - grid.spacing
     rim_max = float(integrand[rim].max()) if rim.any() else 0.0
-    if rim_max > boundary_tol:
+    if rim_max > BOUNDARY_TOL:
         # Gaussian-decay extrapolation: integrand ~ exp(-c r^2)
-        needed = grid.radius * np.sqrt(np.log(boundary_tol) / np.log(max(rim_max, 1e-300)))
+        needed = grid.radius * np.sqrt(np.log(BOUNDARY_TOL) / np.log(max(rim_max, 1e-300)))
         raise ValueError(
-            f"integrand at the grid boundary is {rim_max:.3e} > {boundary_tol:.1e}; "
+            f"integrand at the grid boundary is {rim_max:.3e} > {BOUNDARY_TOL:.1e}; "
             f"increase the grid radius to about {needed:.1f}"
         )
 
@@ -393,6 +376,7 @@ def admissibility(
     return AdmissibilityReport(
         integral=integral,
         d_constant=d_constant,
-        beta_ok=max_dev <= beta_tol,
+        beta_ok=max_dev <= BETA_TOL,
         beta_max_deviation=max_dev,
+        beta_sample_radius=float(r_beta),
     )

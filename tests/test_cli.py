@@ -458,11 +458,13 @@ def test_transform_round_trip_report(tmp_path):
 
 
 def test_admissibility_report(tmp_path):
-    code, report, _ = run(tmp_path, "admissibility", "--trials", "10")
+    code, _, out = run(tmp_path, "admissibility", "--trials", "10")
     assert code == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert report["integral"] == pytest.approx(1.0, abs=1e-3)
     assert report["d_constant"] == pytest.approx(1.0, abs=1e-3)
     assert report["beta_ok"] is True
+    assert 0.5 < report["beta_sample_radius"] < 0.7
 
 
 def test_bad_generator_exit_2(tmp_path):

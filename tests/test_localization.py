@@ -19,7 +19,7 @@ from conftest import random_low_block
 def rank_one_density(x, eta, ctx):
     """|D(alpha_x) eta><D(alpha_x) eta| at the phase-space point x = (q, p)."""
     alpha = (x[0] + 1j * x[1]) / wh.SQRT2
-    u = wh.displacement(alpha, ctx) @ wh.generator_vector(eta)
+    u = wh.displacement(alpha, ctx) @ eta
     return np.outer(u, u.conj())
 
 

@@ -15,7 +15,7 @@ from conftest import random_low_block
 
 
 def test_transform_of_vacuum_matches_coherent_overlap(ctx24, grid_ref, eta24):
-    samples = tr.w_transform(eta24, grid_ref, eta24.vector, ctx24)
+    samples = tr.w_transform(eta24, grid_ref, eta24, ctx24)
     expected = np.exp(-np.abs(grid_ref.alpha) ** 2 / 2)
     # <D(alpha) 0, 0> is real positive for the vacuum pair
     assert np.max(np.abs(samples.values - expected)) < 1e-13
@@ -23,12 +23,12 @@ def test_transform_of_vacuum_matches_coherent_overlap(ctx24, grid_ref, eta24):
 
 def test_transform_kernel_at_origin(ctx24, eta24):
     # the kernel value at the untranslated point is <eta, eta> = 1
-    val = np.vdot(wh.displacement(0.0, ctx24) @ eta24.vector, eta24.vector)
+    val = np.vdot(wh.displacement(0.0, ctx24) @ eta24, eta24)
     assert val == pytest.approx(1.0, abs=1e-14)
 
 
 def test_transform_kernel_at_unit_amplitude(ctx24, eta24):
-    val = np.vdot(wh.displacement(1.0, ctx24) @ eta24.vector, eta24.vector)
+    val = np.vdot(wh.displacement(1.0, ctx24) @ eta24, eta24)
     assert abs(val) == pytest.approx(np.exp(-0.5), abs=1e-12)
 
 
@@ -106,9 +106,9 @@ def test_frame_nearly_commutes_with_number_operator(ctx24, grid_ref, eta24):
 
 
 def test_reconstruct_ground_state(ctx24, grid_ref, eta24):
-    samples = tr.w_transform(eta24, grid_ref, eta24.vector, ctx24)
+    samples = tr.w_transform(eta24, grid_ref, eta24, ctx24)
     recovered = tr.reconstruct(eta24, grid_ref, samples, ctx24)
-    assert np.linalg.norm(recovered - eta24.vector) <= 1e-6
+    assert np.linalg.norm(recovered - eta24) <= 1e-6
 
 
 def test_reconstruct_random_low_block_states(ctx24, grid_ref, eta24):
@@ -202,7 +202,7 @@ def test_v_action_rejects_off_lattice_translation(ctx24, grid_ref, eta24):
 
 
 def test_orthogonality_ground_quadruple(ctx24, grid_ref, eta24):
-    rep = tr.orthogonality_check(eta24, eta24, eta24.vector, eta24.vector, grid_ref, ctx24)
+    rep = tr.orthogonality_check(eta24, eta24, eta24, eta24, grid_ref, ctx24)
     assert rep.lhs.real == pytest.approx(1.0, abs=1e-3)
     assert rep.rhs.real == pytest.approx(1.0, abs=1e-3)
     assert rep.d_used == pytest.approx(1.0, abs=1e-3)
@@ -221,9 +221,41 @@ def test_orthogonality_sign_flip_in_generator(ctx24, grid_ref, eta24):
     rng = np.random.default_rng(6)
     phi1, phi2 = random_low_block(rng, 24), random_low_block(rng, 24)
     plus = tr.orthogonality_check(eta24, eta24, phi1, phi2, grid_ref, ctx24)
-    minus = tr.orthogonality_check(eta24, -eta24.vector, phi1, phi2, grid_ref, ctx24)
+    minus = tr.orthogonality_check(eta24, -eta24, phi1, phi2, grid_ref, ctx24)
     assert minus.lhs == pytest.approx(-plus.lhs, abs=1e-15)
     assert minus.rhs == pytest.approx(-plus.rhs, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "kind,kwargs", [("ground", {}), ("fock", {"n": 3}), ("squeezed", {"r": 0.5})],
+    ids=["ground", "fock:3", "squeezed:0.5"],
+)
+def test_orthogonality_constant_is_the_admissibility_constant(ctx24, grid_wide, kind, kwargs):
+    eta = wh.resolution_generator(kind, ctx24, **kwargs)
+    rng = np.random.default_rng(3)
+    phi1, phi2 = random_low_block(rng, 24), random_low_block(rng, 24)
+    rep = tr.orthogonality_check(eta, eta, phi1, phi2, grid_wide, ctx24)
+    assert rep.d_used == wh.admissibility(eta, grid_wide, ctx24, trials=1).d_constant
+
+
+def test_orthogonality_builds_each_family_once(ctx24, monkeypatch):
+    # one radial table per single-column family: eta1's family must be used
+    # up before eta2's replaces it in the grid's one-family store
+    calls = []
+    radial = wh._radial
+
+    def counted(*args):
+        calls.append(args)
+        return radial(*args)
+
+    monkeypatch.setattr(wh, "_radial", counted)
+    grid = wh.build_grid(13.0, 0.35)
+    eta1 = wh.resolution_generator("fock", ctx24, n=1)
+    eta2 = wh.resolution_generator("fock", ctx24, n=2)
+    rng = np.random.default_rng(4)
+    phi1, phi2 = random_low_block(rng, 24), random_low_block(rng, 24)
+    tr.orthogonality_check(eta1, eta2, phi1, phi2, grid, ctx24)
+    assert len(calls) == 2
 
 
 def test_orthogonality_random_quadruples_on_adequate_grid(ctx24, grid_wide):

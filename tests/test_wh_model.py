@@ -174,24 +174,23 @@ def test_grid_lookup_indexes_every_lattice_point():
 
 def test_ground_generator_is_vacuum(ctx24):
     eta = wh.resolution_generator("ground", ctx24)
-    assert eta.vector[0] == 1.0 and np.all(eta.vector[1:] == 0)
+    assert eta[0] == 1.0 and np.all(eta[1:] == 0)
 
 
 def test_fock_generator(ctx24):
     eta = wh.resolution_generator("fock", ctx24, n=1)
-    assert eta.vector[1] == 1.0
-    assert eta.kind == "fock(1)"
+    assert eta[1] == 1.0 and np.count_nonzero(eta) == 1
 
 
 def test_zero_squeezing_equals_ground(ctx24):
     eta = wh.resolution_generator("squeezed", ctx24, r=0.0)
-    assert np.allclose(eta.vector, wh.resolution_generator("ground", ctx24).vector)
+    assert np.allclose(eta, wh.resolution_generator("ground", ctx24))
 
 
 def test_generators_unit_norm(ctx24):
     for kind, kw in [("ground", {}), ("fock", {"n": 3}), ("squeezed", {"r": 0.8})]:
         eta = wh.resolution_generator(kind, ctx24, **kw)
-        assert np.linalg.norm(eta.vector) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(eta) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_generator_parameter_validation(ctx24):
@@ -255,6 +254,17 @@ def test_squeezed_generator_needs_wide_grid(ctx24):
     assert report.beta_ok
 
 
+def test_commutator_sample_radius_shrinks_at_the_cutoff(ctx24, grid_wide):
+    # the pairs stay inside a radius that keeps four displacements of eta
+    # within the truncation window; a generator reaching the cutoff leaves
+    # almost no room
+    ground = wh.admissibility(wh.resolution_generator("ground", ctx24), grid_wide, ctx24, trials=5)
+    assert 0.5 < ground.beta_sample_radius < 0.7
+    squeezed = wh.resolution_generator("squeezed", ctx24, r=0.5)
+    report = wh.admissibility(squeezed, grid_wide, ctx24, trials=5)
+    assert report.beta_sample_radius < 1e-4
+
+
 def test_central_phase_with_coincident_points(ctx24, eta24):
     # the commutator of a point with itself is the identity: the scalar is 1
     beta, dev = wh.central_phase_deviation((0.4, 0.3), (0.4, 0.3), eta24, ctx24)
@@ -286,7 +296,7 @@ def _four_build_commutator(x, y, vec, ctx):
 def test_central_phase_matches_the_four_build_product_bit_for_bit(n_dim):
     ctx = wh.fock_space(n_dim)
     rng = np.random.default_rng(11)
-    for vec in (wh.resolution_generator("ground", ctx).vector, random_low_block(rng, n_dim, 3)):
+    for vec in (wh.resolution_generator("ground", ctx), random_low_block(rng, n_dim, 3)):
         for _ in range(5):
             x, y = tuple(rng.uniform(-1, 1, size=2)), tuple(rng.uniform(-1, 1, size=2))
             beta, dev = wh.central_phase_deviation(x, y, vec, ctx)
@@ -295,8 +305,8 @@ def test_central_phase_matches_the_four_build_product_bit_for_bit(n_dim):
 
 
 def test_admissibility_integral_phase_invariant(ctx24, grid_ref, eta24):
-    base = wh.autocorrelation_integrand(eta24.vector, grid_ref, ctx24)
-    rotated = wh.autocorrelation_integrand(np.exp(0.7j) * eta24.vector, grid_ref, ctx24)
+    base = wh.autocorrelation_integrand(eta24, grid_ref, ctx24)
+    rotated = wh.autocorrelation_integrand(np.exp(0.7j) * eta24, grid_ref, ctx24)
     assert np.max(np.abs(base - rotated)) < 1e-14
 
 
@@ -316,7 +326,7 @@ def test_repeat_family_call_returns_the_stored_read_only_array(ctx24):
     grid = wh.build_grid(5.0, 0.4)
     eta = wh.resolution_generator("fock", ctx24, n=2)
     first = wh.coherent_family(eta, grid, ctx24)
-    again = wh.coherent_family(eta.vector.copy(), grid, ctx24)
+    again = wh.coherent_family(eta.copy(), grid, ctx24)
     assert again is first
     assert not first.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -340,7 +350,7 @@ def test_family_follows_a_new_generator_or_dimension():
     rng = np.random.default_rng(3)
     for n_dim in (12, 16, 12):
         ctx = wh.fock_space(n_dim)
-        for vec in (wh.resolution_generator("ground", ctx).vector, random_low_block(rng, n_dim, 5)):
+        for vec in (wh.resolution_generator("ground", ctx), random_low_block(rng, n_dim, 5)):
             fam = wh.coherent_family(vec, grid, ctx)
             assert fam.shape == (len(grid), n_dim)
             assert np.max(np.abs(fam - _family_reference(vec, grid, n_dim))) < 1e-14
@@ -356,11 +366,11 @@ def _per_column_sum(vec, grid, n_dim):
 
 def _exactness_generator(name, ctx):
     if name == "ground":
-        return wh.resolution_generator("ground", ctx).vector
+        return wh.resolution_generator("ground", ctx)
     if name == "fock:3":
-        return wh.resolution_generator("fock", ctx, n=3).vector
+        return wh.resolution_generator("fock", ctx, n=3)
     if name.startswith("squeezed:"):
-        return wh.resolution_generator("squeezed", ctx, r=float(name.split(":")[1])).vector
+        return wh.resolution_generator("squeezed", ctx, r=float(name.split(":")[1]))
     rng = np.random.default_rng(ctx.n_dim)
     if name == "full":
         vec = rng.normal(size=ctx.n_dim) + 1j * rng.normal(size=ctx.n_dim)

@@ -64,9 +64,9 @@ def _generators(n_dim: int) -> dict:
     low = np.zeros(n_dim, dtype=complex)
     low[:9] = rng.normal(size=9) + 1j * rng.normal(size=9)
     return {
-        "ground": wh.resolution_generator("ground", ctx).vector,
-        "fock:3": wh.resolution_generator("fock", ctx, n=3).vector,
-        "squeezed:0.5": wh.resolution_generator("squeezed", ctx, r=0.5).vector,
+        "ground": wh.resolution_generator("ground", ctx),
+        "fock:3": wh.resolution_generator("fock", ctx, n=3),
+        "squeezed:0.5": wh.resolution_generator("squeezed", ctx, r=0.5),
         "9-column": low / np.linalg.norm(low),
     }
 
@@ -190,7 +190,7 @@ def bench_admissibility() -> list:
                 "N": n_dim,
                 "generator": gen_name,
                 **timing,
-                "sample_radius": float(wh._commutator_sample_radius(ctx, vec)),
+                "sample_radius": rep.beta_sample_radius,
                 "beta_max_deviation": rep.beta_max_deviation,
                 "d_constant": rep.d_constant,
                 "values_digest": _digest([rep.beta_max_deviation.hex(), rep.d_constant.hex()]),
