@@ -9,7 +9,8 @@ relative_error of `qps transform`, in the last digits.  Each command
 imports only the layers it uses, so `qps cohomology` loads no numeric
 layer and no scipy.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 validation failure.
+Exit codes: 0 success, 1 I/O or parse failure or a configuration too
+large to allocate, 2 validation failure (a malformed flag included).
 """
 
 from __future__ import annotations
@@ -63,10 +64,8 @@ def _setup(args):
     return ctx, grid, eta
 
 
-def _config(args, command: str) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    cfg["command"] = command
-    return cfg
+def _config(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k != "func" and v is not None}
 
 
 def _csv_sibling(out: str) -> str:
@@ -74,17 +73,18 @@ def _csv_sibling(out: str) -> str:
 
 
 def _emit(report: dict, args, csv_writer=None) -> None:
-    """Primary artifact per --format; JSON report always available."""
-    fmt = getattr(args, "format", "json")
-    out = getattr(args, "out", None)
-    if fmt == "csv":
-        if csv_writer is None:
-            raise ValueError("this command has no CSV artifact")
+    """The JSON report with its configuration, and the table if there is one.
+
+    Only commands with a table take ``--format``; under ``csv`` the table
+    is the one artifact.
+    """
+    out = args.out
+    if getattr(args, "format", "json") == "csv":
         if out is None:
             raise ValueError("--format csv requires --out")
         csv_writer(out)
         return
-    formats.write_json(report, out)
+    formats.write_json({**report, "config": _config(args)}, out)
     if out is not None and csv_writer is not None:
         csv_writer(_csv_sibling(out))
 
@@ -97,7 +97,6 @@ def _emit(report: dict, args, csv_writer=None) -> None:
 def cmd_cohomology(args) -> int:
     from . import lie_cohomology as lc
 
-    cfg = _config(args, "cohomology")
     if args.algebra in lc.CATALOG:
         sc = lc.catalog(args.algebra)
     else:
@@ -106,7 +105,6 @@ def cmd_cohomology(args) -> int:
 
     jacobi = lc.validate_algebra(sc)
     report = {
-        "config": cfg,
         "algebra": sc.label or args.algebra,
         "dim": sc.dim,
         "jacobi_ok": jacobi.ok,
@@ -127,7 +125,7 @@ def cmd_cohomology(args) -> int:
             coords = tuple(lc.parse_rational(x) for x in args.omega.split(","))
         except ZeroDivisionError:
             raise ValueError(f"--omega has a zero denominator: {args.omega!r}")
-        omega = lc.Cochain(degree=2, dim=sc.dim, coords=coords)
+        omega = lc.Cochain(dim=sc.dim, coords=coords)
         report["kernel"] = lc.kernel_report_json(lc.kernel_subalgebra(sc, omega))
     _emit(report, args)
     return 0
@@ -141,7 +139,6 @@ def cmd_cohomology(args) -> int:
 def cmd_spectrum(args) -> int:
     from . import localization as loc
 
-    cfg = _config(args, "spectrum")
     ctx, grid, eta = _setup(args)
     region = _parse_region(args.region)
     spec = loc.localization_spectrum(region, eta, grid, ctx, epsilon=args.epsilon)
@@ -149,7 +146,6 @@ def cmd_spectrum(args) -> int:
     count = spec.count_above(args.threshold)
     ratio = spec.mid_to_near_one_ratio
     report = {
-        "config": cfg,
         "trace": spec.trace,
         "mu_delta": spec.mu_delta,
         "near_one": spec.near_one,
@@ -173,16 +169,16 @@ def cmd_spectrum(args) -> int:
 def cmd_tomography(args) -> int:
     from . import tomography as tom
 
-    cfg = _config(args, "tomography")
     ctx, grid, eta = _setup(args)
 
     if args.positions_only:
+        if args.format == "csv":
+            raise ValueError("--positions-only writes no table; --format csv needs another mode")
         projectors = [
             np.diag((np.arange(args.dim) == i).astype(complex)) for i in range(args.dim)
         ]
         rep = tom.operator_family_rank(projectors)
         report = {
-            "config": cfg,
             "complete": rep.complete,
             "rank": rep.gram_rank,
             "required": rep.required,
@@ -197,16 +193,11 @@ def cmd_tomography(args) -> int:
         result = tom.reconstruct_state(probs, eta, grid, ctx)
         frob = float(np.linalg.norm(result.rho.matrix - rho.matrix))
     else:
-        if not args.probabilities:
-            raise ValueError(
-                "tomography needs --self-test, --positions-only, or --probabilities CSV"
-            )
         probs = formats.read_values_csv(args.probabilities, grid)
         result = tom.reconstruct_state(probs, eta, grid, ctx)
         frob = float(np.linalg.norm(result.rho.matrix))
 
     report = {
-        "config": cfg,
         "residual": result.residual,
         "rank": result.completeness.gram_rank,
         "frobenius_norm": frob,
@@ -245,14 +236,11 @@ def _standard_battery(grid) -> list:
 def cmd_effects(args) -> int:
     from . import effect_algebra as ea
 
-    cfg = _config(args, "effects")
+    ctx, grid, eta = _setup(args)
     sampler = ea.effect_sampler(args.dim, seed=args.seed)
     axioms = ea.verify_axioms(sampler, args.trials)
-
-    ctx, grid, eta = _setup(args)
     scan = ea.projection_scan(eta, grid, ctx, _standard_battery(grid))
     report = {
-        "config": cfg,
         "axioms": {
             "trials": axioms.trials,
             "failures": axioms.failures,
@@ -285,7 +273,6 @@ def cmd_transform(args) -> int:
     from . import transform as tr
     from . import wh_model as wh
 
-    cfg = _config(args, "transform")
     ctx, grid, eta = _setup(args)
     rng = np.random.default_rng(args.seed)
     block = wh.low_block(ctx).stop
@@ -297,7 +284,6 @@ def cmd_transform(args) -> int:
     recovered = tr.reconstruct(eta, grid, samples, ctx)
     rel = float(np.linalg.norm(recovered - phi) / np.linalg.norm(phi))
     report = {
-        "config": cfg,
         "relative_error": rel,
         "weighted_norm_sq": samples.weighted_norm_sq(),
     }
@@ -313,11 +299,9 @@ def cmd_transform(args) -> int:
 def cmd_admissibility(args) -> int:
     from . import wh_model as wh
 
-    cfg = _config(args, "admissibility")
     ctx, grid, eta = _setup(args)
     rep = wh.admissibility(eta, grid, ctx, trials=args.trials, seed=args.seed)
     report = {
-        "config": cfg,
         "integral": rep.integral,
         "d_constant": rep.d_constant,
         "beta_ok": rep.beta_ok,
@@ -333,20 +317,21 @@ def cmd_admissibility(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_grid_flags(sub, dim, radius, spacing, generator="ground"):
+def _add_grid_flags(sub, dim, radius, spacing):
     sub.add_argument("--dim", type=int, default=dim, help="Fock truncation dimension")
     sub.add_argument("--radius", type=float, default=radius, help="grid disk radius")
     sub.add_argument("--spacing", type=float, default=spacing, help="grid lattice spacing")
     sub.add_argument(
         "--generator",
-        default=generator,
+        default="ground",
         help="resolution generator: ground, fock:n, squeezed:r",
     )
 
 
-def _add_output_flags(sub):
+def _add_output_flags(sub, table=False):
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
+    if table:
+        sub.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -371,16 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", default="disk:3", help="disk:R or rect:q0,q1,p0,p1")
     p.add_argument("--epsilon", type=float, default=0.1, help="clustering band width")
     p.add_argument("--threshold", type=float, default=0.5, help="channel-capacity cut")
-    _add_output_flags(p)
+    _add_output_flags(p, table=True)
     p.set_defaults(func=cmd_spectrum)
 
     p = subs.add_parser("tomography", help="state reconstruction from grid probabilities")
     _add_grid_flags(p, dim=4, radius=5.0, spacing=0.4)
-    p.add_argument("--self-test", action="store_true", dest="self_test")
-    p.add_argument("--positions-only", action="store_true", dest="positions_only")
-    p.add_argument("--probabilities", default=None, help="input CSV (q,p,value,weight)")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--self-test", action="store_true", dest="self_test")
+    mode.add_argument("--positions-only", action="store_true", dest="positions_only")
+    mode.add_argument("--probabilities", default=None, help="input CSV (q,p,value,weight)")
     p.add_argument("--seed", type=int, default=7)
-    _add_output_flags(p)
+    _add_output_flags(p, table=True)
     p.set_defaults(func=cmd_tomography)
 
     p = subs.add_parser("effects", help="effect-algebra axioms and projection scan")
@@ -393,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("transform", help="transform round trip on a random state")
     _add_grid_flags(p, dim=24, radius=7.0, spacing=0.15)
     p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
+    _add_output_flags(p, table=True)
     p.set_defaults(func=cmd_transform)
 
     p = subs.add_parser("admissibility", help="generator admissibility diagnostics")
@@ -407,7 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a malformed flag that _Parser.error reported
+        return exc.code
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:
@@ -418,6 +407,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # the configuration asks for more memory than there is
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
 
 

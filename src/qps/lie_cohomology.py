@@ -42,19 +42,16 @@ class StructureConstants:
 
 @dataclass(frozen=True)
 class Cochain:
-    """Element of the degree-p dual exterior power, in the sorted-tuple basis."""
+    """A 2-form: element of the second dual exterior power, in the sorted-pair basis."""
 
-    degree: int
     dim: int
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not 0 <= self.degree <= 3:
-            raise ValueError(f"degree {self.degree} outside the built complex (0..3)")
-        expected = comb(self.dim, self.degree)
+        expected = comb(self.dim, 2)
         if len(self.coords) != expected:
             raise ValueError(
-                f"degree-{self.degree} cochain over dim {self.dim} needs "
+                f"degree-2 cochain over dim {self.dim} needs "
                 f"{expected} coordinates, got {len(self.coords)}"
             )
 
@@ -84,10 +81,6 @@ class KernelReport:
 
 def pair_basis(dim: int) -> list[tuple[int, int]]:
     return list(combinations(range(dim), 2))
-
-
-def triple_basis(dim: int) -> list[tuple[int, int, int]]:
-    return list(combinations(range(dim), 3))
 
 
 def _perm_sign_3(a: int, b: int, c: int) -> int:
@@ -202,7 +195,7 @@ def second_cohomology(sc: StructureConstants) -> CohomologyReport:
     dim_z2 = len(z2_vectors)
 
     def to_cochain(vec):
-        return Cochain(degree=2, dim=sc.dim, coords=tuple(vec))
+        return Cochain(dim=sc.dim, coords=tuple(vec))
 
     return CohomologyReport(
         dim_z2=dim_z2,
@@ -254,7 +247,7 @@ def kernel_subalgebra(sc: StructureConstants, omega: Cochain) -> KernelReport:
     kernel and the downstream quotient has no meaning.  Both checks run on
     omega and the constants scaled to integers.
     """
-    if omega.degree != 2 or omega.dim != sc.dim:
+    if omega.dim != sc.dim:
         raise ValueError("omega must be a degree-2 cochain over the same algebra")
     scale, by_target = _integer_table(sc)
     coords = [Fraction(x) for x in omega.coords]
@@ -295,7 +288,7 @@ def two_form_from_pairs(sc: StructureConstants, entries: dict[tuple[int, int], F
             coords[idx[(i, j)]] += Fraction(v)
         else:
             coords[idx[(j, i)]] -= Fraction(v)
-    return Cochain(degree=2, dim=sc.dim, coords=tuple(coords))
+    return Cochain(dim=sc.dim, coords=tuple(coords))
 
 
 # ---------------------------------------------------------------------------

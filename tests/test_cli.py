@@ -364,8 +364,44 @@ def test_tomography_missing_csv_exit_1(tmp_path):
     assert main(["tomography", "--probabilities", str(tmp_path / "no.csv")]) == 1
 
 
-def test_tomography_without_mode_exit_2(tmp_path):
-    assert main(["tomography"]) == 2
+def test_tomography_without_mode_exit_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["tomography", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "one of the arguments" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ["--self-test", "--positions-only"],
+        ["--self-test", "--probabilities", "absent.csv"],
+        ["--positions-only", "--probabilities", "absent.csv"],
+        ["--self-test", "--positions-only", "--probabilities", "absent.csv"],
+    ],
+    ids=["self-test+positions", "self-test+probabilities", "positions+probabilities",
+         "all-three"],
+)
+def test_tomography_modes_exclude_each_other_exit_2(tmp_path, capsys, modes):
+    out = tmp_path / "report.json"
+    assert main(["tomography", *modes, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not allowed with argument" in err
+    assert not out.exists()
+
+
+def test_tomography_unknown_flag_returns_2(capsys):
+    assert main(["tomography", "--bogus"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_tomography_positions_only_has_no_csv_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["tomography", "--positions-only", "--format", "csv", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--positions-only writes no table" in err
+    assert not out.exists()
 
 
 def test_tomography_repeated_csv_point_exit_2(tmp_path, capsys, grid4):
@@ -444,6 +480,15 @@ def test_effects_zero_trials_exit_2(tmp_path):
     assert main(["effects", "--trials", "0"]) == 2
 
 
+@pytest.mark.parametrize("dim", ["0", "1"])
+def test_effects_checks_grid_flags_first_exit_2(tmp_path, capsys, dim):
+    out = tmp_path / "report.json"
+    assert main(["effects", "--dim", dim, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n_dim must be >= 2" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # transform and admissibility commands
 # ---------------------------------------------------------------------------
@@ -493,6 +538,32 @@ def test_csv_format_selects_tabular_artifact(tmp_path):
 def test_csv_format_without_artifact_exit_2(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["admissibility", "--out", str(out), "--format", "csv"]) == 2
+
+
+@pytest.mark.parametrize("command", [["cohomology", "h3"], ["effects"], ["admissibility"]])
+def test_format_flag_only_where_a_table_exists(tmp_path, capsys, command):
+    out = tmp_path / "report.json"
+    assert main([*command, "--format", "json", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "qps: error: unrecognized arguments: --format json\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [
+        (["spectrum", "--dim", "100000"], "149. GiB"),
+        (["spectrum", "--radius", "1e308", "--spacing", "1e296"], "14.6 TiB"),
+    ],
+    ids=["dim", "grid"],
+)
+def test_unallocatable_configuration_exit_1(tmp_path, capsys, argv, size):
+    # both fail at their first allocation, before any memory is touched
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: Unable to allocate {size}")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -640,15 +711,18 @@ _grid = st.tuples(
     st.floats(0.3, 3.0).map(lambda h: f"{h:.3g}"),
 ).map(lambda g: ["--dim", str(g[0]), "--radius", g[1], "--spacing", g[2]])
 _trials = _value("1", "3")
-_argv = st.one_of(
+_tomography_modes = st.sets(
+    st.sampled_from([("--self-test",), ("--positions-only",), ("--probabilities", "absent.csv")])
+).map(lambda modes: [flag for mode in sorted(modes) for flag in mode])
+_command = st.one_of(
     st.builds(
         lambda grid, gen, region, eps, thr: ["spectrum", *grid, "--generator", gen,
                                              "--region", region, "--epsilon", eps,
                                              "--threshold", thr],
         _grid, _generator, _region, _value("0.1", "0.25"), _value("0.5", "0.2"),
     ),
-    st.builds(lambda grid, gen: ["tomography", "--self-test", *grid, "--generator", gen],
-              _grid, _generator),
+    st.builds(lambda modes, grid, gen: ["tomography", *modes, *grid, "--generator", gen],
+              _tomography_modes, _grid, _generator),
     st.builds(lambda grid, gen, trials: ["effects", *grid, "--generator", gen, "--trials", trials],
               _grid, _generator, _trials),
     st.builds(lambda grid, gen: ["transform", *grid, "--generator", gen], _grid, _generator),
@@ -659,6 +733,11 @@ _argv = st.one_of(
               st.sampled_from(["h3", "so3", "galilei"]),
               st.lists(_value("1", "0", "1/2"), min_size=1, max_size=10)),
 )
+_argv = st.builds(
+    lambda argv, fmt: argv + fmt,
+    _command,
+    st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]),
+)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -666,10 +745,7 @@ _argv = st.one_of(
 def test_cli_argv_fuzz(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a malformed flag value
-            code = exc.code
+        code = main(argv)
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
         assert err.getvalue() == ""

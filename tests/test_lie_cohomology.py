@@ -74,7 +74,7 @@ def _dense_coboundary1(sc):
 
 def _dense_coboundary2(sc):
     pairs = lc.pair_basis(sc.dim)
-    triples = lc.triple_basis(sc.dim)
+    triples = list(combinations(range(sc.dim), 3))
     triple_idx = {t: n for n, t in enumerate(triples)}
     rows = [[Fraction(0)] * len(pairs) for _ in triples]
 
@@ -171,7 +171,7 @@ def test_integer_path_matches_fraction_reference(sc, data):
     weights = data.draw(st.lists(st.integers(-3, 3), min_size=len(z2), max_size=len(z2)))
     coords = [sum((w * v[n] for w, v in zip(weights, z2)), Fraction(0)) for n in range(n_pairs)]
     scale = data.draw(st.builds(Fraction, st.integers(1, 5), st.integers(1, 6)))
-    omega = lc.Cochain(degree=2, dim=sc.dim, coords=tuple(scale * x for x in coords))
+    omega = lc.Cochain(dim=sc.dim, coords=tuple(scale * x for x in coords))
     mat = _skew_matrix(omega)
     h_basis = rla.nullspace(mat, sc.dim)
     kr = lc.kernel_subalgebra(sc, omega)
@@ -186,7 +186,7 @@ def test_integer_path_matches_fraction_reference(sc, data):
     values = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
     entries = data.draw(st.dictionaries(st.sampled_from(range(n_pairs)), values, max_size=3)
                         if n_pairs else st.just({}))
-    omega = lc.Cochain(degree=2, dim=sc.dim, coords=tuple(
+    omega = lc.Cochain(dim=sc.dim, coords=tuple(
         entries.get(n, Fraction(0)) for n in range(n_pairs)))
     residual = mat_vec(d2, omega.coords)
     mat = _skew_matrix(omega)
@@ -194,7 +194,7 @@ def test_integer_path_matches_fraction_reference(sc, data):
     if any(residual):
         with pytest.raises(ValueError) as err:
             lc.kernel_subalgebra(sc, omega)
-        nonzero = [f"{t} = {x}" for t, x in zip(lc.triple_basis(sc.dim), residual) if x]
+        nonzero = [f"{t} = {x}" for t, x in zip(combinations(range(sc.dim), 3), residual) if x]
         assert str(err.value) == (
             f"omega is not closed; d2(omega) is nonzero at {len(nonzero)} of "
             f"{len(residual)} triples, first: {', '.join(nonzero[:10])}"
@@ -427,7 +427,7 @@ def test_kernel_so3_orbit_dimension():
 
 def test_kernel_zero_form_gives_whole_algebra():
     sc = lc.catalog("galilei")
-    omega = lc.Cochain(degree=2, dim=10, coords=tuple([Fraction(0)] * 45))
+    omega = lc.Cochain(dim=10, coords=tuple([Fraction(0)] * 45))
     report = lc.kernel_subalgebra(sc, omega)
     assert report.gamma_dim == 0
     assert len(report.h_basis) == 10
@@ -465,7 +465,7 @@ def test_kernel_is_subalgebra_and_gamma_even_for_all_closed_forms():
                 for i in range(len(report.z2_basis[0].coords))
             ]
             kr = lc.kernel_subalgebra(
-                sc, lc.Cochain(degree=2, dim=sc.dim, coords=tuple(coords))
+                sc, lc.Cochain(dim=sc.dim, coords=tuple(coords))
             )
             assert kr.is_subalgebra
             assert kr.gamma_dim % 2 == 0
@@ -668,9 +668,7 @@ def test_json_rejects_non_integer_dim_and_indices(field, value):
 
 def test_cochain_shape_validation():
     with pytest.raises(ValueError, match="coordinates"):
-        lc.Cochain(degree=2, dim=3, coords=(Fraction(1),))
-    with pytest.raises(ValueError, match="degree"):
-        lc.Cochain(degree=4, dim=3, coords=tuple())
+        lc.Cochain(dim=3, coords=(Fraction(1),))
 
 
 def test_abelian_generator_and_catalog_unknown():
