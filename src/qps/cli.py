@@ -120,7 +120,7 @@ def cmd_cohomology(args) -> int:
         return 2
 
     report["cohomology"] = lc.cohomology_report_json(lc.second_cohomology(sc))
-    if args.omega:
+    if args.omega is not None:
         try:
             coords = tuple(lc.parse_rational(x) for x in args.omega.split(","))
         except ZeroDivisionError:
@@ -186,8 +186,8 @@ def cmd_tomography(args) -> int:
         _emit(report, args)
         return 0
 
-    if args.self_test:
-        rng = np.random.default_rng(args.seed)
+    if args.self_test is not None:  # the seed; 0 is a seed too
+        rng = np.random.default_rng(args.self_test)
         rho = tom.random_density(rng, args.dim)
         probs = tom.classical_density(rho, eta, grid, ctx).values
         result = tom.reconstruct_state(probs, eta, grid, ctx)
@@ -362,10 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("tomography", help="state reconstruction from grid probabilities")
     _add_grid_flags(p, dim=4, radius=5.0, spacing=0.4)
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--self-test", action="store_true", dest="self_test")
+    mode.add_argument(
+        "--self-test", type=int, nargs="?", const=7, default=None, metavar="SEED",
+        dest="self_test", help="round trip of a random state drawn with SEED (default 7)",
+    )
     mode.add_argument("--positions-only", action="store_true", dest="positions_only")
     mode.add_argument("--probabilities", default=None, help="input CSV (q,p,value,weight)")
-    p.add_argument("--seed", type=int, default=7)
     _add_output_flags(p, table=True)
     p.set_defaults(func=cmd_tomography)
 

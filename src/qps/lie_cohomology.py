@@ -75,7 +75,7 @@ class CohomologyReport:
 @dataclass
 class KernelReport:
     h_basis: list[list[Fraction]]
-    is_subalgebra: bool
+    is_subalgebra: bool  # True by theorem; see kernel_subalgebra
     gamma_dim: int
 
 
@@ -207,45 +207,19 @@ def second_cohomology(sc: StructureConstants) -> CohomologyReport:
     )
 
 
-def _kernel_closed(by_target, rows, h_basis) -> bool:
-    """Whether the kernel basis ``h_basis`` of the skew matrix ``rows`` is
-    closed under the bracket of the integer constants ``by_target``.
-
-    [u, v] lies in the kernel exactly when u^T M_r v = 0 for every row r,
-    with M_r[i][j] = sum_k rows[r][k] C_ij^k, so no bracket is formed.  The
-    kernel vectors are primitive, hence integer.
-    """
-    basis = [{i: int(x) for i, x in enumerate(vec) if x} for vec in h_basis]
-    for row in rows:
-        m_r: dict[tuple[int, int], int] = {}
-        for k, w in row.items():
-            for i, j, n in by_target[k]:
-                m_r[(i, j)] = m_r.get((i, j), 0) + w * n
-        m_r = {ij: v for ij, v in m_r.items() if v}
-        if not m_r:
-            continue
-        images = []  # M_r v for each kernel vector v, over its nonzero entries
-        for v in basis:
-            out: dict[int, int] = {}
-            for (i, j), m in m_r.items():
-                if j in v:
-                    out[i] = out.get(i, 0) + m * v[j]
-                if i in v:
-                    out[j] = out.get(j, 0) - m * v[i]
-            images.append(out)
-        for a, u in enumerate(basis):
-            for image in images[a + 1:]:
-                if sum(x * image[i] for i, x in u.items() if i in image):
-                    return False
-    return True
-
-
 def kernel_subalgebra(sc: StructureConstants, omega: Cochain) -> KernelReport:
-    """Radical of a closed 2-form and the closure check that makes it a subalgebra.
+    """Radical h = {x : omega(x, .) = 0} of a closed 2-form, and dim g/h.
 
     Raises if ``omega`` is not closed: an open 2-form has no invariant
-    kernel and the downstream quotient has no meaning.  Both checks run on
+    kernel and the downstream quotient has no meaning.  The check runs on
     omega and the constants scaled to integers.
+
+    The radical of a closed form is always a subalgebra, so no bracket is
+    formed.  For x, y in h and any z, d omega = 0 reads
+    -omega([x,y],z) + omega([x,z],y) - omega([y,z],x) = 0.  The last two
+    terms vanish, because omega is antisymmetric and x, y lie in its
+    radical; hence omega([x,y],z) = 0.  The argument uses only bilinearity
+    and antisymmetry, not the Jacobi identity, so it holds on any table.
     """
     if omega.dim != sc.dim:
         raise ValueError("omega must be a degree-2 cochain over the same algebra")
@@ -271,7 +245,7 @@ def kernel_subalgebra(sc: StructureConstants, omega: Cochain) -> KernelReport:
     h_basis = rla.nullspace(rows, sc.dim)
     return KernelReport(
         h_basis=h_basis,
-        is_subalgebra=_kernel_closed(by_target, rows, h_basis),
+        is_subalgebra=True,
         gamma_dim=sc.dim - len(h_basis),
     )
 
@@ -372,27 +346,6 @@ def from_json_dict(data: dict) -> StructureConstants:
     sc = StructureConstants(dim=dim, names=names, c=c, label=str(data.get("name", "")))
     _check_shape(sc)
     return sc
-
-
-def to_json_dict(sc: StructureConstants) -> dict:
-    by_pair: dict[tuple[int, int], dict[str, str]] = {}
-    for (i, j, k), v in sorted(sc.c.items()):
-        by_pair.setdefault((i, j), {})[str(k)] = str(v)
-    return {
-        "name": sc.label,
-        "dim": sc.dim,
-        "basis": list(sc.names),
-        "brackets": [
-            {"i": i, "j": j, "coeffs": coeffs} for (i, j), coeffs in sorted(by_pair.items())
-        ],
-    }
-
-
-def abelian(n: int) -> StructureConstants:
-    """All brackets zero."""
-    return StructureConstants(
-        dim=n, names=tuple(f"A{i + 1}" for i in range(n)), c={}, label=f"abelian{n}"
-    )
 
 
 CATALOG = ("abelian2", "h3", "so3", "galilei", "poincare")

@@ -8,9 +8,9 @@ is touched only when it has a nonzero in the pivot column; it is then
 combined with the pivot row by the two-term integer update and divided by
 its content, so every intermediate entry is an exact integer.  The
 null-space and row-space bases are read off the reduced integer rows, and
-``Fraction`` appears only in the returned vectors.  Rank and null-space
-decisions are therefore exact, which is what the cohomology dimensions
-require.
+``Fraction`` appears only in the returned vectors.  A rank is the length
+of ``row_space_basis``, so rank and null-space decisions are exact, which
+is what the cohomology dimensions require.
 """
 
 from __future__ import annotations
@@ -98,10 +98,6 @@ def _primitive(entries, ncols):
     for c, v in entries.items():
         out[c] = Fraction(v // g)
     return out
-
-
-def rank(rows):
-    return len(_echelon(map(_integer_row, rows)))
 
 
 def nullspace(rows, ncols):

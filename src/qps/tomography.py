@@ -46,10 +46,6 @@ class DensityOperator:
         v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "DensityOperator":
-        return cls(np.eye(n, dtype=complex) / n)
-
 
 def random_density(rng: np.random.Generator, n: int, rank: int | None = None) -> DensityOperator:
     """Random mixed state: Ginibre purification of the requested rank."""

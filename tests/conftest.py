@@ -113,7 +113,9 @@ def in_span(basis, vec):
         return True
     if not basis:
         return False
-    return rla.rank(list(basis) + [list(vec)]) == rla.rank(basis)
+    ncols = len(vec)
+    rank = len(rla.row_space_basis(basis, ncols))
+    return len(rla.row_space_basis(list(basis) + [list(vec)], ncols)) == rank
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def test_criterion_11_expectation_equality(ctx24, grid_ref, eta24):
         np.exp(-(grid_ref.q**2)),
         loc.RegionSpec.disk(2.0).mask(grid_ref).astype(float),
     ]
-    states = [tom.DensityOperator.pure(np.eye(24)[0]), tom.DensityOperator.maximally_mixed(24)]
+    states = [tom.DensityOperator.pure(np.eye(24)[0]), tom.DensityOperator(np.eye(24) / 24)]
     states += [tom.random_density(rng, 24, rank=3) for _ in range(4)]
     worst = 0.0
     for rho in states:

@@ -5,11 +5,12 @@ import io
 import json
 import subprocess
 import sys
+from importlib import resources
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qps import formats
@@ -213,13 +214,24 @@ def test_cohomology_loads_no_numeric_layer(tmp_path):
 
 
 def test_cohomology_file_equivalent_to_catalog(tmp_path):
-    from qps import lie_cohomology as lc
-
-    path = tmp_path / "h3.json"
-    path.write_text(json.dumps(lc.to_json_dict(lc.catalog("h3"))))
-    code, report, _ = run(tmp_path, "cohomology", str(path))
+    path = resources.files("qps") / "algebras" / "h3.json"
+    code, from_file, _ = run(tmp_path, "cohomology", str(path), "--omega", "1,0,0")
     assert code == 0
-    assert report["cohomology"]["dim_h2"] == 2
+    assert from_file["cohomology"]["dim_h2"] == 2
+    code, from_catalog, _ = run(tmp_path, "cohomology", "h3", "--omega", "1,0,0")
+    assert code == 0
+    for report in (from_file, from_catalog):
+        del report["config"]
+    assert from_file == from_catalog
+
+
+def test_cohomology_empty_omega_exit_2(tmp_path, capsys):
+    # an empty --omega used to be skipped: exit 0, no kernel, "omega": ""
+    out = tmp_path / "report.json"
+    assert main(["cohomology", "h3", "--omega", "", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +350,29 @@ def test_non_finite_or_negative_argument_exit_2(tmp_path, capsys, argv, message)
 
 
 def test_tomography_self_test(tmp_path):
-    code, report, _ = run(tmp_path, "tomography", "--self-test", "--seed", "7")
+    code, report, _ = run(tmp_path, "tomography", "--self-test", "7")
     assert code == 0
     assert report["frobenius_norm"] <= 1e-6
     assert report["rank"] == 16
+    assert report["config"]["self_test"] == 7
+    assert "seed" not in report["config"]
+
+
+def test_tomography_self_test_carries_its_seed(tmp_path):
+    reports = {}
+    for seed in ([], ["7"], ["0"]):
+        code, report, out = run(tmp_path, "tomography", "--self-test", *seed)
+        assert code == 0
+        reports[tuple(seed)] = out.read_bytes()
+    # the seed defaults to 7, and seed 0 is a seed, not "no self-test"
+    assert reports[()] == reports[("7",)]
+    assert json.loads(reports[("0",)])["config"]["self_test"] == 0
+    assert reports[("0",)] != reports[("7",)]
+
+
+def test_tomography_seed_flag_is_gone_exit_2(capsys):
+    assert main(["tomography", "--self-test", "--seed", "7"]) == 2
+    assert capsys.readouterr().err == "qps: error: unrecognized arguments: --seed 7\n"
 
 
 def test_tomography_self_test_at_dim_16(tmp_path):
@@ -358,6 +389,7 @@ def test_tomography_positions_only(tmp_path):
     assert code == 0
     assert report["complete"] is False
     assert report["rank"] == 4
+    assert "seed" not in report["config"] and "self_test" not in report["config"]
 
 
 def test_tomography_missing_csv_exit_1(tmp_path):
@@ -740,12 +772,31 @@ _argv = st.builds(
 )
 
 
+# runs the draws seldom reach, with the exit code each must give
+_PINNED = {
+    ("tomography", "--self-test"): 0,
+    ("tomography", "--self-test", "3"): 0,
+    ("tomography", "--positions-only"): 0,
+    ("cohomology", "h3"): 0,
+    ("cohomology", "so3", "--omega", "1,0,0"): 0,
+    ("cohomology", "h3", "--omega", ""): 2,
+}
+
+
+def _pinned(test):
+    for argv in _PINNED:
+        test = example(list(argv))(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_argv)
+@_pinned
 def test_cli_argv_fuzz(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    assert code == _PINNED.get(tuple(argv), code)
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
         assert err.getvalue() == ""

@@ -28,7 +28,7 @@ def test_rank_and_nullity_match_sympy(seed):
     rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
     mat = _random_rational_matrix(rng, rows, cols)
     sm = _to_sympy(mat, cols)
-    assert rla.rank(mat) == sm.rank()
+    assert len(rla.row_space_basis(mat, cols)) == sm.rank()
     null = rla.nullspace(mat, cols)
     assert len(null) == cols - sm.rank()
     for vec in null:
@@ -45,7 +45,7 @@ def test_row_space_basis_spans_rows():
     rng = np.random.default_rng(3)
     mat = _random_rational_matrix(rng, 5, 4)
     basis = rla.row_space_basis(mat, 4)
-    assert len(basis) == rla.rank(mat)
+    assert len(basis) == _to_sympy(mat, 4).rank()
     for row in mat:
         assert in_span(basis, row)
 

@@ -51,8 +51,8 @@ def test_one_photon_density_peaks_at_unit_amplitude(ctx24, grid_ref, eta24):
     assert dens.values[peak] == pytest.approx(1 / np.e, abs=1e-3)
 
 
-def test_maximally_mixed_density_tracks_family_norms(ctx24, grid_ref, eta24):
-    rho = tom.DensityOperator.maximally_mixed(24)
+def test_fully_mixed_density_tracks_family_norms(ctx24, grid_ref, eta24):
+    rho = tom.DensityOperator(np.eye(24) / 24)
     dens = tom.classical_density(rho, eta24, grid_ref, ctx24)
     fam = wh.coherent_family(eta24, grid_ref, ctx24)
     expected = np.sum(np.abs(fam) ** 2, axis=1) / 24
@@ -226,8 +226,8 @@ def test_round_trip_random_rank_two(ctx4, grid4, eta4):
     assert np.linalg.norm(result.rho.matrix - rho.matrix) <= 1e-6
 
 
-def test_round_trip_maximally_mixed(ctx4, grid4, eta4):
-    rho = tom.DensityOperator.maximally_mixed(4)
+def test_round_trip_fully_mixed(ctx4, grid4, eta4):
+    rho = tom.DensityOperator(np.eye(4) / 4)
     probs = tom.classical_density(rho, eta4, grid4, ctx4).values
     result = tom.reconstruct_state(probs, eta4, grid4, ctx4)
     assert np.linalg.norm(result.rho.matrix - rho.matrix) <= 1e-6

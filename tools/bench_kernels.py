@@ -20,8 +20,8 @@ Cohomology: on so(8), so(9), so(10) and h13 in a dense unimodular basis
 check, ``second_cohomology`` and ``kernel_subalgebra`` of the first closed
 basis form.  Next to each time it records H^1 and H^2 against their closed
 forms (Whitehead for so(n), Santharoubane for h_{2n+1}) and a digest of
-the exact output: the Z^2 and B^2 bases, or the kernel basis with its
-closure flag and rank.
+the exact output: the Z^2 and B^2 bases, or the kernel report (basis,
+rank, and the closure flag, which is True by theorem and not computed).
 
 Every kernel runs once to warm up and then ``REPEATS`` times; each row
 holds the median and quartiles.  Run from the repository root; the JSON
