@@ -73,20 +73,11 @@ def _csv_sibling(out: str) -> str:
 
 
 def _emit(report: dict, args, csv_writer=None) -> None:
-    """The JSON report with its configuration, and the table if there is one.
-
-    Only commands with a table take ``--format``; under ``csv`` the table
-    is the one artifact.
-    """
-    out = args.out
-    if getattr(args, "format", "json") == "csv":
-        if out is None:
-            raise ValueError("--format csv requires --out")
-        csv_writer(out)
-        return
-    formats.write_json({**report, "config": _config(args)}, out)
-    if out is not None and csv_writer is not None:
-        csv_writer(_csv_sibling(out))
+    """The JSON report with its configuration; with ``--out``, also the
+    command's table, if it has one, in the ``.csv`` sibling of that path."""
+    formats.write_json({**report, "config": _config(args)}, args.out)
+    if args.out is not None and csv_writer is not None:
+        csv_writer(_csv_sibling(args.out))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +163,6 @@ def cmd_tomography(args) -> int:
     ctx, grid, eta = _setup(args)
 
     if args.positions_only:
-        if args.format == "csv":
-            raise ValueError("--positions-only writes no table; --format csv needs another mode")
         projectors = [
             np.diag((np.arange(args.dim) == i).astype(complex)) for i in range(args.dim)
         ]
@@ -328,10 +317,15 @@ def _add_grid_flags(sub, dim, radius, spacing):
     )
 
 
-def _add_output_flags(sub, table=False):
+def _add_output_flags(sub):
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    if table:
-        sub.add_argument("--format", choices=["json", "csv"], default="json")
+
+
+def _seed(text: str) -> int:
+    """A non-negative integer, the only seeds numpy's generator takes."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -356,38 +350,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", default="disk:3", help="disk:R or rect:q0,q1,p0,p1")
     p.add_argument("--epsilon", type=float, default=0.1, help="clustering band width")
     p.add_argument("--threshold", type=float, default=0.5, help="channel-capacity cut")
-    _add_output_flags(p, table=True)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = subs.add_parser("tomography", help="state reconstruction from grid probabilities")
     _add_grid_flags(p, dim=4, radius=5.0, spacing=0.4)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument(
-        "--self-test", type=int, nargs="?", const=7, default=None, metavar="SEED",
+        "--self-test", type=_seed, nargs="?", const=7, default=None, metavar="SEED",
         dest="self_test", help="round trip of a random state drawn with SEED (default 7)",
     )
     mode.add_argument("--positions-only", action="store_true", dest="positions_only")
     mode.add_argument("--probabilities", default=None, help="input CSV (q,p,value,weight)")
-    _add_output_flags(p, table=True)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_tomography)
 
     p = subs.add_parser("effects", help="effect-algebra axioms and projection scan")
     _add_grid_flags(p, dim=6, radius=7.0, spacing=0.15)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     _add_output_flags(p)
     p.set_defaults(func=cmd_effects)
 
     p = subs.add_parser("transform", help="transform round trip on a random state")
     _add_grid_flags(p, dim=24, radius=7.0, spacing=0.15)
-    p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p, table=True)
+    p.add_argument("--seed", type=_seed, default=0)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_transform)
 
     p = subs.add_parser("admissibility", help="generator admissibility diagnostics")
     _add_grid_flags(p, dim=24, radius=7.0, spacing=0.15)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_output_flags(p)
     p.set_defaults(func=cmd_admissibility)
 

@@ -27,21 +27,6 @@ PROJECTION_GAP = 0.02
 
 
 @dataclass
-class Effect:
-    """Hermitian matrix with spectrum in [0, 1] (within tolerance)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        check = is_effect(self.matrix)
-        if not check.ok:
-            raise ValueError(
-                f"not an effect: margins ({check.lower_margin:.3e}, {check.upper_margin:.3e})"
-            )
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-
-
-@dataclass
 class EffectCheck:
     ok: bool
     lower_margin: float
@@ -63,37 +48,33 @@ def is_effect(matrix) -> EffectCheck:
     return EffectCheck(ok=ok, lower_margin=lower, upper_margin=upper)
 
 
-def _as_matrix(a) -> np.ndarray:
-    return a.matrix if isinstance(a, Effect) else np.asarray(a, dtype=complex)
-
-
 def oplus(a, b):
-    """Partial sum: a + b when the sum is still an effect, else None."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    total = ma + mb
-    top = np.linalg.eigvalsh(total)[-1]
-    if top > 1.0 + DEFINEDNESS_TOL:
+    """Partial sum of the effects a and b: a + b if it stays below 1, else None.
+
+    :func:`is_effect` is the check on effects, and it is not repeated: a sum
+    of two effects is positive, so only its top eigenvalue is tested."""
+    total = np.asarray(a, dtype=complex) + np.asarray(b, dtype=complex)
+    if np.linalg.eigvalsh(total)[-1] > 1.0 + DEFINEDNESS_TOL:
         return None
-    return Effect(total)
+    return total
 
 
-def complement(a) -> Effect:
-    """1 - a; the unique effect summing with a to the identity."""
-    ma = _as_matrix(a)
-    return Effect(np.eye(ma.shape[0], dtype=complex) - ma)
+def complement(a) -> np.ndarray:
+    """1 - a, the unique effect summing with the effect a (see :func:`is_effect`) to 1."""
+    return np.eye(len(a), dtype=complex) - np.asarray(a, dtype=complex)
 
 
 def effect_sampler(n_dim: int, seed: int):
     """Random effects: Haar-like eigenbasis with uniform spectrum in [0, 1]."""
     rng = np.random.default_rng(seed)
 
-    def sample() -> Effect:
+    def sample() -> np.ndarray:
         g = rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
         qmat, rmat = np.linalg.qr(g)
         qmat = qmat * (np.diagonal(rmat) / np.abs(np.diagonal(rmat)))
         evals = rng.uniform(size=n_dim)
         m = (qmat * evals) @ qmat.conj().T
-        return Effect(0.5 * (m + m.conj().T))
+        return 0.5 * (m + m.conj().T)
 
     return sample
 
@@ -129,7 +110,7 @@ def verify_axioms(sampler, trials: int) -> AxiomReport:
             witnesses.append({"axiom": axiom, "operators": [np.array(m) for m in mats]})
 
     def gate(e) -> np.ndarray:
-        m = _as_matrix(e)
+        m = np.asarray(e, dtype=complex)
         if not is_effect(m).ok:
             raise ValueError("sampler produced a non-effect")
         return m
@@ -141,7 +122,7 @@ def verify_axioms(sampler, trials: int) -> AxiomReport:
         ba = oplus(b, a)
         if (ab is None) != (ba is None):
             record("commutativity", a, b)
-        elif ab is not None and np.max(np.abs(ab.matrix - ba.matrix)) > AXIOM_ATOL:
+        elif ab is not None and np.max(np.abs(ab - ba)) > AXIOM_ATOL:
             record("commutativity", a, b)
 
         bc = oplus(b, c)
@@ -151,13 +132,13 @@ def verify_axioms(sampler, trials: int) -> AxiomReport:
                 abc = None if ab is None else oplus(ab, c)
                 if abc is None:
                     record("associativity", a, b, c)
-                elif np.max(np.abs(a_bc.matrix - abc.matrix)) > AXIOM_ATOL:
+                elif np.max(np.abs(a_bc - abc)) > AXIOM_ATOL:
                     record("associativity", a, b, c)
 
         comp = complement(a)
         total = oplus(a, comp)
         eye = np.eye(a.shape[0])
-        if total is None or np.max(np.abs(total.matrix - eye)) > 1e-9:
+        if total is None or np.max(np.abs(total - eye)) > 1e-9:
             record("unique_complement", a)
 
         with_one = oplus(a, eye)

@@ -30,26 +30,20 @@ class TruncationWarning(UserWarning):
 
 @dataclass(eq=False)
 class FockContext:
-    """Truncated Fock space with ladder and quadrature matrices."""
+    """Truncated Fock space spanned by the number states |0>, ..., |N-1>."""
 
     n_dim: int
-    lowering: np.ndarray
-    raising: np.ndarray
-    q_op: np.ndarray
-    p_op: np.ndarray
 
 
 def fock_space(n_dim: int) -> FockContext:
-    """Ladder operators <m|a|n> = sqrt(n) delta_{m,n-1} and the quadratures."""
+    """The Fock space truncated to ``n_dim`` >= 2 levels.
+
+    Operators on it are built where they are used, from closed-form matrix
+    elements (see :func:`displacement`); the context stores only N.
+    """
     if n_dim < 2:
         raise ValueError(f"n_dim must be >= 2, got {n_dim}")
-    a = np.zeros((n_dim, n_dim), dtype=complex)
-    ns = np.arange(1, n_dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    ad = a.conj().T
-    q = (a + ad) / SQRT2
-    p = (a - ad) / (1j * SQRT2)
-    return FockContext(n_dim=n_dim, lowering=a, raising=ad, q_op=q, p_op=p)
+    return FockContext(n_dim=n_dim)
 
 
 def low_block(ctx: FockContext) -> slice:

@@ -71,6 +71,18 @@ def random_low_block(rng, n_dim: int, top: int = 8) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def quadratures(n_dim: int):
+    """(a, a*, q, p) truncated to N x N: the ladder operator
+    <m|a|n> = sqrt(n) delta_{m,n-1}, its adjoint, q = (a + a*)/sqrt(2) and
+    p = (a - a*)/(i sqrt(2)).  The matrix oracle for the displacement and
+    quantization tests; the package builds none of them."""
+    a = np.zeros((n_dim, n_dim), dtype=complex)
+    ns = np.arange(1, n_dim)
+    a[ns - 1, ns] = np.sqrt(ns)
+    ad = a.conj().T
+    return a, ad, (a + ad) / np.sqrt(2.0), (a - ad) / (1j * np.sqrt(2.0))
+
+
 # ---------------------------------------------------------------------------
 # exact-arithmetic oracles
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from qps import tomography as tom
 from qps import transform as tr
 from qps import wh_model as wh
 
-from conftest import cli_env, random_low_block
+from conftest import cli_env, quadratures, random_low_block
 
 
 def report_line(number: int, description: str, ok: bool, detail: str = ""):
@@ -66,12 +66,13 @@ def test_criterion_02_resolution_of_identity(ctx24, grid_ref, eta24):
 
 
 def test_criterion_03_anti_wick_recovers_quadratures(ctx24, grid_ref, eta24):
+    _, _, q_op, p_op = quadratures(24)
     blk = slice(0, 9)
     err_q = np.linalg.norm(
-        (loc.quantize(lambda q, p: q, eta24, grid_ref, ctx24) - ctx24.q_op)[blk, blk], ord=2
+        (loc.quantize(lambda q, p: q, eta24, grid_ref, ctx24) - q_op)[blk, blk], ord=2
     )
     err_p = np.linalg.norm(
-        (loc.quantize(lambda q, p: p, eta24, grid_ref, ctx24) - ctx24.p_op)[blk, blk], ord=2
+        (loc.quantize(lambda q, p: p, eta24, grid_ref, ctx24) - p_op)[blk, blk], ord=2
     )
     ok = err_q <= 1e-3 and err_p <= 1e-3
     report_line(3, "quantized q and p match the quadratures", ok, f"q={err_q:.2e} p={err_p:.2e}")

@@ -13,7 +13,7 @@ from qps import localization as loc
 from qps import transform as tr
 from qps import wh_model as wh
 
-from conftest import random_low_block
+from conftest import quadratures, random_low_block
 
 
 def rank_one_density(x, eta, ctx):
@@ -74,20 +74,23 @@ def test_constant_symbol_gives_frame_operator(ctx24, grid_ref, eta24):
 
 def test_position_symbol_recovers_position_operator(ctx24, grid_ref, eta24):
     a = loc.quantize(lambda q, p: q, eta24, grid_ref, ctx24)
+    _, _, q_op, _ = quadratures(24)
     blk = slice(0, 9)
-    assert np.linalg.norm((a - ctx24.q_op)[blk, blk], ord=2) <= 1e-3
+    assert np.linalg.norm((a - q_op)[blk, blk], ord=2) <= 1e-3
 
 
 def test_momentum_symbol_recovers_momentum_operator(ctx24, grid_ref, eta24):
     a = loc.quantize(lambda q, p: p, eta24, grid_ref, ctx24)
+    _, _, _, p_op = quadratures(24)
     blk = slice(0, 9)
-    assert np.linalg.norm((a - ctx24.p_op)[blk, blk], ord=2) <= 1e-3
+    assert np.linalg.norm((a - p_op)[blk, blk], ord=2) <= 1e-3
 
 
 def test_squared_position_ordering_shift(ctx24, grid_ref, eta24):
     # smoothing by the vacuum adds half a unit to the squared quadrature
     a = loc.quantize(lambda q, p: q**2, eta24, grid_ref, ctx24)
-    target = ctx24.q_op @ ctx24.q_op + 0.5 * np.eye(24)
+    _, _, q_op, _ = quadratures(24)
+    target = q_op @ q_op + 0.5 * np.eye(24)
     blk = slice(0, 9)
     assert np.linalg.norm((a - target)[blk, blk], ord=2) <= 5e-3
 

@@ -6,7 +6,7 @@ import pytest
 from qps import transform as tr
 from qps import wh_model as wh
 
-from conftest import random_low_block
+from conftest import quadratures, random_low_block
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,8 @@ def test_frame_nearly_commutes_with_number_operator(ctx24, grid_ref, eta24):
     # the disk grid is rotation-symmetric up to the lattice anisotropy,
     # which only becomes visible toward the truncation edge
     s = tr.frame_operator(eta24, grid_ref, ctx24)
-    number = ctx24.raising @ ctx24.lowering
+    a, ad, _, _ = quadratures(24)
+    number = ad @ a
     comm = s @ number - number @ s
     blk = wh.low_block(ctx24)
     assert np.linalg.norm(comm[blk, blk], ord=2) < 5e-3

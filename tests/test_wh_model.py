@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from qps import wh_model as wh
 
-from conftest import random_low_block
+from conftest import quadratures, random_low_block
 
 
 # ---------------------------------------------------------------------------
@@ -17,33 +17,34 @@ from conftest import random_low_block
 
 
 def test_lowering_matrix_smallest_case():
-    ctx = wh.fock_space(2)
-    assert np.allclose(ctx.lowering, [[0, 1], [0, 0]])
-    assert np.allclose(ctx.raising, [[0, 0], [1, 0]])
+    a, ad, _, _ = quadratures(2)
+    assert np.allclose(a, [[0, 1], [0, 0]])
+    assert np.allclose(ad, [[0, 0], [1, 0]])
 
 
 def test_dimension_too_small_rejected():
     with pytest.raises(ValueError):
         wh.fock_space(1)
+    assert wh.fock_space(2).n_dim == 2
 
 
 def test_canonical_commutator_below_truncation_edge():
-    ctx = wh.fock_space(8)
-    comm = ctx.q_op @ ctx.p_op - ctx.p_op @ ctx.q_op
+    _, _, q, p = quadratures(8)
+    comm = q @ p - p @ q
     blk = slice(0, 7)  # n <= N-2
     assert np.max(np.abs(comm[blk, blk] - 1j * np.eye(7))) < 1e-12
 
 
 def test_position_spectrum_symmetric():
-    ctx = wh.fock_space(8)
-    evals = np.linalg.eigvalsh(ctx.q_op)
+    _, _, q, _ = quadratures(8)
+    evals = np.linalg.eigvalsh(q)
     assert np.allclose(evals, -evals[::-1], atol=1e-12)
 
 
 def test_quadratures_hermitian():
-    ctx = wh.fock_space(12)
-    assert np.max(np.abs(ctx.q_op - ctx.q_op.conj().T)) < 1e-14
-    assert np.max(np.abs(ctx.p_op - ctx.p_op.conj().T)) < 1e-14
+    _, _, q, p = quadratures(12)
+    assert np.max(np.abs(q - q.conj().T)) < 1e-14
+    assert np.max(np.abs(p - p.conj().T)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,8 @@ def test_vacuum_matrix_element_closed_form():
 @pytest.mark.parametrize("alpha", [1.0, 0.5 + 0.3j, 2.0 - 1.0j, -1.7j])
 def test_displacement_matches_matrix_exponential_oracle(alpha):
     ctx = wh.fock_space(64)
-    oracle = expm(alpha * ctx.raising - np.conj(alpha) * ctx.lowering)
+    a, ad, _, _ = quadratures(64)
+    oracle = expm(alpha * ad - np.conj(alpha) * a)
     ours = wh.displacement(alpha, ctx)
     blk = slice(0, 33)
     assert np.max(np.abs((oracle - ours)[blk, blk])) < 1e-8
