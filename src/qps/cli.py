@@ -157,24 +157,28 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the grid flags of the two reconstruction modes; --positions-only builds no grid
+_TOMOGRAPHY_GRID = {"radius": 5.0, "spacing": 0.4, "generator": "ground"}
+
+
 def cmd_tomography(args) -> int:
     from . import tomography as tom
-
-    ctx, grid, eta = _setup(args)
+    from . import wh_model as wh
 
     if args.positions_only:
-        projectors = [
-            np.diag((np.arange(args.dim) == i).astype(complex)) for i in range(args.dim)
-        ]
-        rep = tom.operator_family_rank(projectors)
-        report = {
-            "complete": rep.complete,
-            "rank": rep.gram_rank,
-            "required": rep.required,
-        }
+        for flag in _TOMOGRAPHY_GRID:
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--positions-only builds no grid and takes no --{flag}")
+        n_dim = wh.fock_space(args.dim).n_dim  # checks the dimension
+        rep = tom.operator_family_rank([np.diag(row) for row in np.eye(n_dim, dtype=complex)])
+        report = {"complete": rep.complete, "rank": rep.gram_rank, "required": rep.required}
         _emit(report, args)
         return 0
 
+    for flag, default in _TOMOGRAPHY_GRID.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+    ctx, grid, eta = _setup(args)
     if args.self_test is not None:  # the seed; 0 is a seed too
         rng = np.random.default_rng(args.self_test)
         rho = tom.random_density(rng, args.dim)
@@ -306,13 +310,13 @@ def cmd_admissibility(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_grid_flags(sub, dim, radius, spacing):
+def _add_grid_flags(sub, dim, radius, spacing, generator="ground"):
     sub.add_argument("--dim", type=int, default=dim, help="Fock truncation dimension")
     sub.add_argument("--radius", type=float, default=radius, help="grid disk radius")
     sub.add_argument("--spacing", type=float, default=spacing, help="grid lattice spacing")
     sub.add_argument(
         "--generator",
-        default="ground",
+        default=generator,
         help="resolution generator: ground, fock:n, squeezed:r",
     )
 
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = subs.add_parser("tomography", help="state reconstruction from grid probabilities")
-    _add_grid_flags(p, dim=4, radius=5.0, spacing=0.4)
+    _add_grid_flags(p, dim=4, radius=None, spacing=None, generator=None)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument(
         "--self-test", type=_seed, nargs="?", const=7, default=None, metavar="SEED",

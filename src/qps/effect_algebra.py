@@ -2,11 +2,11 @@
 
 An effect is a Hermitian matrix between 0 and the identity.  The partial
 operation a (+) b is defined exactly when a + b stays below the identity;
-with complement a' = 1 - a this satisfies the four effect-algebra axioms,
-which :func:`verify_axioms` exercises on random samples.  The symbols
-indexing quantized effects (functions into [0, 1]) carry the richer
-many-valued structure: truncated sum, negation, pointwise lattice, and
-two implication candidates.
+with complement a' = 1 - a this satisfies the four effect-algebra axioms.
+:func:`verify_axioms` samples associativity and the zero-one law; the other
+two are theorems for matrix effects.  The symbols indexing quantized
+effects (functions into [0, 1]) carry the richer many-valued structure:
+truncated sum, negation, pointwise lattice, and two implication candidates.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .transform import frame_operator
 from .wh_model import FockContext, PhaseGrid, low_block
 
 DEFINEDNESS_TOL = 1e-9
-# largest entrywise difference verify_axioms accepts between two equal sums
-AXIOM_ATOL = 1e-12
 # smallest max lambda (1 - lambda) projection_scan accepts as "not a projection"
 PROJECTION_GAP = 0.02
 
@@ -91,13 +89,22 @@ class AxiomReport:
 
 
 def verify_axioms(sampler, trials: int) -> AxiomReport:
-    """Randomized check of the four effect-algebra axioms.
+    """Randomized check of the effect-algebra axioms that rounding can break.
 
-    Per trial, three samples are drawn and the commutativity,
-    associativity (where the needed sums are defined), complement
-    uniqueness, and zero-one axioms are evaluated; each failure stores a
-    witness (up to five).  Samples that fail the effect gate raise
-    immediately: the axioms only speak about effects.
+    Per trial, three samples are drawn and associativity and the zero-one
+    axiom are evaluated; each failure stores a witness (up to five).
+    Samples that fail the effect gate raise immediately: the axioms only
+    speak about effects.
+
+    Commutativity and complement uniqueness are theorems here, so their
+    counts stay 0.  :func:`oplus` forms a + b, and IEEE addition is
+    commutative bit for bit.  In a + (1 - a) each off-diagonal entry sums
+    to exactly 0, and, as the gate bounds |a_ii| by 1 + 1e-9, each diagonal
+    one lies within 2.3e-16 of 1, far inside DEFINEDNESS_TOL.  Where both
+    bracketings of a + b + c are defined they differ by a few roundings of
+    entries near 1, so associativity compares definedness only: the gate
+    lets an eigenvalue of c reach -1e-9, so a (+) (b (+) c) can be defined
+    while a (+) b is not.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -118,31 +125,13 @@ def verify_axioms(sampler, trials: int) -> AxiomReport:
     for _ in range(trials):
         a, b, c = (gate(sampler()) for _ in range(3))
 
-        ab = oplus(a, b)
-        ba = oplus(b, a)
-        if (ab is None) != (ba is None):
-            record("commutativity", a, b)
-        elif ab is not None and np.max(np.abs(ab - ba)) > AXIOM_ATOL:
-            record("commutativity", a, b)
-
         bc = oplus(b, c)
-        if bc is not None:
-            a_bc = oplus(a, bc)
-            if a_bc is not None:
-                abc = None if ab is None else oplus(ab, c)
-                if abc is None:
-                    record("associativity", a, b, c)
-                elif np.max(np.abs(a_bc - abc)) > AXIOM_ATOL:
-                    record("associativity", a, b, c)
+        if bc is not None and oplus(a, bc) is not None:
+            ab = oplus(a, b)
+            if ab is None or oplus(ab, c) is None:
+                record("associativity", a, b, c)
 
-        comp = complement(a)
-        total = oplus(a, comp)
-        eye = np.eye(a.shape[0])
-        if total is None or np.max(np.abs(total - eye)) > 1e-9:
-            record("unique_complement", a)
-
-        with_one = oplus(a, eye)
-        if with_one is not None and np.linalg.norm(a, ord=2) > DEFINEDNESS_TOL:
+        if oplus(a, np.eye(len(a))) is not None and np.linalg.norm(a, ord=2) > DEFINEDNESS_TOL:
             record("zero_one", a)
 
     return AxiomReport(trials=trials, failures=failures, witnesses=witnesses)

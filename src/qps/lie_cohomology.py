@@ -23,6 +23,8 @@ from math import comb, lcm
 
 from . import rational_linalg as rla
 
+MAX_VIOLATIONS = 10
+
 
 @dataclass(frozen=True)
 class StructureConstants:
@@ -120,8 +122,8 @@ def _integer_table(sc: StructureConstants):
     return scale, by_target
 
 
-def validate_algebra(sc: StructureConstants, max_violations: int = 10) -> JacobiReport:
-    """Check the Jacobi identity exactly; list the first few failing quadruples.
+def validate_algebra(sc: StructureConstants) -> JacobiReport:
+    """Check the Jacobi identity exactly; list the first MAX_VIOLATIONS failing quadruples.
 
     Each double bracket is summed over the nonzero integer constants only.
     """
@@ -140,7 +142,7 @@ def validate_algebra(sc: StructureConstants, max_violations: int = 10) -> Jacobi
                     total[l] = total.get(l, 0) + v * w
         for l in sorted(l for l, t in total.items() if t):
             violations.append((i, j, k, l))
-            if len(violations) >= max_violations:
+            if len(violations) >= MAX_VIOLATIONS:
                 return JacobiReport(ok=False, violations=violations)
     return JacobiReport(ok=not violations, violations=violations)
 

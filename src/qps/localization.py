@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .transform import weighted_gram
-from .wh_model import FockContext, PhaseGrid, coherent_family
+from .wh_model import SQUARE_OVERFLOW, FockContext, PhaseGrid, coherent_family
 
 
 class BoundViolationError(ValueError):
@@ -59,7 +59,8 @@ class RegionSpec:
         """Membership of grid-point centers (all-in / all-out cells)."""
         if self.kind == "disk":
             radius, cq, cp = self.params
-            return (grid.q - cq) ** 2 + (grid.p - cp) ** 2 <= radius**2
+            r2 = radius**2 if radius < SQUARE_OVERFLOW else np.inf  # a disk that covers any grid
+            return (grid.q - cq) ** 2 + (grid.p - cp) ** 2 <= r2
         if self.kind == "rect":
             q0, q1, p0, p1 = self.params
             return (grid.q >= q0) & (grid.q <= q1) & (grid.p >= p0) & (grid.p <= p1)

@@ -22,6 +22,8 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammainc, gammaln
 
 SQRT2 = np.sqrt(2.0)
+# the least float whose square is not finite
+SQUARE_OVERFLOW = 2.0**512
 
 
 class TruncationWarning(UserWarning):
@@ -146,8 +148,8 @@ class PhaseGrid:
 
 def build_grid(radius: float, spacing: float) -> PhaseGrid:
     """Lattice of cell midpoints covering the disk q^2 + p^2 <= radius^2."""
-    if not 0 < radius < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not 0 < radius < SQUARE_OVERFLOW:
+        raise ValueError(f"radius must be positive and finite, with a finite square, got {radius}")
     if not 0 < spacing < radius:
         raise ValueError("need 0 < spacing < radius")
     half_cells = int(np.ceil(radius / spacing)) + 1

@@ -332,9 +332,12 @@ def test_spectrum_without_near_one_eigenvalue_writes_strict_json(tmp_path):
         (["spectrum", "--region", "disk:nan"], "disk radius must be positive and finite"),
         (["spectrum", "--region", "rect:nan,1,0,1"], "rect region needs q0 < q1"),
         (["spectrum", "--radius", "inf"], "radius must be positive and finite"),
+        (["transform", "--radius", "1e200"], "radius must be positive and finite, with a "
+                                             "finite square, got 1e+200"),
         (["admissibility", "--generator", "squeezed:nan"], "needs |r| <= 1.5"),
     ],
-    ids=["disk-negative", "disk-nan", "rect-nan", "radius-inf", "squeezed-nan"],
+    ids=["disk-negative", "disk-nan", "rect-nan", "radius-inf", "radius-square-overflow",
+         "squeezed-nan"],
 )
 def test_non_finite_or_negative_argument_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "report.json"
@@ -342,6 +345,17 @@ def test_non_finite_or_negative_argument_exit_2(tmp_path, capsys, argv, message)
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert not out.exists()
+
+
+def test_disk_with_overflowing_square_covers_the_grid(tmp_path):
+    grid = ["--dim", "8", "--radius", "4", "--spacing", "0.25"]
+    reports = []
+    for radius in ("1e200", "100"):
+        code, report, _ = run(tmp_path, "spectrum", *grid, "--region", f"disk:{radius}")
+        assert code == 0
+        assert report["config"].pop("region") == f"disk:{radius}"
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +403,19 @@ def test_tomography_positions_only(tmp_path):
     assert code == 0
     assert report["complete"] is False
     assert report["rank"] == 4
-    assert "seed" not in report["config"] and "self_test" not in report["config"]
+    # the report is a function of --dim alone, and no grid is built or recorded
+    assert sorted(report["config"]) == ["command", "dim", "out", "positions_only"]
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--radius", "5"), ("--spacing", "0.4"), ("--generator", "ground")]
+)
+def test_tomography_positions_only_takes_no_grid_flag_exit_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "report.json"
+    assert main(["tomography", "--positions-only", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --positions-only builds no grid and takes no {flag}\n"
+    assert not out.exists()
 
 
 def test_tomography_missing_csv_exit_1(tmp_path):
@@ -549,11 +575,6 @@ def test_admissibility_without_trials_exit_2(tmp_path, capsys, trials):
     assert not out.exists()
 
 
-def test_csv_format_without_artifact_exit_2(tmp_path):
-    out = tmp_path / "x.csv"
-    assert main(["admissibility", "--out", str(out), "--format", "csv"]) == 2
-
-
 @pytest.mark.parametrize("seed", ["-1", "1.5"])
 @pytest.mark.parametrize(
     "command",
@@ -588,7 +609,7 @@ def test_format_flag_only_where_a_table_exists(tmp_path, capsys, command):
     "argv,size",
     [
         (["spectrum", "--dim", "10000000"], "2.33 TiB"),
-        (["spectrum", "--radius", "1e308", "--spacing", "1e296"], "14.6 TiB"),
+        (["spectrum", "--radius", "1e100", "--spacing", "1e88"], "14.6 TiB"),
     ],
     ids=["dim", "grid"],
 )
@@ -718,7 +739,9 @@ def test_samples_csv_written_with_17_digits(tmp_path, ctx24, grid_ref, eta24):
 # argv fuzz: every run exits 0 with strict JSON, or 1 or 2 with one line
 # ---------------------------------------------------------------------------
 
-HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1/0", "", "abc", "1e309", "-0.5", "0.3", "1", "2"]
+# 1e200 is finite but its square is not
+HOSTILE = ["1e200", "nan", "inf", "-inf", "-1", "0", "1/0", "", "abc", "1e309", "-0.5", "0.3",
+           "1", "2"]
 _hostile = st.sampled_from(HOSTILE)
 
 
@@ -779,6 +802,8 @@ _PINNED = {
     ("cohomology", "h3"): 0,
     ("cohomology", "so3", "--omega", "1,0,0"): 0,
     ("cohomology", "h3", "--omega", ""): 2,
+    ("transform", "--radius", "1e200", "--spacing", "1e199"): 2,
+    ("admissibility",): 0,
 }
 
 

@@ -59,10 +59,27 @@ def test_quantized_indicator_is_an_effect(ctx32, grid_ref, eta32):
 
 
 def test_effect_plus_complement_is_identity():
-    a = ea.effect_sampler(5, seed=3)()
-    total = ea.oplus(a, ea.complement(a))
-    assert total is not None
-    assert np.max(np.abs(total - np.eye(5))) < 1e-12
+    # why verify_axioms does not sample the complement law: off the diagonal
+    # a + (0 - a) is exactly 0, and on it the sum is 1 to within a rounding
+    for n in range(2, 13):
+        sample = ea.effect_sampler(n, seed=n)
+        for _ in range(200):
+            a = sample()
+            total = ea.oplus(a, ea.complement(a))
+            assert total is not None
+            assert np.max(np.abs(total - np.eye(n))) <= 4 * np.finfo(float).eps
+
+
+def test_oplus_is_commutative_bit_for_bit():
+    # why verify_axioms does not sample commutativity: IEEE addition commutes
+    for n in range(2, 13):
+        sample = ea.effect_sampler(n, seed=n)
+        for _ in range(100):
+            a, b = sample(), sample()
+            for x, y in ((a, b), (a / 2, b / 2)):  # the halves always have a sum
+                xy, yx = ea.oplus(x, y), ea.oplus(y, x)
+                assert (xy is None) == (yx is None)
+                assert xy is None or np.array_equal(xy, yx)
 
 
 def test_oversized_sum_is_undefined():
@@ -130,6 +147,20 @@ def test_trivial_sampler_exercises_zero_one_axiom():
 
     report = ea.verify_axioms(sampler, 50)
     assert report.total_failures == 0
+
+
+def test_associativity_counter_fires_at_the_gate_tolerance():
+    # c's eigenvalue -1e-9 passes the gate, so a (+) (b (+) c) has a sum while a (+) b has none
+    a, b, c = np.diag([0.6, 0.0]), np.diag([0.4 + 1.5e-9, 0.0]), np.diag([-1e-9, 0.0])
+    assert all(ea.is_effect(m).ok for m in (a, b, c))
+    samples = iter([a, b, c])
+    report = ea.verify_axioms(lambda: next(samples), 1)
+    assert report.failures == {
+        "commutativity": 0, "associativity": 1, "unique_complement": 0, "zero_one": 0,
+    }
+    [witness] = report.witnesses
+    assert witness["axiom"] == "associativity"
+    assert all(np.array_equal(got, want) for got, want in zip(witness["operators"], (a, b, c)))
 
 
 def test_adversarial_sampler_rejected_by_gate():

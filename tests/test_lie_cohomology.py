@@ -117,10 +117,10 @@ def _bracket_tables(draw):
 
 
 @settings(deadline=None)
-@given(sc=_bracket_tables(), max_violations=st.integers(1, 300))
-def test_sparse_engine_matches_dense_references(sc, max_violations):
-    report = lc.validate_algebra(sc, max_violations=max_violations)
-    assert report.violations == _dense_jacobi(sc, max_violations)
+@given(sc=_bracket_tables())
+def test_sparse_engine_matches_dense_references(sc):
+    report = lc.validate_algebra(sc)
+    assert report.violations == _dense_jacobi(sc, lc.MAX_VIOLATIONS)
     assert report.ok == (not report.violations)
     d1, d2 = _dense_coboundary1(sc), _dense_coboundary2(sc)
     n_pairs = len(lc.pair_basis(sc.dim))

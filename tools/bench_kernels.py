@@ -29,7 +29,8 @@ Effect axioms: it times ``effect_algebra.verify_axioms`` on the
 ``perfbench.inputs.effects`` with seed 1, N 6, 100 trials) and on
 ``effect_sampler(6, seed=1)`` over 1,000 trials, the ``qps effects``
 default, sampling included.  Next to each time it records the failure
-count of each axiom, which reads 0 on a correct effect algebra.
+count of each axiom, which reads 0 on a correct effect algebra, and the
+number of ``numpy.linalg.eigvalsh`` calls one run makes.
 
 Every kernel runs once to warm up and then ``REPEATS`` times; each row
 holds the median and quartiles.  Run from the repository root; the JSON
@@ -48,6 +49,7 @@ import platform
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import scipy
@@ -217,9 +219,11 @@ def bench_axioms() -> list:
     rows = []
     for name, (sampler, trials) in runs.items():
         timing, rep = _timed(lambda: ea.verify_axioms(sampler(), trials))
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            ea.verify_axioms(sampler(), trials)
         rows.append({"kernel": "effect_algebra.verify_axioms", "input": name, "N": 6,
-                     "trials": trials, **timing, "failures": rep.failures,
-                     "total_failures": rep.total_failures})
+                     "trials": trials, **timing, "eigvalsh_calls": eigvalsh.call_count,
+                     "failures": rep.failures, "total_failures": rep.total_failures})
     return rows
 
 
@@ -236,7 +240,8 @@ def main(argv=None) -> int:
             check = f"beta_max_deviation {row['beta_max_deviation']:.3e} digest {row['values_digest']}"
         elif "input" in row:
             label = f"{'axioms':>10} {row['input'][:18]:>18}"
-            check = f"trials {row['trials']} failures {row['total_failures']}"
+            check = (f"trials {row['trials']} eigvalsh {row['eigvalsh_calls']} "
+                     f"failures {row['total_failures']}")
         elif "grid" in row:
             label = f"{row['grid']:>10} {row['generator']:>12}"
             check = f"max|diff| {row['max_abs_diff_closed_form']:.1e}"
