@@ -2,7 +2,8 @@
 
 An effect is a Hermitian matrix between 0 and the identity.  The partial
 operation a (+) b is defined exactly when a + b stays below the identity;
-with complement a' = 1 - a this satisfies the four effect-algebra axioms.
+with the complement a' = 1 - a, which callers form as ``np.eye(n) - a``,
+this satisfies the four effect-algebra axioms.
 :func:`verify_axioms` samples associativity and the zero-one law; the other
 two are theorems for matrix effects.  The symbols indexing quantized
 effects (functions into [0, 1]) carry the richer many-valued structure:
@@ -55,11 +56,6 @@ def oplus(a, b):
     if np.linalg.eigvalsh(total)[-1] > 1.0 + DEFINEDNESS_TOL:
         return None
     return total
-
-
-def complement(a) -> np.ndarray:
-    """1 - a, the unique effect summing with the effect a (see :func:`is_effect`) to 1."""
-    return np.eye(len(a), dtype=complex) - np.asarray(a, dtype=complex)
 
 
 def effect_sampler(n_dim: int, seed: int):

@@ -88,13 +88,14 @@ def symbol_values(f, grid: PhaseGrid) -> np.ndarray:
 def quantize(f, eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     """A(f) = sum_k mu_k f(x_k) |u_k><u_k|; Hermitian by construction.
 
-    Only the grid points where f is nonzero enter the sum, so an
-    indicator costs the rows of its region.
+    Only the grid points where f is nonzero enter the sum, and only their
+    rows of the coherent family are built, so an indicator costs the rows
+    of its region.
     """
     vals = symbol_values(f, grid)
     rows = np.flatnonzero(vals)
-    fam = coherent_family(eta, grid, ctx)
-    return weighted_gram(fam[rows], grid.weights[rows] * vals[rows])
+    fam = coherent_family(eta, grid, ctx, rows=rows)
+    return weighted_gram(fam, grid.weights[rows] * vals[rows])
 
 
 @dataclass

@@ -131,8 +131,8 @@ def orthogonality_check(
     v2 = np.asarray(eta2, dtype=complex)
     phi1 = np.asarray(phi1, dtype=complex)
     phi2 = np.asarray(phi2, dtype=complex)
-    # eta1's family first: the grid keeps only its latest family, so
-    # eta2's build comes after every use of eta1's
+    # eta1's family first: the grid keeps the family of its latest
+    # generator only, so eta2's build comes after every use of eta1's
     integral = float(np.sum(grid.weights * autocorrelation_integrand(v1, grid, ctx)))
     d_used = float(np.linalg.norm(v1) ** 4 / integral)
     f1 = coherent_family(v1, grid, ctx).conj() @ phi1

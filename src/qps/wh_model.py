@@ -66,6 +66,12 @@ def _radial(x, m, n):
     lo = np.minimum(m, n)
     hi = np.maximum(m, n)
     radial = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)) - x / 2.0)
+    if not radial.all():
+        # Where the exponential is 0 (x past about 1490 at N = 32, or lo! << hi!
+        # past N of about 1000) the Laguerre factor can overflow, and 0 * inf is
+        # NaN; it is taken as L_0(0) = 1 there, so the product is 0.
+        zero = radial == 0
+        lo, x = np.where(zero, 0, lo), np.where(zero, 0.0, x)
     return radial * eval_genlaguerre(lo, hi - lo, x)
 
 
@@ -120,7 +126,7 @@ class PhaseGrid:
     iq: np.ndarray = field(repr=False)
     ip: np.ndarray = field(repr=False)
     _index: dict | None = field(default=None, init=False, repr=False)
-    # (key, family) of the most recent coherent_family call on this grid
+    # (key, family, built-row mask) of the most recent generator and N on this grid
     _family: tuple | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
@@ -204,18 +210,78 @@ def resolution_generator(kind: str, ctx: FockContext, *, n: int | None = None, r
     return vec
 
 
-def coherent_family(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
+def _fill_rows(vec, grid: PhaseGrid, fam: np.ndarray, todo: np.ndarray) -> None:
+    """Add D(alpha_k) vec into the zero rows fam[k] for k in ``todo`` (sorted, distinct).
+
+    Each entry of a support column of vec is a radial factor of |alpha|^2
+    times a power of alpha (on and below the diagonal) or of -conj(alpha)
+    (above it).  The radial factors are evaluated once per distinct
+    |alpha|^2 among the rows, and the powers once per row block for all
+    columns, so a column costs a gather and a product per entry.
+    """
+    n_dim = len(vec)
+    support = np.nonzero(np.abs(vec) > 0)[0]
+    if not (support.size and todo.size):
+        return
+    alpha = grid.alpha
+    # |alpha|^2 over the whole grid, then its rows: the bits cannot depend on the row set
+    x = (np.abs(alpha) ** 2)[todo]
+    alpha = alpha[todo]
+    # alpha**(N - 1) must stay below half the largest float
+    max_alpha = (np.finfo(float).max / 2) ** (1.0 / (n_dim - 1))
+    top_alpha = np.sqrt(x.max())
+    if top_alpha > max_alpha:
+        raise ValueError(
+            f"grid point at radius {SQRT2 * top_alpha:.3g} overflows alpha**{n_dim - 1}; "
+            f"N = {n_dim} allows grid radii up to {SQRT2 * max_alpha:.3g}"
+        )
+    # symmetric lattices repeat each radius, often many times over
+    xs, radius_index = np.unique(x, return_inverse=True)
+    # One radial table is len(xs) x N floats; the columns are taken in
+    # chunks whose tables fit in _RADIAL_BYTES together, so a wide
+    # support does not hold all of them at once.
+    chunk = max(1, _RADIAL_BYTES // (8 * xs.size * n_dim))
+    # Row blocks of about 128 KiB of complex entries: temporaries that
+    # small are reused from the heap, while whole-grid ones are mapped and
+    # faulted in afresh on every call.  Every entry still sums its columns
+    # in support order, so it depends on neither blocking.
+    block = max(1, 2**17 // (16 * n_dim))
+    for first in range(0, support.size, chunk):
+        cols = support[first : first + chunk]
+        radials = [_radial(xs[:, None], np.arange(n_dim)[None, :], n0) for n0 in cols]
+        top = cols[-1]
+        up_exps = np.arange(n_dim - cols[0])
+        down_exps = np.arange(top, 0, -1)
+        for start in range(0, todo.size, block):
+            part = slice(start, start + block)
+            dest = todo[part]
+            if dest[-1] - dest[0] == dest.size - 1:
+                dest = slice(dest[0], dest[-1] + 1)  # a run of rows: write through a view
+            alphas = alpha[part, None]
+            # column top + e holds the power that <m|D|n0> takes for
+            # m - n0 = e: (-conj alpha)^-e above the diagonal, alpha^e on
+            # and below it
+            powers = np.concatenate([(-np.conj(alphas)) ** down_exps, alphas**up_exps], axis=1)
+            block_radii = radius_index[part]
+            for n0, radial in zip(cols, radials):
+                amp = powers[:, top - n0 : top - n0 + n_dim]
+                fam[dest] += vec[n0] * (radial.take(block_radii, axis=0) * amp)
+
+
+def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.ndarray:
     """Row k holds D(alpha_k) eta: the displaced-generator family over the grid.
 
-    Only the columns where eta has support are evaluated.  Each entry of
-    such a column is a radial factor of |alpha|^2 times a power of alpha
-    (on and below the diagonal) or of -conj(alpha) (above it).  The radial
-    factors are evaluated once per distinct |alpha|^2 of the grid, and the
-    powers once per row block for all columns, so a column costs a gather
-    and a product per entry.  The grid keeps the most recent family (K x N
-    complex entries), keyed by N and the bytes of eta: a repeat call
-    returns that same array, read-only, and a call with another key
-    replaces it.
+    Rows are built from the closed form (see :func:`_fill_rows`), only
+    the requested ones, and each at most once per grid and generator: the
+    grid keeps the family of the most recent generator and N (K x N
+    complex entries, pages that no row reached are never touched) and the
+    mask of its built rows.  A call with another N or eta starts a new
+    family.  With ``rows`` (indices or a mask into the grid) the call
+    builds the requested rows it lacks and returns family[rows], a
+    read-only copy; without, it completes the family and returns the
+    stored array itself, read-only.  Either way an array once returned
+    never changes.  Raises ``ValueError`` if a row to build lies so far
+    out that alpha**(N - 1) would overflow.
     """
     vec = np.asarray(eta, dtype=complex)
     n_dim = ctx.n_dim
@@ -223,44 +289,25 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
         raise ValueError(f"generator has dim {vec.shape}, context has {n_dim}")
     key = (n_dim, vec.tobytes())
     stored = grid._family
-    if stored is not None and stored[0] == key:
-        return stored[1]
-    fam = np.zeros((len(grid), n_dim), dtype=complex)
-    support = np.nonzero(np.abs(vec) > 0)[0]
-    if support.size:
-        alphas = grid.alpha[:, None]
-        # symmetric lattices repeat each radius, often many times over
-        xs, radius_index = np.unique(np.abs(grid.alpha) ** 2, return_inverse=True)
-        # One radial table is len(xs) x N floats; the columns are taken in
-        # chunks whose tables fit in _RADIAL_BYTES together, so a wide
-        # support does not hold all of them at once.
-        chunk = max(1, _RADIAL_BYTES // (8 * xs.size * n_dim))
-        # Row blocks of about 128 KiB of complex entries: temporaries that
-        # small are reused from the heap, while whole-grid ones are mapped and
-        # faulted in afresh on every call.  Every entry still sums its columns
-        # in support order, so it depends on neither blocking.
-        block = max(1, 2**17 // (16 * n_dim))
-        for first in range(0, support.size, chunk):
-            cols = support[first : first + chunk]
-            radials = [_radial(xs[:, None], np.arange(n_dim)[None, :], n0) for n0 in cols]
-            top = cols[-1]
-            up_exps = np.arange(n_dim - cols[0])
-            down_exps = np.arange(top, 0, -1)
-            for start in range(0, len(grid), block):
-                rows = slice(start, start + block)
-                # column top + e holds the power that <m|D|n0> takes for
-                # m - n0 = e: (-conj alpha)^-e above the diagonal, alpha^e on
-                # and below it
-                powers = np.concatenate(
-                    [(-np.conj(alphas[rows])) ** down_exps, alphas[rows] ** up_exps], axis=1
-                )
-                block_radii = radius_index[rows]
-                for n0, radial in zip(cols, radials):
-                    amp = powers[:, top - n0 : top - n0 + n_dim]
-                    fam[rows] += vec[n0] * (radial.take(block_radii, axis=0) * amp)
-    fam.flags.writeable = False
-    grid._family = (key, fam)
-    return fam
+    if stored is None or stored[0] != key:
+        stored = (key, np.zeros((len(grid), n_dim), dtype=complex), np.zeros(len(grid), dtype=bool))
+        grid._family = stored
+    _, fam, built = stored
+    if rows is None:
+        if fam.flags.writeable:  # not complete yet
+            _fill_rows(vec, grid, fam, np.flatnonzero(~built))
+            built[:] = True
+            fam.flags.writeable = False
+        return fam
+    wanted = np.zeros(len(grid), dtype=bool)
+    wanted[rows] = True
+    todo = np.flatnonzero(wanted & ~built)
+    if todo.size:
+        _fill_rows(vec, grid, fam, todo)
+        built[todo] = True
+    out = fam[rows]
+    out.flags.writeable = False
+    return out
 
 
 def autocorrelation_integrand(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:

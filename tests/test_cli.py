@@ -306,6 +306,48 @@ def test_spectrum_computes_its_spectrum_once(tmp_path, monkeypatch):
     assert report["capacity_count"] == 3
 
 
+def test_spectrum_builds_only_the_rows_inside_the_disk(tmp_path, monkeypatch):
+    grids = []
+    build = wh.build_grid
+
+    def captured(*args, **kwargs):
+        grids.append(build(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(wh, "build_grid", captured)
+    code, _, _ = run(tmp_path, "spectrum", "--region", "disk:1")
+    assert code == 0
+    (grid,) = grids
+    inside = loc.RegionSpec.disk(1.0).mask(grid)
+    assert 0 < inside.sum() < len(grid) / 40
+    assert np.array_equal(grid._family[2], inside)
+
+
+def test_overflowing_grid_radius_exit_2_with_one_line():
+    # alpha**31 overflows on this grid; it used to print three RuntimeWarnings
+    # and fail with "Eigenvalues did not converge"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qps.cli", "spectrum", "--radius", "2e10", "--spacing", "1e9",
+         "--region", "disk:2e10"],
+        env=cli_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "allows grid radii up to 1.21e+10" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_far_squeezed_spectrum_is_zero_without_overflow(tmp_path):
+    # the Laguerre factor overflows out here, against an exponential of 0
+    with np.errstate(over="raise", invalid="raise"):
+        code, report, _ = run(
+            tmp_path, "spectrum", "--generator", "squeezed:0.8", "--radius", "1e6",
+            "--spacing", "1e5", "--region", "disk:1e6",
+        )
+    assert code == 0
+    assert report["trace"] == 0.0 and report["near_zero"] == 32
+
+
 def test_spectrum_bad_region_exit_2(tmp_path):
     assert main(["spectrum", "--region", "triangle:1"]) == 2
 

@@ -402,6 +402,85 @@ def test_family_in_column_chunks_is_exactly_the_closed_form(monkeypatch, name, c
     assert np.array_equal(wh.coherent_family(vec, grid, ctx), _per_column_sum(vec, grid, 24))
 
 
+@pytest.mark.parametrize("name", ["ground", "squeezed:0.8", "full"])
+def test_family_built_in_pieces_is_the_one_shot_family(monkeypatch, name):
+    grid = wh.build_grid(5.0, 0.18)
+    ctx = wh.fock_space(24)
+    distinct = np.unique(np.abs(grid.alpha) ** 2).size
+    monkeypatch.setattr(wh, "_RADIAL_BYTES", 5 * 8 * distinct * 24)
+    vec = _exactness_generator(name, ctx)
+    one_shot = wh.coherent_family(vec, wh.build_grid(5.0, 0.18), ctx)
+    assert np.array_equal(one_shot, _per_column_sum(vec, grid, 24))
+    # two overlapping row sets, in no particular order, then the rest of the grid
+    disk = np.flatnonzero(np.hypot(grid.q, grid.p) <= 2.5)
+    band = np.flatnonzero(np.abs(grid.q - 1.0) <= 1.2)[::-1]
+    pieces = [(rows, wh.coherent_family(vec, grid, ctx, rows=rows)) for rows in (disk, band)]
+    kept = [piece.copy() for _, piece in pieces]
+    whole = wh.coherent_family(vec, grid, ctx)
+    assert np.array_equal(whole, one_shot)
+    for (rows, piece), before in zip(pieces, kept):
+        assert not piece.flags.writeable
+        assert np.array_equal(piece, one_shot[rows])
+        assert np.array_equal(piece, before)
+
+
+def test_family_rows_are_built_once_and_only_where_asked():
+    grid = wh.build_grid(5.0, 0.4)
+    ctx = wh.fock_space(12)
+    vec = random_low_block(np.random.default_rng(5), 12, 4)
+    inner = np.hypot(grid.q, grid.p) <= 2.0
+    wh.coherent_family(vec, grid, ctx, rows=inner)
+    assert np.array_equal(grid._family[2], inner)
+    fam = grid._family[1]
+    assert not fam[~inner].any()
+    wh.coherent_family(vec, grid, ctx, rows=np.flatnonzero(inner)[:5])
+    assert grid._family[1] is fam and np.array_equal(grid._family[2], inner)
+
+
+def test_new_generator_or_dimension_resets_the_built_rows():
+    grid = wh.build_grid(5.0, 0.4)
+    rows = np.arange(0, len(grid), 7)[:3]
+    held = []
+    for n_dim, name in ((12, "ground"), (12, "low"), (16, "low")):
+        ctx = wh.fock_space(n_dim)
+        vec = _exactness_generator(name, ctx)
+        wh.coherent_family(vec, grid, ctx, rows=rows)
+        assert np.flatnonzero(grid._family[2]).tolist() == rows.tolist()
+        whole = wh.coherent_family(vec, grid, ctx)
+        assert np.array_equal(whole, _per_column_sum(vec, grid, n_dim))
+        held.append((whole, whole.copy()))
+    for whole, before in held:
+        assert not whole.flags.writeable
+        assert np.array_equal(whole, before)
+
+
+def test_overflowing_power_names_the_largest_radius():
+    # alpha**31 overflows past |alpha| = 8.6e9, a grid radius of 1.21e10 at N = 32
+    grid = wh.build_grid(2e10, 1e9)
+    ctx = wh.fock_space(32)
+    vec = wh.resolution_generator("ground", ctx)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(ValueError, match=r"N = 32 allows grid radii up to 1\.21e\+10"):
+            wh.coherent_family(vec, grid, ctx)
+        assert grid._family[2].sum() == 0
+        # only the rows to build are checked
+        near = np.flatnonzero(np.hypot(grid.q, grid.p) <= 1e10)
+        assert not wh.coherent_family(vec, grid, ctx, rows=near).any()
+
+
+def test_radial_factor_is_zero_where_its_exponential_underflows():
+    # L_31(1e12) overflows; the factor it multiplies is exp(-5e11) = 0
+    x = np.array([1e3, 1e12, 1e300])
+    with np.errstate(over="raise", invalid="raise"):
+        radial = wh._radial(x[:, None], np.arange(32)[None, :], 31)
+    assert np.all(radial[1:] == 0) and np.all(np.isfinite(radial))
+    assert np.array_equal(radial[0], wh._radial(1e3, np.arange(32), 31))
+    # at N = 1100, sqrt(lo!/hi!) is 0 where L_lo^(hi-lo)(0) = binom(hi, lo) overflows
+    with np.errstate(over="raise", invalid="raise"):
+        wide = wh._radial(0.5, np.arange(1100), 550)
+    assert np.all(np.isfinite(wide)) and wide[0] == 0 and wide[550] != 0
+
+
 def test_symbol_on_some_radii_quantizes_exactly_from_the_closed_form():
     from qps import localization as loc
     from qps.transform import weighted_gram

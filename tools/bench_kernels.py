@@ -1,6 +1,6 @@
 """Per-kernel bench of the coherent family build, the admissibility check,
-the exact cohomology kernels and the effect-algebra axiom check, each time
-with a paired accuracy figure.
+the exact cohomology kernels, the effect-algebra axiom check and
+``qps spectrum``, each time with a paired accuracy figure.
 
 Coherent family: for each generator (ground, fock:3, squeezed:0.5 and a
 9-column low-block vector) on two grids (the ``roundtrips`` orthogonality
@@ -9,6 +9,11 @@ it times ``wh_model.coherent_family`` on a fresh grid.  Next to each time
 it records the largest |difference| between the family and the closed
 form summed column by column over the whole grid
 (``_displacement_elements``); an exact build reads 0.
+
+Family rows: on the ``spectra`` frame it times the ground family's rows
+in the ``disk:3`` region (``coherent_family(..., rows=...)``, what
+``localization.quantize`` asks for) on a fresh grid, against the whole
+grid, next to the same closed-form difference over those rows.
 
 Admissibility: for ground, fock:3 and squeezed:0.5 on the ``roundtrips``
 orthogonality grid (N 24, K 4,344), family already stored, it times
@@ -32,6 +37,11 @@ default, sampling included.  Next to each time it records the failure
 count of each axiom, which reads 0 on a correct effect algebra, and the
 number of ``numpy.linalg.eigvalsh`` calls one run makes.
 
+CLI: it times ``qps spectrum`` in process at its defaults (``disk:3``) and
+on the half plane ``rect:0,inf,-inf,inf``, the JSON report going to a
+buffer.  Next to each time it records a digest of the report, which two
+trees must share.
+
 Every kernel runs once to warm up and then ``REPEATS`` times; each row
 holds the median and quartiles.  Run from the repository root; the JSON
 goes to ``--out``::
@@ -42,7 +52,9 @@ goes to ``--out``::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -58,8 +70,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import inputs  # noqa: E402
+from qps import cli  # noqa: E402
 from qps import effect_algebra as ea  # noqa: E402
 from qps import lie_cohomology as lc  # noqa: E402
+from qps import localization as loc  # noqa: E402
 from qps import wh_model as wh  # noqa: E402
 
 REPEATS = 9
@@ -183,6 +197,44 @@ def bench_family() -> list:
     return rows
 
 
+def bench_family_rows() -> list:
+    radius, spacing, n_dim = GRIDS["spectra"]
+    ctx = wh.fock_space(n_dim)
+    vec = wh.resolution_generator("ground", ctx)
+    probe = wh.build_grid(radius, spacing)
+    sets = {"disk:3": np.flatnonzero(loc.RegionSpec.disk(3.0).mask(probe)), "whole grid": None}
+    expected = _closed_form(vec, probe, n_dim)
+    rows = []
+    for name, row_set in sets.items():
+        times = []
+        for _ in range(REPEATS + 1):
+            grid = wh.build_grid(radius, spacing)
+            start = time.perf_counter()
+            fam = wh.coherent_family(vec, grid, ctx, rows=row_set)
+            times.append(time.perf_counter() - start)
+        ref = expected if row_set is None else expected[row_set]
+        rows.append({"kernel": "wh_model.coherent_family", "grid": "spectra", "K": len(probe), "N": n_dim,
+                     "generator": "ground", "rows": name, "rows_built": len(fam), **_stats(times),
+                     "max_abs_diff_closed_form": float(np.max(np.abs(fam - ref)))})
+    return rows
+
+
+def bench_cli_spectrum() -> list:
+    rows = []
+    for region in ("disk:3", "rect:0,inf,-inf,inf"):
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = cli.main(["spectrum", "--region", region])
+            if code != 0:
+                raise RuntimeError(f"qps spectrum --region {region} exited {code}")
+            return out.getvalue()
+
+        timing, report = _timed(run)
+        rows.append({"kernel": "cli.spectrum", "region": region, **timing,
+                     "report_digest": _digest(report)})
+    return rows
+
+
 def bench_admissibility() -> list:
     radius, spacing, n_dim = GRIDS["roundtrips"]
     ctx = wh.fock_space(n_dim)
@@ -231,7 +283,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON record")
     args = parser.parse_args(argv)
-    kernels = bench_family() + bench_admissibility() + bench_cohomology() + bench_axioms()
+    kernels = (bench_family() + bench_family_rows() + bench_admissibility() + bench_cohomology()
+               + bench_axioms() + bench_cli_spectrum())
     record = {"machine": _machine(), "kernels": kernels}
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for row in record["kernels"]:
@@ -242,8 +295,11 @@ def main(argv=None) -> int:
             label = f"{'axioms':>10} {row['input'][:18]:>18}"
             check = (f"trials {row['trials']} eigvalsh {row['eigvalsh_calls']} "
                      f"failures {row['total_failures']}")
+        elif "report_digest" in row:
+            label = f"{'spectrum':>10} {row['region'][:18]:>18}"
+            check = f"digest {row['report_digest']}"
         elif "grid" in row:
-            label = f"{row['grid']:>10} {row['generator']:>12}"
+            label = f"{row['grid']:>10} {row['generator']:>12} {row.get('rows', '')}"
             check = f"max|diff| {row['max_abs_diff_closed_form']:.1e}"
         else:
             label = f"{row['algebra']:>10} {row['kernel'].split('.')[1]:>18}"
