@@ -2,6 +2,17 @@
 
 Floats are printed with 17 significant digits ('.' decimal point) so CSV
 round trips are exact and repeated runs produce byte-identical files.
+
+The CSV code works on whole columns, not rows.  A writer formats each
+distinct bit pattern of a column once and gathers the strings back by
+position, so the lattice columns q and p and the constant weight column
+cost a few dozen formats, not one per grid point.  Deduplication is on
+the 64-bit pattern, not on float equality, so -0.0 and 0.0 keep their
+own text.  The reader tokenizes with ``csv`` and converts the q, p and
+value columns with ``float`` a chunk of rows at a time, so it holds
+little text at once, then runs every row check as an array operation;
+when several rows are faulty it reports the first in file order, as a
+row-by-row reader would.
 """
 
 from __future__ import annotations
@@ -24,13 +35,19 @@ def write_json(obj, path=None) -> None:
             fh.write(text)
 
 
+def _column_text(column) -> list:
+    """``"{:.17g}"`` of each entry, formatting each distinct bit pattern once."""
+    bits = np.ascontiguousarray(column, dtype=float).view(np.int64)
+    patterns, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([f"{x:.17g}" for x in patterns.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def _write_columns(path, header, columns) -> None:
     """One CSV row per entry of the equal-length ``columns``, floats to 17 digits."""
-    row = ",".join(["{:.17g}"] * len(columns))
-    fields = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    lines = [",".join(header)] + [row.format(*f) for f in fields]
+    rows = map(",".join, zip(*(_column_text(c) for c in columns)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *rows]) + "\n")
 
 
 def write_samples_csv(samples, path) -> None:
@@ -49,47 +66,123 @@ def write_values_csv(values, grid, path) -> None:
     _write_columns(path, ["q", "p", "value", "weight"], [grid.q, grid.p, values, grid.weights])
 
 
+def _number(text: str):
+    """``float(text)``, or None where float refuses it or reads digit grouping ('1_0')."""
+    if "_" in text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _parse_column(texts: list):
+    """The floats of ``texts`` (NaN where not a number) and the mask of non-numbers."""
+    if "_" not in "".join(texts):
+        try:
+            return np.fromiter(map(float, texts), float, len(texts)), np.zeros(len(texts), bool)
+        except ValueError:
+            pass
+    numbers = [_number(t) for t in texts]
+    bad = np.array([x is None for x in numbers], dtype=bool)
+    return np.array([math.nan if x is None else x for x in numbers], dtype=float), bad
+
+
+# rows tokenized before they are converted to floats, which bounds the text held at once
+_CHUNK_ROWS = 1024
+
+
+def _parse_rows(rows: list, columns: list):
+    """(len(rows), 3) floats of the q, p and value ``columns``, the mask of rows
+    without numbers in them, and the text of the first non-finite value."""
+    parsed = [_parse_column([row[c] if c < len(row) else "" for row in rows]) for c in columns]
+    numbers = np.column_stack([x for x, _ in parsed])
+    bad = parsed[0][1] | parsed[1][1] | parsed[2][1]
+    non_finite = np.flatnonzero(~(bad | np.isfinite(numbers[:, 2])))
+    text = rows[non_finite[0]][columns[2]] if len(non_finite) else None
+    return numbers, bad, text
+
+
+def _off_lattice(x, index, spacing) -> np.ndarray:
+    """Where coordinate ``x`` is not finite or misses its lattice site ``index``.
+
+    A finite ``x`` whose index overflows to infinity is left to the grid
+    lookup, which finds it outside the grid.
+    """
+    miss = np.abs((index + 0.5) * spacing - x) > 1e-9 * np.maximum(1.0, np.abs(x))
+    return ~np.isfinite(x) | (np.isfinite(index) & miss)
+
+
 def read_values_csv(path, grid) -> np.ndarray:
     """Read q,p,value rows and align them to the grid by lattice position.
 
     Every grid point must be covered exactly once, by a finite value: a
     point listed twice, a missing point, a point that does not snap to the
-    lattice and a NaN or infinite value are errors.
+    lattice and a NaN or infinite value are errors, and so are a header
+    that names q, p or value twice and a number written with digit
+    grouping ('1_0').  Of several faulty rows the first in the file is
+    reported; a non-finite value is reported only when no row has
+    another fault.
     """
-    values = np.full(len(grid), np.nan)
-    seen = np.zeros(len(grid), dtype=bool)
-    non_finite = None
+    rows, lines, chunks = [], [], []
+    deferred = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"q", "p", "value"} <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not {"q", "p", "value"} <= set(header):
             raise ValueError(f"{path}: expected columns q,p,value")
-        for row in reader:
-            try:
-                q, p, v = float(row["q"]), float(row["p"]), float(row["value"])
-            except (TypeError, ValueError):  # a short row reads None
-                raise ValueError(
-                    f"{path}: line {reader.line_num} needs numbers in q, p and value"
-                ) from None
-            if not (math.isfinite(q) and math.isfinite(p)):
-                raise ValueError(f"{path}: point ({q},{p}) is not on the grid lattice")
-            iq = round(q / grid.spacing - 0.5)
-            ip = round(p / grid.spacing - 0.5)
-            if abs((iq + 0.5) * grid.spacing - q) > 1e-9 * max(1.0, abs(q)) or abs(
-                (ip + 0.5) * grid.spacing - p
-            ) > 1e-9 * max(1.0, abs(p)):
-                raise ValueError(f"{path}: point ({q},{p}) is not on the grid lattice")
-            k = grid.lookup(int(iq), int(ip))
-            if k is None:
-                raise ValueError(f"{path}: point ({q},{p}) lies outside the grid")
-            if seen[k]:
-                raise ValueError(f"{path}: point ({q},{p}) is listed more than once")
-            seen[k] = True
-            values[k] = v
-            if non_finite is None and not math.isfinite(v):
-                non_finite = (q, p, row["value"])
-    if non_finite is not None:
-        q, p, text = non_finite
-        raise ValueError(f"{path}: point ({q},{p}) has value {text!r}, which is not finite")
+        for name in ("q", "p", "value"):
+            if header.count(name) > 1:
+                raise ValueError(f"{path}: column {name!r} is named more than once")
+        columns = [header.index(name) for name in ("q", "p", "value")]
+        # rows read before an undecodable byte or a malformed record are
+        # checked first, so their faults come before that error, in file order
+        try:
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                    if len(rows) == _CHUNK_ROWS:
+                        chunks.append(_parse_rows(rows, columns))
+                        rows = []
+        except (UnicodeDecodeError, csv.Error) as exc:
+            deferred = exc
+    chunks.append(_parse_rows(rows, columns))
+    q, p, v = np.concatenate([numbers for numbers, _, _ in chunks]).T
+    bad = np.concatenate([flags for _, flags, _ in chunks])
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        iq = np.rint(q / grid.spacing - 0.5)
+        ip = np.rint(p / grid.spacing - 0.5)
+        off_lattice = _off_lattice(q, iq, grid.spacing) | _off_lattice(p, ip, grid.spacing)
+    k = grid.indices(iq, ip)
+    placed = np.flatnonzero(~off_lattice & (k >= 0))
+    repeated = np.zeros(len(lines), dtype=bool)
+    repeated[placed] = True
+    repeated[placed[np.unique(k[placed], return_index=True)[1]]] = False
+    checks = (
+        (bad, "line {line} needs numbers in q, p and value"),
+        (off_lattice, "point ({q},{p}) is not on the grid lattice"),
+        (~off_lattice & (k < 0), "point ({q},{p}) lies outside the grid"),
+        (repeated, "point ({q},{p}) is listed more than once"),
+    )
+    faulty = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+    if len(faulty):
+        i = faulty[0]
+        message = next(text for mask, text in checks if mask[i])
+        raise ValueError(f"{path}: " + message.format(line=lines[i], q=float(q[i]), p=float(p[i])))
+    if deferred is not None:
+        raise deferred
+
+    non_finite = np.flatnonzero(~np.isfinite(v))
+    if len(non_finite):
+        i = non_finite[0]
+        text = next(text for _, _, text in chunks if text is not None)
+        raise ValueError(
+            f"{path}: point ({float(q[i])},{float(p[i])}) has value {text!r}, which is not finite"
+        )
+    values = np.full(len(grid), np.nan)
+    values[k] = v
     if np.isnan(values).any():
         missing = int(np.isnan(values).sum())
         raise ValueError(f"{path}: {missing} grid points have no value")

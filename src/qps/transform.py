@@ -100,11 +100,10 @@ def v_action(g, samples: GammaFunctionSamples) -> GammaFunctionSamples:
             )
         shifts.append(int(snapped))
     di, dj = shifts
+    # float coordinates, so a shift past the int64 range reads as off the grid
+    src = grid.indices(grid.iq - float(di), grid.ip - float(dj))
     out = np.zeros_like(samples.values)
-    for k in range(len(grid)):
-        src = grid.lookup(int(grid.iq[k]) - di, int(grid.ip[k]) - dj)
-        if src is not None:
-            out[k] = samples.values[src]
+    out[src >= 0] = samples.values[src[src >= 0]]
     return GammaFunctionSamples(values=out, grid=grid)
 
 

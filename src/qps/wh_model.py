@@ -125,7 +125,8 @@ class PhaseGrid:
     spacing: float
     iq: np.ndarray = field(repr=False)
     ip: np.ndarray = field(repr=False)
-    _index: dict | None = field(default=None, init=False, repr=False)
+    # index of the point (iq, ip) at [iq + h, ip + h] with h = len(slots) // 2, -1 off the grid
+    slots: np.ndarray = field(repr=False)
     # (key, family, built-row mask) of the most recent generator and N on this grid
     _family: tuple | None = field(default=None, init=False, repr=False)
 
@@ -145,11 +146,24 @@ class PhaseGrid:
         """Coherent amplitudes (q + i p)/sqrt(2) of the grid points."""
         return (self.points[:, 0] + 1j * self.points[:, 1]) / SQRT2
 
+    def indices(self, iq, ip) -> np.ndarray:
+        """Index of each lattice point (iq, ip), -1 where it is not on the grid.
+
+        The coordinates broadcast, and may be integral floats of any size
+        (an infinity or NaN reads -1).
+        """
+        half = len(self.slots) // 2
+        i = np.asarray(iq) + half
+        j = np.asarray(ip) + half
+        inside = (i >= 0) & (i < 2 * half) & (j >= 0) & (j < 2 * half)
+        out = np.full(inside.shape, -1, dtype=np.intp)
+        out[inside] = self.slots[i[inside].astype(np.intp), j[inside].astype(np.intp)]
+        return out
+
     def lookup(self, iq: int, ip: int):
         """Index of the lattice point with integer coordinates, or None."""
-        if self._index is None:
-            self._index = {ij: k for k, ij in enumerate(zip(self.iq.tolist(), self.ip.tolist()))}
-        return self._index.get((iq, ip))
+        k = int(self.indices(iq, ip))
+        return None if k < 0 else k
 
 
 def build_grid(radius: float, spacing: float) -> PhaseGrid:
@@ -167,8 +181,10 @@ def build_grid(radius: float, spacing: float) -> PhaseGrid:
     points = np.column_stack([qq[mask], pp[mask]])
     weights = np.full(len(points), spacing**2 / (2.0 * np.pi))
     iq, ip = ii[mask], jj[mask]
+    slots = np.full(mask.shape, -1, dtype=np.intp)
+    slots[mask] = np.arange(len(points))
     # read-only, so the grid cannot change under its stored family
-    for arr in (points, weights, iq, ip):
+    for arr in (points, weights, iq, ip, slots):
         arr.flags.writeable = False
     return PhaseGrid(
         points=points,
@@ -177,6 +193,7 @@ def build_grid(radius: float, spacing: float) -> PhaseGrid:
         spacing=float(spacing),
         iq=iq,
         ip=ip,
+        slots=slots,
     )
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -533,8 +534,12 @@ def test_tomography_non_finite_csv_value_exit_2(tmp_path, capsys, grid4, value):
         ("nan,0.2,1.0,0.01", "point (nan,0.2) is not on the grid lattice"),
         ("0.2,0.2", "line 2 needs numbers in q, p and value"),
         ("0.2,0.2,abc,0.01", "line 2 needs numbers in q, p and value"),
+        # float() reads digit grouping: '1_0' would be taken as 10.0
+        ("0.2,0.2,1_0,0.01", "line 2 needs numbers in q, p and value"),
+        ("0.2_0,0.2,1.0,0.01", "line 2 needs numbers in q, p and value"),
     ],
-    ids=["inf-coordinate", "nan-coordinate", "short-row", "text-value"],
+    ids=["inf-coordinate", "nan-coordinate", "short-row", "text-value", "grouped-value",
+         "grouped-coordinate"],
 )
 def test_tomography_malformed_csv_row_exit_2(tmp_path, capsys, row, message):
     # an inf coordinate and a short row used to escape as tracebacks
@@ -543,6 +548,21 @@ def test_tomography_malformed_csv_row_exit_2(tmp_path, capsys, row, message):
     assert main(["tomography", "--probabilities", str(csv_in), "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{csv_in}: {message}" in err
+
+
+@pytest.mark.parametrize("column", ["q", "p", "value"])
+def test_tomography_repeated_csv_column_exit_2(tmp_path, capsys, grid4, column):
+    # the last of two same-named columns used to be read: 'q,p,value,value' took the weights
+    csv_in = tmp_path / "probs.csv"
+    formats.write_values_csv(np.full(len(grid4), 0.01), grid4, csv_in)
+    lines = csv_in.read_text().splitlines()
+    lines[0] = lines[0].replace("weight", column)
+    csv_in.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["tomography", "--probabilities", str(csv_in), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {csv_in}: column {column!r} is named more than once\n"
+    assert not out.exists()
 
 
 def test_tomography_probabilities_file_round_trip(tmp_path, ctx4, grid4, eta4):
@@ -700,6 +720,116 @@ def test_values_csv_repeated_point_rejected(tmp_path, grid4, value):
     path.write_text("\n".join(lines + [f"{q},{p},0.5,0.1"]) + "\n")
     with pytest.raises(ValueError, match=rf"point \({float(q)},{float(p)}\) is listed more than once"):
         formats.read_values_csv(path, grid4)
+
+
+def _read_by_rows(path, grid):
+    """The values of a q,p,value CSV as a row-by-row dict reader aligns them to ``grid``."""
+    import csv
+
+    index = {ij: k for k, ij in enumerate(zip(grid.iq.tolist(), grid.ip.tolist()))}
+    values = np.full(len(grid), np.nan)
+    with open(path, encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            q, p = float(row["q"]), float(row["p"])
+            k = index[(round(q / grid.spacing - 0.5), round(p / grid.spacing - 0.5))]
+            assert np.isnan(values[k])
+            values[k] = float(row["value"])
+    return values
+
+
+def test_values_csv_matches_the_per_row_reader(tmp_path, grid_ref):
+    values = np.random.default_rng(3).uniform(size=len(grid_ref))
+    path = tmp_path / "vals.csv"
+    formats.write_values_csv(values, grid_ref, path)
+    back = formats.read_values_csv(path, grid_ref)
+    assert len(grid_ref) == 6828
+    assert np.array_equal(back, _read_by_rows(path, grid_ref))
+    assert np.array_equal(back, values)
+
+
+def _values_csv(grid, value=0.01):
+    """Header and rows of a complete q,p,value,weight file for ``grid``."""
+    return [["q", "p", "value", "weight"]] + [
+        [repr(float(q)), repr(float(p)), repr(value), "0.01"] for q, p in grid.points
+    ]
+
+
+def _write_rows(path, rows):
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+
+
+@pytest.mark.parametrize(
+    "first,second,message",
+    [
+        (["0.123", "0.2"], ["0.2", "0.2", "abc"], "point (0.123,0.2) is not on the grid lattice"),
+        (["0.2", "0.2", "abc"], ["0.123", "0.2"], "line 3 needs numbers in q, p and value"),
+        (["0.2", "0.2", "inf"], ["9.8", "0.2"], "point (9.8,0.2) lies outside the grid"),
+    ],
+    ids=["off-lattice-first", "text-value-first", "non-finite-value-last"],
+)
+def test_values_csv_reports_the_first_faulty_row(tmp_path, grid4, first, second, message):
+    # a non-finite value is reported only when no row has another fault
+    rows = _values_csv(grid4)
+    rows[2][: len(first)] = first
+    rows[4][: len(second)] = second
+    path = tmp_path / "vals.csv"
+    _write_rows(path, rows)
+    with pytest.raises(ValueError) as err:
+        formats.read_values_csv(path, grid4)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_values_csv_faults_far_into_a_large_file(tmp_path, grid_ref):
+    rows = _values_csv(grid_ref)
+    rows[1999][2] = " -inf"
+    rows[4999][2] = "abc"
+    path = tmp_path / "vals.csv"
+    _write_rows(path, rows)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: line 5000 needs numbers in q, p and value") + "$"):
+        formats.read_values_csv(path, grid_ref)
+    rows[4999][2] = "0.01"
+    _write_rows(path, rows)
+    q, p = (float(x) for x in rows[1999][:2])
+    with pytest.raises(ValueError, match=re.escape(f"point ({q},{p}) has value ' -inf', which is not finite")):
+        formats.read_values_csv(path, grid_ref)
+
+
+def test_values_csv_skips_blank_lines_and_ignores_extra_fields(tmp_path, grid4):
+    rows = _values_csv(grid4, value=0.25)
+    rows[3] += ["extra", "fields"]
+    rows.insert(5, [])
+    rows.insert(1, [])
+    path = tmp_path / "vals.csv"
+    _write_rows(path, rows + [[]])
+    assert np.array_equal(formats.read_values_csv(path, grid4), np.full(len(grid4), 0.25))
+
+
+def test_values_csv_reads_a_permuted_header_and_quoted_fields(tmp_path, grid4):
+    values = np.random.default_rng(4).uniform(size=len(grid4))
+    rows = [["value", "weight", "q", "p"]] + [
+        [repr(float(v)), "0.01", repr(float(q)), f'"{float(p)!r}"'] for (q, p), v in zip(grid4.points, values)
+    ]
+    path = tmp_path / "vals.csv"
+    _write_rows(path, rows)
+    assert np.array_equal(formats.read_values_csv(path, grid4), values)
+
+
+@pytest.mark.parametrize("q", ["1e300", "-1e300", "1e308"])
+def test_values_csv_far_coordinate_lies_outside_the_grid(tmp_path, grid4, q):
+    # the lattice index must not wrap in an integer cast, nor overflow to a traceback
+    path = tmp_path / "vals.csv"
+    path.write_text(f"q,p,value,weight\n{q},0.2,1.0,0.01\n")
+    with pytest.raises(ValueError) as err:
+        formats.read_values_csv(path, grid4)
+    assert str(err.value) == f"{path}: point ({float(q)},0.2) lies outside the grid"
+
+
+def test_values_csv_header_only_has_no_values(tmp_path, grid4):
+    path = tmp_path / "vals.csv"
+    path.write_text("q,p,value,weight\n")
+    with pytest.raises(ValueError) as err:
+        formats.read_values_csv(path, grid4)
+    assert str(err.value) == f"{path}: {len(grid4)} grid points have no value"
 
 
 def _csv_by_rows(header, rows):

@@ -42,6 +42,18 @@ on the half plane ``rect:0,inf,-inf,inf``, the JSON report going to a
 buffer.  Next to each time it records a digest of the report, which two
 trees must share.
 
+CSV: on the ``qps transform`` grid (R 7, h 0.15, K 6,828) it times
+``formats.write_values_csv`` of a closed-form Husimi density,
+``formats.write_samples_csv`` of the transform of a low-block state
+(N 24) and ``formats.read_values_csv`` of the values file.  It also times
+in-process ``qps transform --out`` at its defaults and ``qps tomography
+--probabilities FILE --out`` on a Husimi-density file, at its defaults
+(N 4, R 5, h 0.4) and at the ``roundtrips`` configuration (N 4, R 7,
+h 0.15).  Next to each time it records the SHA-256 digest of the bytes
+written (for the reader, of the float64 values read; for a command, of
+its JSON report, whose config names the temporary directory, and its CSV
+table), which two trees must share.
+
 Every kernel runs once to warm up and then ``REPEATS`` times; each row
 holds the median and quartiles.  Run from the repository root; the JSON
 goes to ``--out``::
@@ -59,6 +71,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 from unittest import mock
@@ -72,8 +85,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench import inputs  # noqa: E402
 from qps import cli  # noqa: E402
 from qps import effect_algebra as ea  # noqa: E402
+from qps import formats  # noqa: E402
 from qps import lie_cohomology as lc  # noqa: E402
 from qps import localization as loc  # noqa: E402
+from qps import transform as tr  # noqa: E402
 from qps import wh_model as wh  # noqa: E402
 
 REPEATS = 9
@@ -235,6 +250,64 @@ def bench_cli_spectrum() -> list:
     return rows
 
 
+def _sha256(*paths, tmp=None) -> str:
+    """Digest of the files' bytes, with the directory ``tmp`` written as TMP."""
+    digest = hashlib.sha256()
+    for path in paths:
+        data = Path(path).read_bytes()
+        digest.update(data if tmp is None else data.replace(str(tmp).encode(), b"TMP"))
+    return digest.hexdigest()[:16]
+
+
+def _husimi_csv(path, n_dim: int, radius: float, spacing: float) -> None:
+    """A q,p,value,weight file of the Husimi density of a seeded rank-2 state."""
+    grid = wh.build_grid(radius, spacing)
+    rho = inputs.density_matrix(np.random.default_rng(16), n_dim, 2)
+    formats.write_values_csv(inputs.husimi_values(rho, grid.q, grid.p), grid, path)
+
+
+def bench_csv(tmp: Path) -> list:
+    radius, spacing, n_dim = 7.0, 0.15, 24
+    ctx = wh.fock_space(n_dim)
+    grid = wh.build_grid(radius, spacing)
+    phi = inputs.low_block_vector(np.random.default_rng(16), n_dim, 8)
+    samples = tr.w_transform(wh.resolution_generator("ground", ctx), grid, phi, ctx)
+    values_csv, samples_csv = tmp / "values.csv", tmp / "samples.csv"
+    _husimi_csv(values_csv, 4, radius, spacing)
+    values = formats.read_values_csv(values_csv, grid)
+    base = {"grid": "transform", "K": len(grid)}
+    rows = []
+    timing, _ = _timed(lambda: formats.write_values_csv(values, grid, values_csv))
+    rows.append({"kernel": "formats.write_values_csv", **base, **timing, "sha256": _sha256(values_csv)})
+    timing, _ = _timed(lambda: formats.write_samples_csv(samples, samples_csv))
+    rows.append({"kernel": "formats.write_samples_csv", **base, **timing, "sha256": _sha256(samples_csv)})
+    timing, back = _timed(lambda: formats.read_values_csv(values_csv, grid))
+    rows.append({"kernel": "formats.read_values_csv", **base, **timing,
+                 "sha256": hashlib.sha256(back.tobytes()).hexdigest()[:16]})
+    return rows
+
+
+def bench_cli_csv(tmp: Path) -> list:
+    out = tmp / "report.json"
+    runs = {"transform": ["transform"]}
+    for name, (radius, spacing) in {"defaults": (5.0, 0.4), "roundtrips": (7.0, 0.15)}.items():
+        probabilities = tmp / f"probabilities-{name}.csv"
+        _husimi_csv(probabilities, 4, radius, spacing)
+        flags = [] if name == "defaults" else ["--radius", str(radius), "--spacing", str(spacing)]
+        runs[f"tomography {name}"] = ["tomography", "--probabilities", str(probabilities), *flags]
+    rows = []
+    for name, argv in runs.items():
+        def run():
+            code = cli.main([*argv, "--out", str(out)])
+            if code != 0:
+                raise RuntimeError(f"qps {' '.join(argv)} exited {code}")
+
+        timing, _ = _timed(run)
+        rows.append({"kernel": "cli.csv", "command": name, **timing,
+                     "sha256": _sha256(out, out.with_suffix(".csv"), tmp=tmp)})
+    return rows
+
+
 def bench_admissibility() -> list:
     radius, spacing, n_dim = GRIDS["roundtrips"]
     ctx = wh.fock_space(n_dim)
@@ -283,8 +356,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON record")
     args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_rows = bench_csv(Path(tmp)) + bench_cli_csv(Path(tmp))
     kernels = (bench_family() + bench_family_rows() + bench_admissibility() + bench_cohomology()
-               + bench_axioms() + bench_cli_spectrum())
+               + bench_axioms() + bench_cli_spectrum() + csv_rows)
     record = {"machine": _machine(), "kernels": kernels}
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for row in record["kernels"]:
@@ -295,6 +370,9 @@ def main(argv=None) -> int:
             label = f"{'axioms':>10} {row['input'][:18]:>18}"
             check = (f"trials {row['trials']} eigvalsh {row['eigvalsh_calls']} "
                      f"failures {row['total_failures']}")
+        elif "sha256" in row:
+            label = f"{'csv':>10} {row.get('command', row['kernel'].split('.')[1])[:18]:>18}"
+            check = f"sha256 {row['sha256']}"
         elif "report_digest" in row:
             label = f"{'spectrum':>10} {row['region'][:18]:>18}"
             check = f"digest {row['report_digest']}"
