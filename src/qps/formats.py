@@ -145,8 +145,10 @@ def read_values_csv(path, grid) -> np.ndarray:
                     if len(rows) == _CHUNK_ROWS:
                         chunks.append(_parse_rows(rows, columns))
                         rows = []
-        except (UnicodeDecodeError, csv.Error) as exc:
+        except UnicodeDecodeError as exc:
             deferred = exc
+        except csv.Error as exc:  # not a ValueError: wrapped, so the CLI reports it in one line
+            deferred = ValueError(f"{path}: line {reader.line_num}: {exc}")
     chunks.append(_parse_rows(rows, columns))
     q, p, v = np.concatenate([numbers for numbers, _, _ in chunks]).T
     bad = np.concatenate([flags for _, flags, _ in chunks])

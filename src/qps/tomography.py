@@ -137,9 +137,9 @@ def operator_family_rank(operators) -> CompletenessReport:
     return _rank_report(rows)
 
 
-def _rank_report(rows: np.ndarray) -> CompletenessReport:
-    nsq = rows.shape[1]
-    svals = np.linalg.svd(rows, compute_uv=False)
+def _rank_report(matrix: np.ndarray) -> CompletenessReport:
+    nsq = matrix.shape[1]
+    svals = np.linalg.svd(matrix, compute_uv=False)
     kept = svals > SVD_CUTOFF * svals[0]
     rank = int(np.sum(kept))
     smallest_kept = float(svals[rank - 1]) if rank else 0.0
@@ -184,9 +184,10 @@ def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> 
 
     The unit-trace constraint is eliminated: x = x0 + Q y with x0 the
     minimum-norm unit-trace point and Q an orthonormal basis of the
-    traceless coordinates, and y solves the least-squares problem on
-    rows @ Q directly, so the condition number of the rows is never
-    squared.
+    traceless coordinates (only the diagonal ones change basis).  One QR
+    of [rows @ Q | trace column | probs - rows @ x0] gives the rank report,
+    from the singular values of its leading N^2 triangle, and y, by back
+    substitution, so the condition number of the rows is never squared.
 
     After the solve, the estimate is repaired onto the density cone
     (negative eigenvalues clipped, trace renormalized); noiseless inputs
@@ -197,17 +198,22 @@ def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> 
     if probs.shape != (len(grid),):
         raise ValueError("need one probability value per grid point")
     rows = _family_rows(eta, grid, ctx)
-    report = _rank_report(rows)
+    n, nsq = ctx.n_dim, ctx.n_dim**2
+    traceless = np.linalg.svd(np.ones((1, n)))[2][1:].T
+    system = np.empty((len(grid), nsq + 1), order="F")
+    np.matmul(rows[:, :n], traceless, out=system[:, : n - 1])
+    system[:, n - 1 : nsq - 1] = rows[:, n:]
+    trace = rows[:, :n].sum(axis=1)
+    system[:, nsq - 1], system[:, nsq] = trace / np.sqrt(n), probs - trace / n
+    r = np.linalg.qr(system, mode="r")
+    report = _rank_report(r[:nsq, :nsq])
     if not report.complete:
         raise IncompleteFamilyError(report)
 
-    trace_row = vectorize_hermitian(np.eye(ctx.n_dim))
-    x0 = trace_row / ctx.n_dim
-    traceless = np.linalg.svd(trace_row[None, :])[2][1:].T
-    y = np.linalg.lstsq(rows @ traceless, probs - rows @ x0, rcond=None)[0]
-    solution = x0 + traceless @ y
+    y = np.linalg.solve(r[: nsq - 1, : nsq - 1], r[: nsq - 1, nsq])
+    solution = np.concatenate([1.0 / n + traceless @ y[: n - 1], y[n - 1 :]])
 
-    estimate = unvectorize_hermitian(solution, ctx.n_dim)
+    estimate = unvectorize_hermitian(solution, n)
     evals, evecs = np.linalg.eigh(estimate)
     evals = np.clip(evals, 0.0, None)
     evals /= evals.sum()

@@ -335,26 +335,6 @@ def autocorrelation_integrand(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndar
     return np.abs(overlap) ** 2
 
 
-def central_phase_deviation(x, y, eta, ctx: FockContext):
-    """Apply the displacement commutator of two phase-space points to eta.
-
-    Returns (beta, deviation): the scalar the result is proportional to,
-    and the norm distance from that multiple of eta.  For the
-    Weyl-Heisenberg family the commutator is a central phase, so the
-    deviation is pure truncation error.
-    """
-    vec = np.asarray(eta, dtype=complex)
-    dx = displacement((x[0] + 1j * x[1]) / SQRT2, ctx)
-    dy = displacement((y[0] + 1j * y[1]) / SQRT2, ctx)
-    # D(-a) equals D(a)^H entry by entry, and a contiguous copy multiplies bit for bit alike
-    v = vec
-    for d in (dy, dx, np.ascontiguousarray(dy.conj().T), np.ascontiguousarray(dx.conj().T)):
-        v = d @ v
-    beta = np.vdot(vec, v)
-    deviation = float(np.linalg.norm(v - beta * vec))
-    return beta, deviation
-
-
 def _commutator_sample_radius(ctx: FockContext, eta_vec: np.ndarray) -> float:
     """Largest coherent amplitude that keeps 4-fold displacement products
     of eta numerically inside the truncation window (budgeted tail)."""
@@ -374,6 +354,8 @@ def _commutator_sample_radius(ctx: FockContext, eta_vec: np.ndarray) -> float:
 
 # largest commutator deviation that still counts as a central phase
 BETA_TOL = 1e-6
+# point pairs whose displacement matrices the commutator check builds at once
+_PAIR_BLOCK = 32
 # largest autocorrelation allowed on the outermost grid ring
 BOUNDARY_TOL = 1e-7
 
@@ -397,12 +379,12 @@ def admissibility(
     on the outermost grid ring, otherwise the quadrature misses mass and
     the call fails naming the radius that would be needed.
 
-    The commutator check draws ``trials`` point pairs, builds D(x) and
-    D(y) once per pair, and verifies that their commutator acts on eta as
-    a scalar.  Amplitudes stay below ``beta_sample_radius`` so truncation
-    cannot fake a failure: the radius is 0.61 for the ground state at
-    N = 24 but 1.9e-5 once eta's support reaches the cutoff (squeezed:0.5
-    at N = 24 or 32), where ``beta_ok`` says almost nothing.
+    The commutator check draws ``trials`` point pairs and verifies that
+    D(-x) D(-y) D(x) D(y) acts on eta as a scalar.  Amplitudes stay below
+    ``beta_sample_radius`` so truncation cannot fake a failure: the radius
+    is 0.61 for the ground state at N = 24 but 1.9e-5 once eta's support
+    reaches the cutoff (squeezed:0.5 at N = 24 or 32), where ``beta_ok``
+    says almost nothing.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -426,13 +408,21 @@ def admissibility(
 
     rng = np.random.default_rng(seed)
     r_beta = _commutator_sample_radius(ctx, vec)
+    idx = np.arange(ctx.n_dim)
     max_dev = 0.0
-    for _ in range(trials):
-        amps = r_beta * np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
-        x = (SQRT2 * amps[0].real, SQRT2 * amps[0].imag)
-        y = (SQRT2 * amps[1].real, SQRT2 * amps[1].imag)
-        _, dev = central_phase_deviation(x, y, vec, ctx)
-        max_dev = max(max_dev, dev)
+    for start in range(0, trials, _PAIR_BLOCK):
+        # per pair: two radii, then two angles, as uniform draws
+        u = rng.uniform(size=(min(_PAIR_BLOCK, trials - start), 2, 2))
+        amps = r_beta * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+        # to the point (q, p) = sqrt(2) (Re a, Im a) and back, as the pinned report bits were drawn
+        alphas = (SQRT2 * amps.real + 1j * (SQRT2 * amps.imag)) / SQRT2
+        pairs = _displacement_elements(alphas[:, :, None, None], idx[:, None], idx[None, :])
+        for dx, dy in pairs:
+            # D(-a) equals D(a)^H entry by entry, and a contiguous copy multiplies bit for bit alike
+            v = vec
+            for d in (dy, dx, np.ascontiguousarray(dy.conj().T), np.ascontiguousarray(dx.conj().T)):
+                v = d @ v
+            max_dev = max(max_dev, float(np.linalg.norm(v - np.vdot(vec, v) * vec)))
     return AdmissibilityReport(
         integral=integral,
         d_constant=d_constant,

@@ -83,6 +83,27 @@ def quadratures(n_dim: int):
     return a, ad, (a + ad) / np.sqrt(2.0), (a - ad) / (1j * np.sqrt(2.0))
 
 
+def central_phase_deviation(x, y, eta, ctx):
+    """Apply the displacement commutator of two phase-space points to eta.
+
+    Returns (beta, deviation): the scalar the result is proportional to,
+    and the norm distance from that multiple of eta.  For the
+    Weyl-Heisenberg family the commutator is a central phase, so the
+    deviation is pure truncation error.  The per-pair oracle for
+    ``wh_model.admissibility``: one ``displacement`` call per point.
+    """
+    vec = np.asarray(eta, dtype=complex)
+    dx = wh.displacement((x[0] + 1j * x[1]) / wh.SQRT2, ctx)
+    dy = wh.displacement((y[0] + 1j * y[1]) / wh.SQRT2, ctx)
+    # D(-a) equals D(a)^H entry by entry, and a contiguous copy multiplies bit for bit alike
+    v = vec
+    for d in (dy, dx, np.ascontiguousarray(dy.conj().T), np.ascontiguousarray(dx.conj().T)):
+        v = d @ v
+    beta = np.vdot(vec, v)
+    deviation = float(np.linalg.norm(v - beta * vec))
+    return beta, deviation
+
+
 # ---------------------------------------------------------------------------
 # exact-arithmetic oracles
 # ---------------------------------------------------------------------------

@@ -550,6 +550,17 @@ def test_tomography_malformed_csv_row_exit_2(tmp_path, capsys, row, message):
     assert err.count("\n") == 1 and f"{csv_in}: {message}" in err
 
 
+def test_tomography_csv_field_over_the_limit_exit_2(tmp_path, capsys):
+    # csv.Error is not a ValueError, and used to escape as a traceback with exit 1
+    csv_in = tmp_path / "probs.csv"
+    csv_in.write_text("q,p,value,weight\n0.2,0.2," + "1" * 131_073 + ",0.01\n")
+    out = tmp_path / "report.json"
+    assert main(["tomography", "--probabilities", str(csv_in), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {csv_in}: line 2: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("column", ["q", "p", "value"])
 def test_tomography_repeated_csv_column_exit_2(tmp_path, capsys, grid4, column):
     # the last of two same-named columns used to be read: 'q,p,value,value' took the weights

@@ -243,12 +243,68 @@ def test_round_trip_larger_dimension(grid_ref):
     assert np.linalg.norm(result.rho.matrix - rho.matrix) <= 1e-6
 
 
-def test_incomplete_family_rejected(ctx4, eta4):
+def test_incomplete_family_rejected(ctx4, eta4, monkeypatch):
     # a grid confined to a small patch produces nearly coincident
     # densities: numerically rank-deficient, reconstruction refuses
+    # before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a rank-deficient family reached a solve")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    monkeypatch.setattr(np.linalg, "lstsq", no_solve)
     crowded = wh.build_grid(0.05, 0.002)
     with pytest.raises(tom.IncompleteFamilyError):
         tom.reconstruct_state(np.zeros(len(crowded)), eta4, crowded, ctx4)
+
+
+# the roundtrips tomography grid, K = 716
+@pytest.fixture(scope="module")
+def grid716():
+    return wh.build_grid(6.0, 0.4)
+
+
+def _svd_lstsq_estimate(probs, eta, grid, ctx):
+    """Unit-trace least squares by lstsq (SVD) on rows @ Q, no repair: the oracle."""
+    rows = tom._family_rows(eta, grid, ctx)
+    n = ctx.n_dim
+    trace_row = tom.vectorize_hermitian(np.eye(n))
+    x0 = trace_row / n
+    traceless = np.linalg.svd(trace_row[None, :])[2][1:].T
+    y = np.linalg.lstsq(rows @ traceless, probs - rows @ x0, rcond=None)[0]
+    return tom.unvectorize_hermitian(x0 + traceless @ y, n)
+
+
+@pytest.mark.parametrize("n_dim", [4, 8, 12, 16])
+def test_rank_report_matches_the_svd_of_the_rows(grid716, n_dim):
+    # the QR triangle is an orthogonal rotation of the rows
+    ctx = wh.fock_space(n_dim)
+    eta = wh.resolution_generator("ground", ctx)
+    rho = tom.random_density(np.random.default_rng(n_dim), n_dim)
+    probs = tom.classical_density(rho, eta, grid716, ctx).values
+    report = tom.reconstruct_state(probs, eta, grid716, ctx).completeness
+    reference = tom.completeness_rank(eta, grid716, ctx)  # the SVD of the rows themselves
+    svals = reference.singular_values
+    assert np.max(np.abs(report.singular_values - svals)) <= 1e-13 * svals[0]
+    assert report.gram_rank == reference.gram_rank == n_dim**2
+    assert report.complete and reference.complete
+
+
+@pytest.mark.parametrize("n_dim", [4, 8, 12, 16])
+def test_reconstruction_error_within_twice_the_svd_oracle(grid716, n_dim):
+    # at N = 4 and 8 both errors sit at the rounding floor, where single
+    # states scatter by a factor of about 2 either way; the worst of ten
+    # states is compared
+    ctx = wh.fock_space(n_dim)
+    eta = wh.resolution_generator("ground", ctx)
+    rng = np.random.default_rng(100 + n_dim)
+    errors, oracle_errors = [], []
+    for _ in range(10):
+        rho = tom.random_density(rng, n_dim)
+        probs = tom.classical_density(rho, eta, grid716, ctx).values
+        result = tom.reconstruct_state(probs, eta, grid716, ctx)
+        errors.append(np.linalg.norm(result.rho.matrix - rho.matrix))
+        oracle_errors.append(np.linalg.norm(_svd_lstsq_estimate(probs, eta, grid716, ctx) - rho.matrix))
+    assert max(errors) <= 2 * max(oracle_errors)
 
 
 def test_inconsistent_input_flagged_by_residual(ctx4, grid4, eta4):

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from qps import wh_model as wh
 
-from conftest import quadratures, random_low_block
+from conftest import central_phase_deviation, quadratures, random_low_block
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,7 @@ def test_commutator_sample_radius_shrinks_at_the_cutoff(ctx24, grid_wide):
 
 def test_central_phase_with_coincident_points(ctx24, eta24):
     # the commutator of a point with itself is the identity: the scalar is 1
-    beta, dev = wh.central_phase_deviation((0.4, 0.3), (0.4, 0.3), eta24, ctx24)
+    beta, dev = central_phase_deviation((0.4, 0.3), (0.4, 0.3), eta24, ctx24)
     assert dev <= 1e-9
     assert beta == pytest.approx(1.0, abs=1e-9)
 
@@ -301,9 +301,38 @@ def test_central_phase_matches_the_four_build_product_bit_for_bit(n_dim):
     for vec in (wh.resolution_generator("ground", ctx), random_low_block(rng, n_dim, 3)):
         for _ in range(5):
             x, y = tuple(rng.uniform(-1, 1, size=2)), tuple(rng.uniform(-1, 1, size=2))
-            beta, dev = wh.central_phase_deviation(x, y, vec, ctx)
+            beta, dev = central_phase_deviation(x, y, vec, ctx)
             ref_beta, ref_dev = _four_build_commutator(x, y, vec, ctx)
             assert beta == ref_beta and dev == ref_dev
+
+
+def _per_pair_max_deviation(vec, ctx, trials, seed):
+    """admissibility's commutator check, one pair and two displacement builds at a time."""
+    rng = np.random.default_rng(seed)
+    r_beta = wh._commutator_sample_radius(ctx, vec)
+    max_dev = 0.0
+    for _ in range(trials):
+        amps = r_beta * np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
+        x = (wh.SQRT2 * amps[0].real, wh.SQRT2 * amps[0].imag)
+        y = (wh.SQRT2 * amps[1].real, wh.SQRT2 * amps[1].imag)
+        max_dev = max(max_dev, central_phase_deviation(x, y, vec, ctx)[1])
+    return max_dev
+
+
+@pytest.mark.parametrize("trials", [1, 50, wh._PAIR_BLOCK + 3])
+@pytest.mark.parametrize(
+    "kind,params",
+    [("ground", {}), ("fock", {"n": 3}), ("squeezed", {"r": 0.5}), ("squeezed", {"r": -0.5})],
+    ids=["ground", "fock:3", "squeezed:0.5", "squeezed:-0.5"],
+)
+def test_admissibility_deviation_matches_the_per_pair_oracle_bit_for_bit(
+    ctx24, grid_wide, kind, params, trials
+):
+    # the pairs' displacements are built a block at a time from the same
+    # closed form, entry by entry, so each deviation keeps its bits
+    vec = wh.resolution_generator(kind, ctx24, **params)
+    report = wh.admissibility(vec, grid_wide, ctx24, trials=trials, seed=5)
+    assert report.beta_max_deviation == _per_pair_max_deviation(vec, ctx24, trials, 5)
 
 
 def test_admissibility_integral_phase_invariant(ctx24, grid_ref, eta24):

@@ -1,6 +1,6 @@
 """Per-kernel bench of the coherent family build, the admissibility check,
-the exact cohomology kernels, the effect-algebra axiom check and
-``qps spectrum``, each time with a paired accuracy figure.
+the tomography solve, the exact cohomology kernels, the effect-algebra
+axiom check and ``qps spectrum``, each time with a paired accuracy figure.
 
 Coherent family: for each generator (ground, fock:3, squeezed:0.5 and a
 9-column low-block vector) on two grids (the ``roundtrips`` orthogonality
@@ -20,6 +20,13 @@ orthogonality grid (N 24, K 4,344), family already stored, it times
 ``wh_model.admissibility`` at its defaults.  Next to each time it records
 the commutator sample radius and a digest of the exact bits of
 ``beta_max_deviation`` and ``d_constant``, which two trees must share.
+
+Tomography solve: it times ``tomography.reconstruct_state`` of the
+ground generator's densities of a seeded full-rank state at N 4, 8, 12
+and 16 on the ``roundtrips`` tomography grid (R 6, h 0.4, K 716) and at
+N 4 on the ``qps transform`` grid (R 7, h 0.15, K 6,828), family already
+stored.  Next to each time it records the Frobenius error of the
+reconstructed state, the rank the solve found and the residual.
 
 Cohomology: on so(8), so(9), so(10) and h13 in a dense unimodular basis
 (the benchmark's ``perfbench.inputs`` constructions) it times the Jacobi
@@ -88,6 +95,7 @@ from qps import effect_algebra as ea  # noqa: E402
 from qps import formats  # noqa: E402
 from qps import lie_cohomology as lc  # noqa: E402
 from qps import localization as loc  # noqa: E402
+from qps import tomography as tom  # noqa: E402
 from qps import transform as tr  # noqa: E402
 from qps import wh_model as wh  # noqa: E402
 
@@ -335,6 +343,23 @@ def bench_admissibility() -> list:
     return rows
 
 
+def bench_tomography() -> list:
+    rows = []
+    configs = [(n, "roundtrips", 6.0, 0.4) for n in (4, 8, 12, 16)] + [(4, "transform", 7.0, 0.15)]
+    for n_dim, grid_name, radius, spacing in configs:
+        ctx = wh.fock_space(n_dim)
+        grid = wh.build_grid(radius, spacing)
+        eta = wh.resolution_generator("ground", ctx)
+        rho = inputs.density_matrix(np.random.default_rng(17), n_dim, n_dim)
+        probs = tom.classical_density(tom.DensityOperator(rho), eta, grid, ctx).values
+        timing, result = _timed(lambda: tom.reconstruct_state(probs, eta, grid, ctx))
+        rows.append({"kernel": "tomography.reconstruct_state", "grid": grid_name, "K": len(grid),
+                     "N": n_dim, **timing,
+                     "frobenius_error": float(np.linalg.norm(result.rho.matrix - rho)),
+                     "rank": result.completeness.gram_rank, "residual": result.residual})
+    return rows
+
+
 def bench_axioms() -> list:
     effects = inputs.effects(np.random.default_rng(1), 6, 300)
     runs = {
@@ -358,14 +383,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         csv_rows = bench_csv(Path(tmp)) + bench_cli_csv(Path(tmp))
-    kernels = (bench_family() + bench_family_rows() + bench_admissibility() + bench_cohomology()
-               + bench_axioms() + bench_cli_spectrum() + csv_rows)
+    kernels = (bench_family() + bench_family_rows() + bench_admissibility() + bench_tomography()
+               + bench_cohomology() + bench_axioms() + bench_cli_spectrum() + csv_rows)
     record = {"machine": _machine(), "kernels": kernels}
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for row in record["kernels"]:
         if "values_digest" in row:
             label = f"{'admissib.':>10} {row['generator']:>12}"
             check = f"beta_max_deviation {row['beta_max_deviation']:.3e} digest {row['values_digest']}"
+        elif "frobenius_error" in row:
+            label = f"{'tomography':>10} {row['grid']:>12} N {row['N']}"
+            check = f"frobenius {row['frobenius_error']:.1e} rank {row['rank']}"
         elif "input" in row:
             label = f"{'axioms':>10} {row['input'][:18]:>18}"
             check = (f"trials {row['trials']} eigvalsh {row['eigvalsh_calls']} "
