@@ -30,27 +30,28 @@ def _parse_generator(spec: str):
     """'ground', 'fock:n', or 'squeezed:r' -> (kind, kwargs)."""
     if spec == "ground":
         return "ground", {}
-    if spec.startswith("fock:"):
-        return "fock", {"n": int(spec.split(":", 1)[1])}
-    if spec.startswith("squeezed:"):
-        return "squeezed", {"r": float(spec.split(":", 1)[1])}
-    raise ValueError(
-        f"unknown generator {spec!r}; use ground, fock:n, or squeezed:r"
-    )
+    kind, _, value = spec.partition(":")
+    try:
+        name, parse = {"fock": ("n", int), "squeezed": ("r", float)}[kind]
+        return kind, {name: parse(value)}
+    except (KeyError, ValueError):
+        raise ValueError(f"--generator {spec!r} is not one of ground, fock:n, squeezed:r") from None
 
 
 def _parse_region(spec: str):
     """'disk:R' or 'rect:q0,q1,p0,p1' -> RegionSpec, which validates the values."""
     from . import localization as loc
 
-    if spec.startswith("disk:"):
-        return loc.RegionSpec.disk(float(spec.split(":", 1)[1]))
-    if spec.startswith("rect:"):
-        parts = [float(x) for x in spec.split(":", 1)[1].split(",")]
-        if len(parts) != 4:
-            raise ValueError("rect region needs q0,q1,p0,p1")
-        return loc.RegionSpec.rect(*parts)
-    raise ValueError(f"unknown region {spec!r}; use disk:R or rect:q0,q1,p0,p1")
+    kind, _, value = spec.partition(":")
+    try:
+        numbers = [float(x) for x in value.split(",")]
+    except ValueError:
+        numbers = []
+    if kind == "disk" and len(numbers) == 1:
+        return loc.RegionSpec.disk(*numbers)
+    if kind == "rect" and len(numbers) == 4:
+        return loc.RegionSpec.rect(*numbers)
+    raise ValueError(f"--region {spec!r} is not one of disk:R, rect:q0,q1,p0,p1")
 
 
 def _setup(args):

@@ -103,14 +103,22 @@ def _parse_rows(rows: list, columns: list):
     return numbers, bad, text
 
 
-def _off_lattice(x, index, spacing) -> np.ndarray:
-    """Where coordinate ``x`` is not finite or misses its lattice site ``index``.
+def _read_error(path, reader, exc) -> ValueError:
+    """A ``csv.Error`` or ``UnicodeDecodeError`` as one line naming the file and line.
 
-    A finite ``x`` whose index overflows to infinity is left to the grid
-    lookup, which finds it outside the grid.
-    """
-    miss = np.abs((index + 0.5) * spacing - x) > 1e-9 * np.maximum(1.0, np.abs(x))
-    return ~np.isfinite(x) | (np.isfinite(index) & miss)
+    The text layer decodes ahead of the csv reader, so the line of an
+    undecodable byte comes from a rescan of the file's bytes."""
+    line, text = reader.line_num, exc
+    if isinstance(exc, UnicodeDecodeError):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as first:  # the same byte, unless the file changed since
+            # bytes.splitlines ends lines at \n, \r\n and \r, as the csv reader does
+            line = len((data[: first.start] + b"?").splitlines())
+            text = f"'utf-8' codec can't decode byte 0x{data[first.start]:02x}: {first.reason}"
+    return ValueError(f"{path}: line {line}: {text}")
 
 
 def read_values_csv(path, grid) -> np.ndarray:
@@ -128,7 +136,10 @@ def read_values_csv(path, grid) -> np.ndarray:
     deferred = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise _read_error(path, reader, exc) from None
         if header is None or not {"q", "p", "value"} <= set(header):
             raise ValueError(f"{path}: expected columns q,p,value")
         for name in ("q", "p", "value"):
@@ -145,19 +156,13 @@ def read_values_csv(path, grid) -> np.ndarray:
                     if len(rows) == _CHUNK_ROWS:
                         chunks.append(_parse_rows(rows, columns))
                         rows = []
-        except UnicodeDecodeError as exc:
-            deferred = exc
-        except csv.Error as exc:  # not a ValueError: wrapped, so the CLI reports it in one line
-            deferred = ValueError(f"{path}: line {reader.line_num}: {exc}")
+        except (UnicodeDecodeError, csv.Error) as exc:
+            deferred = _read_error(path, reader, exc)
     chunks.append(_parse_rows(rows, columns))
     q, p, v = np.concatenate([numbers for numbers, _, _ in chunks]).T
     bad = np.concatenate([flags for _, flags, _ in chunks])
 
-    with np.errstate(invalid="ignore", over="ignore"):
-        iq = np.rint(q / grid.spacing - 0.5)
-        ip = np.rint(p / grid.spacing - 0.5)
-        off_lattice = _off_lattice(q, iq, grid.spacing) | _off_lattice(p, ip, grid.spacing)
-    k = grid.indices(iq, ip)
+    k, off_lattice = grid.locate(q, p)
     placed = np.flatnonzero(~off_lattice & (k >= 0))
     repeated = np.zeros(len(lines), dtype=bool)
     repeated[placed] = True

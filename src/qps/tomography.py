@@ -78,8 +78,8 @@ def expectation_pair(rho: DensityOperator, f, eta, grid: PhaseGrid, ctx: FockCon
 def vectorize_hermitian(a: np.ndarray) -> np.ndarray:
     """Isometric real coordinates of a Hermitian matrix.
 
-    Layout: the N diagonal entries, then for each pair i < j in row-major
-    order sqrt(2) Re a_ij followed by sqrt(2) Im a_ij.  The scaling makes
+    Layout: the N diagonal entries, then sqrt(2) Re a_ij for all pairs i < j
+    in row-major order, then sqrt(2) Im a_ij in that order.  The scaling makes
     the map preserve Frobenius inner products, so rank and least-squares
     decisions happen in the operator geometry.
     """

@@ -71,8 +71,7 @@ def _solve_frame(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def reconstruct(eta, grid: PhaseGrid, samples: GammaFunctionSamples, ctx: FockContext) -> np.ndarray:
     """Invert the transform: phi = S^-1 sum_k mu_k F_k D(alpha_k) eta."""
     fam = coherent_family(eta, grid, ctx)
-    rhs = fam.T @ (grid.weights * samples.values)
-    return _solve_frame(frame_operator(eta, grid, ctx), rhs)
+    return _solve_frame(weighted_gram(fam, grid.weights), fam.T @ (grid.weights * samples.values))
 
 
 def projection_P(eta, grid: PhaseGrid, samples: GammaFunctionSamples, ctx: FockContext) -> GammaFunctionSamples:
@@ -84,24 +83,18 @@ def v_action(g, samples: GammaFunctionSamples) -> GammaFunctionSamples:
     """Translate the sampled function by the phase-space vector g.
 
     The new value at x is the old value at x - g.  g must be a lattice
-    vector (an integer multiple of the spacing in both coordinates);
-    source points that fall outside the grid disk contribute zero, which
-    is the documented truncation of the group action to a finite grid.
+    vector: every x - g must snap to a site, as ``PhaseGrid.locate`` snaps
+    the CSV reader's points.  Source points that fall outside the grid
+    disk contribute zero, which is the documented truncation of the group
+    action to a finite grid.
     """
     grid = samples.grid
-    shifts = []
-    for comp in g:
-        d = comp / grid.spacing
-        snapped = round(d)
-        if abs(d - snapped) > 1e-9 * max(1.0, abs(d)):
-            raise ValueError(
-                f"translation component {comp} is not a multiple of the grid spacing "
-                f"{grid.spacing}"
-            )
-        shifts.append(int(snapped))
-    di, dj = shifts
-    # float coordinates, so a shift past the int64 range reads as off the grid
-    src = grid.indices(grid.iq - float(di), grid.ip - float(dj))
+    g = np.asarray(g, dtype=float)
+    if g.shape != (2,):
+        raise ValueError(f"translation must be two numbers (q, p), got {g.tolist()}")
+    src, miss = grid.locate(grid.q - g[0], grid.p - g[1])
+    if miss.any():
+        raise ValueError(f"translation {tuple(g.tolist())} is not a multiple of the grid spacing {grid.spacing}")
     out = np.zeros_like(samples.values)
     out[src >= 0] = samples.values[src[src >= 0]]
     return GammaFunctionSamples(values=out, grid=grid)

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammainc, gammaln
+from scipy.special import eval_genlaguerre, gammaincinv, gammaln
 
 SQRT2 = np.sqrt(2.0)
 # the least float whose square is not finite
@@ -123,8 +123,6 @@ class PhaseGrid:
     weights: np.ndarray
     radius: float
     spacing: float
-    iq: np.ndarray = field(repr=False)
-    ip: np.ndarray = field(repr=False)
     # index of the point (iq, ip) at [iq + h, ip + h] with h = len(slots) // 2, -1 off the grid
     slots: np.ndarray = field(repr=False)
     # (key, family, built-row mask) of the most recent generator and N on this grid
@@ -160,10 +158,22 @@ class PhaseGrid:
         out[inside] = self.slots[i[inside].astype(np.intp), j[inside].astype(np.intp)]
         return out
 
-    def lookup(self, iq: int, ip: int):
-        """Index of the lattice point with integer coordinates, or None."""
-        k = int(self.indices(iq, ip))
-        return None if k < 0 else k
+    def locate(self, q, p):
+        """(index, miss): the grid point each (q, p) snaps to, and where the snap misses.
+
+        x snaps to its nearest lattice site (i + 1/2) * spacing, and misses when it is not
+        finite or lies more than 1e-9 * max(1, |x|) from it.  The index is -1 where the
+        site is off the grid, or so far out that i overflows.
+        """
+        sites, miss = [], False
+        with np.errstate(invalid="ignore", over="ignore"):
+            for x in (np.asarray(q, dtype=float), np.asarray(p, dtype=float)):
+                i = np.rint(x / self.spacing - 0.5)
+                far = np.abs((i + 0.5) * self.spacing - x) > 1e-9 * np.maximum(1.0, np.abs(x))
+                # a finite x whose coordinate overflows is off the grid, not a miss
+                miss = miss | ~np.isfinite(x) | (np.isfinite(i) & far)
+                sites.append(i)
+        return self.indices(*sites), miss
 
 
 def build_grid(radius: float, spacing: float) -> PhaseGrid:
@@ -176,25 +186,15 @@ def build_grid(radius: float, spacing: float) -> PhaseGrid:
     idx = np.arange(-half_cells, half_cells)
     coords = (idx + 0.5) * spacing
     qq, pp = np.meshgrid(coords, coords, indexing="ij")
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
     mask = qq**2 + pp**2 <= radius**2
     points = np.column_stack([qq[mask], pp[mask]])
     weights = np.full(len(points), spacing**2 / (2.0 * np.pi))
-    iq, ip = ii[mask], jj[mask]
     slots = np.full(mask.shape, -1, dtype=np.intp)
     slots[mask] = np.arange(len(points))
     # read-only, so the grid cannot change under its stored family
-    for arr in (points, weights, iq, ip, slots):
+    for arr in (points, weights, slots):
         arr.flags.writeable = False
-    return PhaseGrid(
-        points=points,
-        weights=weights,
-        radius=float(radius),
-        spacing=float(spacing),
-        iq=iq,
-        ip=ip,
-        slots=slots,
-    )
+    return PhaseGrid(points=points, weights=weights, radius=float(radius), spacing=float(spacing), slots=slots)
 
 
 def resolution_generator(kind: str, ctx: FockContext, *, n: int | None = None, r: float | None = None) -> np.ndarray:
@@ -216,9 +216,7 @@ def resolution_generator(kind: str, ctx: FockContext, *, n: int | None = None, r
         if r is None or not abs(r) <= 1.5:
             raise ValueError(f"squeezed generator needs |r| <= 1.5, got {r}")
         t = np.tanh(r)
-        for m in range(ctx.n_dim // 2 + 1):
-            if 2 * m >= ctx.n_dim:
-                break
+        for m in range((ctx.n_dim + 1) // 2):
             log_mag = 0.5 * gammaln(2 * m + 1) - m * np.log(2.0) - gammaln(m + 1)
             vec[2 * m] = (-t) ** m * np.exp(log_mag)
         vec /= np.linalg.norm(vec)
@@ -293,29 +291,22 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.nda
     grid keeps the family of the most recent generator and N (K x N
     complex entries, pages that no row reached are never touched) and the
     mask of its built rows.  A call with another N or eta starts a new
-    family.  With ``rows`` (indices or a mask into the grid) the call
-    builds the requested rows it lacks and returns family[rows], a
-    read-only copy; without, it completes the family and returns the
-    stored array itself, read-only.  Either way an array once returned
-    never changes.  Raises ``ValueError`` if a row to build lies so far
-    out that alpha**(N - 1) would overflow.
+    family.  The call builds the ``rows`` (indices or a mask into the grid,
+    None for all) it lacks and returns family[rows], read-only: a view of
+    the stored array for the whole grid, a copy for a row set.  Built rows
+    are never written again, so an array once returned never changes.
+    Raises ``ValueError`` if a row to build lies so far out that
+    alpha**(N - 1) would overflow.
     """
     vec = np.asarray(eta, dtype=complex)
     n_dim = ctx.n_dim
     if vec.shape != (n_dim,):
         raise ValueError(f"generator has dim {vec.shape}, context has {n_dim}")
     key = (n_dim, vec.tobytes())
-    stored = grid._family
-    if stored is None or stored[0] != key:
-        stored = (key, np.zeros((len(grid), n_dim), dtype=complex), np.zeros(len(grid), dtype=bool))
-        grid._family = stored
-    _, fam, built = stored
-    if rows is None:
-        if fam.flags.writeable:  # not complete yet
-            _fill_rows(vec, grid, fam, np.flatnonzero(~built))
-            built[:] = True
-            fam.flags.writeable = False
-        return fam
+    if grid._family is None or grid._family[0] != key:
+        grid._family = (key, np.zeros((len(grid), n_dim), dtype=complex), np.zeros(len(grid), dtype=bool))
+    _, fam, built = grid._family
+    rows = slice(None) if rows is None else rows
     wanted = np.zeros(len(grid), dtype=bool)
     wanted[rows] = True
     todo = np.flatnonzero(wanted & ~built)
@@ -330,26 +321,16 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.nda
 def autocorrelation_integrand(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     """|<D(alpha_k) eta, eta>|^2 sampled over the grid."""
     vec = np.asarray(eta, dtype=complex)
-    fam = coherent_family(vec, grid, ctx)
-    overlap = fam.conj() @ vec
-    return np.abs(overlap) ** 2
+    return np.abs(coherent_family(vec, grid, ctx).conj() @ vec) ** 2
 
 
 def _commutator_sample_radius(ctx: FockContext, eta_vec: np.ndarray) -> float:
-    """Largest coherent amplitude that keeps 4-fold displacement products
-    of eta numerically inside the truncation window (budgeted tail)."""
+    """Largest amplitude r that keeps 4-fold displacement products of eta inside the truncation
+    window: P(a, (2r)^2) = 1e-18 inverted, with a the Fock levels left above eta's support."""
     support = np.nonzero(np.abs(eta_vec) > 1e-12)[0]
     top = int(support[-1]) if len(support) else 0
     a = max(ctx.n_dim - top - 2, 2)
-    budget = 1e-18
-    lo, hi = 0.0, float(ctx.n_dim)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if gammainc(a, mid) <= budget:
-            lo = mid
-        else:
-            hi = mid
-    return min(np.sqrt(lo) / 2.0, 1.0)
+    return min(np.sqrt(gammaincinv(a, 1e-18)) / 2.0, 1.0)
 
 
 # largest commutator deviation that still counts as a central phase

@@ -561,6 +561,45 @@ def test_tomography_csv_field_over_the_limit_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _with_byte_ff(path, line: int) -> None:
+    """Append the byte 0xff, which is never UTF-8, to line ``line`` of ``path``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("line", [1, 4, 5000])
+def test_tomography_undecodable_csv_byte_names_file_and_line_exit_2(tmp_path, capsys, grid_ref, line):
+    # the codec's message used to go out alone, its position counted from a decoder chunk
+    csv_in = tmp_path / "probs.csv"
+    formats.write_values_csv(np.full(len(grid_ref), 0.01), grid_ref, csv_in)
+    _with_byte_ff(csv_in, line)
+    out = tmp_path / "report.json"
+    argv = ["tomography", "--probabilities", str(csv_in), "--radius", "7", "--spacing", "0.15"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {csv_in}: line {line}: 'utf-8' codec can't decode byte 0xff: invalid start byte\n"
+    assert not out.exists()
+
+
+def test_values_csv_header_over_the_field_limit_names_line_1(tmp_path, grid4):
+    path = tmp_path / "vals.csv"
+    path.write_text("q,p,value," + "w" * 131_073 + "\n0.2,0.2,0.1,0.1\n")
+    with pytest.raises(ValueError, match=r"vals\.csv: line 1: field larger than field limit"):
+        formats.read_values_csv(path, grid4)
+
+
+def test_values_csv_rows_before_an_undecodable_byte_are_checked_first(tmp_path, grid_ref):
+    path = tmp_path / "vals.csv"
+    formats.write_values_csv(np.full(len(grid_ref), 0.01), grid_ref, path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    _with_byte_ff(path, 6000)
+    with pytest.raises(ValueError, match="is listed more than once"):
+        formats.read_values_csv(path, grid_ref)
+
+
 @pytest.mark.parametrize("column", ["q", "p", "value"])
 def test_tomography_repeated_csv_column_exit_2(tmp_path, capsys, grid4, column):
     # the last of two same-named columns used to be read: 'q,p,value,value' took the weights
@@ -637,6 +676,31 @@ def test_admissibility_report(tmp_path):
 
 def test_bad_generator_exit_2(tmp_path):
     assert main(["admissibility", "--generator", "thermal"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["admissibility", "--generator", "fock:x"],
+         "--generator 'fock:x' is not one of ground, fock:n, squeezed:r"),
+        (["transform", "--generator", "squeezed:"],
+         "--generator 'squeezed:' is not one of ground, fock:n, squeezed:r"),
+        (["effects", "--generator", "thermal"],
+         "--generator 'thermal' is not one of ground, fock:n, squeezed:r"),
+        (["spectrum", "--region", "disk:x"], "--region 'disk:x' is not one of disk:R, rect:q0,q1,p0,p1"),
+        (["spectrum", "--region", "rect:0,1,0"],
+         "--region 'rect:0,1,0' is not one of disk:R, rect:q0,q1,p0,p1"),
+        (["spectrum", "--region", "triangle:1"],
+         "--region 'triangle:1' is not one of disk:R, rect:q0,q1,p0,p1"),
+    ],
+    ids=["fock-x", "squeezed-empty", "thermal", "disk-x", "rect-three", "triangle"],
+)
+def test_malformed_generator_or_region_names_the_flag_exit_2(tmp_path, capsys, argv, message):
+    # 'fock:x' and 'disk:x' used to report only the failed int() or float() conversion
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
@@ -737,12 +801,14 @@ def _read_by_rows(path, grid):
     """The values of a q,p,value CSV as a row-by-row dict reader aligns them to ``grid``."""
     import csv
 
-    index = {ij: k for k, ij in enumerate(zip(grid.iq.tolist(), grid.ip.tolist()))}
+    def site(q, p):
+        return round(q / grid.spacing - 0.5), round(p / grid.spacing - 0.5)
+
+    index = {site(q, p): k for k, (q, p) in enumerate(grid.points.tolist())}
     values = np.full(len(grid), np.nan)
     with open(path, encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
-            q, p = float(row["q"]), float(row["p"])
-            k = index[(round(q / grid.spacing - 0.5), round(p / grid.spacing - 0.5))]
+            k = index[site(float(row["q"]), float(row["p"]))]
             assert np.isnan(values[k])
             values[k] = float(row["value"])
     return values

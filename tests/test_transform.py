@@ -185,8 +185,9 @@ def test_v_action_norm_loss_equals_exiting_mass(ctx24, grid_ref, eta24):
     g = (2 * grid_ref.spacing, -3 * grid_ref.spacing)
     vf = tr.v_action(g, f)
     lost = 0.0
-    for k in range(len(grid_ref)):
-        if grid_ref.lookup(int(grid_ref.iq[k]) + 2, int(grid_ref.ip[k]) - 3) is None:
+    s = grid_ref.spacing
+    for k, (q, p) in enumerate(grid_ref.points.tolist()):
+        if grid_ref.indices(round(q / s - 0.5) + 2, round(p / s - 0.5) - 3) < 0:
             lost += grid_ref.weights[k] * abs(f.values[k]) ** 2
     assert f.weighted_norm_sq() - vf.weighted_norm_sq() == pytest.approx(lost, abs=1e-12)
 
@@ -195,6 +196,18 @@ def test_v_action_rejects_off_lattice_translation(ctx24, grid_ref, eta24):
     f = _sampled(ctx24, grid_ref, eta24)
     with pytest.raises(ValueError, match="spacing"):
         tr.v_action((0.4 * grid_ref.spacing, 0.0), f)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [(np.inf, 0.0), (0.0, -np.inf), (np.nan, 0.0), (0.15, 0.15, 0.15)],
+    ids=["inf", "minus-inf", "nan", "three-components"],
+)
+def test_v_action_rejects_a_translation_that_is_not_two_finite_numbers(ctx24, grid_ref, eta24, g):
+    # an infinite component used to raise OverflowError, and a NaN one named no translation
+    f = _sampled(ctx24, grid_ref, eta24)
+    with pytest.raises(ValueError, match="translation"):
+        tr.v_action(g, f)
 
 
 # ---------------------------------------------------------------------------

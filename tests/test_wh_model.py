@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.special import gammainc
 
 from qps import wh_model as wh
 
@@ -157,16 +158,29 @@ def test_grid_parameter_validation():
 
 def test_grid_arrays_are_read_only():
     grid = wh.build_grid(3.0, 0.4)
-    for arr in (grid.points, grid.weights, grid.iq, grid.ip, grid.q):
+    for arr in (grid.points, grid.weights, grid.slots, grid.q):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
 
 
 def test_grid_lookup_indexes_every_lattice_point():
     grid = wh.build_grid(3.0, 0.4)
-    for k, (iq, ip) in enumerate(zip(grid.iq, grid.ip)):
-        assert grid.lookup(int(iq), int(ip)) == k
-    assert grid.lookup(100, 0) is None
+    for k, (q, p) in enumerate(grid.points.tolist()):
+        assert int(grid.indices(round(q / 0.4 - 0.5), round(p / 0.4 - 0.5))) == k
+    assert int(grid.indices(100, 0)) == -1
+
+
+def test_locate_snaps_each_grid_point_to_itself_and_misses_off_the_lattice():
+    grid = wh.build_grid(3.0, 0.4)
+    index, miss = grid.locate(grid.q, grid.p)
+    assert np.array_equal(index, np.arange(len(grid))) and not miss.any()
+    q0, p0 = grid.points[0]
+    # half a spacing off is as far from the lattice as a point can be
+    for x in (q0 + 0.2, np.nan, np.inf, -np.inf):
+        assert grid.locate(x, p0)[1] and grid.locate(q0, x)[1]
+    # finite, but its lattice coordinate overflows: off the grid, not a miss
+    index, miss = grid.locate(1e308, p0)
+    assert not miss and index == -1
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +281,20 @@ def test_commutator_sample_radius_shrinks_at_the_cutoff(ctx24, grid_wide):
     assert report.beta_sample_radius < 1e-4
 
 
+def test_commutator_sample_radius_depends_on_n_only_through_a():
+    # r solves P(a, (2r)^2) = 1e-18; a bisection bracketed by [0, N] drifted with N
+    radii = {}
+    for n_dim in range(2, 9):
+        ctx = wh.fock_space(n_dim)
+        for top in range(n_dim):
+            a = max(n_dim - top - 2, 2)
+            r = wh._commutator_sample_radius(ctx, np.eye(n_dim)[top])
+            assert radii.setdefault(a, r) == r
+            if r < 1:
+                assert gammainc(a, (2 * r) ** 2) == pytest.approx(1e-18, rel=1e-12)
+    assert sorted(radii) == [2, 3, 4, 5, 6]
+
+
 def test_central_phase_with_coincident_points(ctx24, eta24):
     # the commutator of a point with itself is the identity: the scalar is 1
     beta, dev = central_phase_deviation((0.4, 0.3), (0.4, 0.3), eta24, ctx24)
@@ -353,13 +381,18 @@ def _family_reference(vec, grid, n_dim):
     return elems @ vec
 
 
-def test_repeat_family_call_returns_the_stored_read_only_array(ctx24):
+def test_repeat_family_call_returns_the_stored_read_only_array(ctx24, monkeypatch):
     grid = wh.build_grid(5.0, 0.4)
     eta = wh.resolution_generator("fock", ctx24, n=2)
+    builds = []
+    fill_rows = wh._fill_rows
+    monkeypatch.setattr(wh, "_fill_rows", lambda *args: builds.append(args) or fill_rows(*args))
     first = wh.coherent_family(eta, grid, ctx24)
     again = wh.coherent_family(eta.copy(), grid, ctx24)
-    assert again is first
-    assert not first.flags.writeable
+    # both are views of the stored family, which was built once
+    assert len(builds) == 1
+    assert np.shares_memory(first, grid._family[1]) and np.shares_memory(again, grid._family[1])
+    assert not first.flags.writeable and not again.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         first[0, 0] = 0.0
 

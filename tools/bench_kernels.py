@@ -1,6 +1,7 @@
 """Per-kernel bench of the coherent family build, the admissibility check,
 the tomography solve, the exact cohomology kernels, the effect-algebra
-axiom check and ``qps spectrum``, each time with a paired accuracy figure.
+axiom check, the lattice translation, the CSV layer and ``qps spectrum``,
+each time with a paired accuracy figure.
 
 Coherent family: for each generator (ground, fock:3, squeezed:0.5 and a
 9-column low-block vector) on two grids (the ``roundtrips`` orthogonality
@@ -60,6 +61,12 @@ h 0.15).  Next to each time it records the SHA-256 digest of the bytes
 written (for the reader, of the float64 values read; for a command, of
 its JSON report, whose config names the temporary directory, and its CSV
 table), which two trees must share.
+
+Lattice translation: on the ``qps transform`` grid (R 7, h 0.15,
+K 6,828) it times ``transform.v_action`` of the transform of a low-block
+state (N 24) by 10 spacings in q and -10 in p.  Next to the time it
+records the SHA-256 digest of the translated values, which two trees
+must share.
 
 Every kernel runs once to warm up and then ``REPEATS`` times; each row
 holds the median and quartiles.  Run from the repository root; the JSON
@@ -295,6 +302,17 @@ def bench_csv(tmp: Path) -> list:
     return rows
 
 
+def bench_v_action() -> list:
+    radius, spacing, n_dim = 7.0, 0.15, 24
+    ctx = wh.fock_space(n_dim)
+    grid = wh.build_grid(radius, spacing)
+    phi = inputs.low_block_vector(np.random.default_rng(16), n_dim, 8)
+    samples = tr.w_transform(wh.resolution_generator("ground", ctx), grid, phi, ctx)
+    timing, moved = _timed(lambda: tr.v_action((10 * spacing, -10 * spacing), samples))
+    return [{"kernel": "transform.v_action", "grid": "transform", "K": len(grid), "shift_spacings": [10, -10],
+             **timing, "sha256": hashlib.sha256(moved.values.tobytes()).hexdigest()[:16]}]
+
+
 def bench_cli_csv(tmp: Path) -> list:
     out = tmp / "report.json"
     runs = {"transform": ["transform"]}
@@ -384,7 +402,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         csv_rows = bench_csv(Path(tmp)) + bench_cli_csv(Path(tmp))
     kernels = (bench_family() + bench_family_rows() + bench_admissibility() + bench_tomography()
-               + bench_cohomology() + bench_axioms() + bench_cli_spectrum() + csv_rows)
+               + bench_cohomology() + bench_axioms() + bench_cli_spectrum() + bench_v_action() + csv_rows)
     record = {"machine": _machine(), "kernels": kernels}
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for row in record["kernels"]:
