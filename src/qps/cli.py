@@ -26,16 +26,25 @@ import numpy as np
 from . import formats
 
 
+def _strict(kind):
+    """An argparse type: ``kind(text)`` by the CSV reader's rule, ``formats.number`` (no '1_0')."""
+    def parse(text: str):
+        if (value := formats.number(text, kind)) is None:
+            raise ValueError(text)
+        return value
+    parse.__name__ = kind.__name__  # argparse then reports "argument --dim: invalid int value: '2_4'"
+    return parse
+
+
 def _parse_generator(spec: str):
     """'ground', 'fock:n', or 'squeezed:r' -> (kind, kwargs)."""
     if spec == "ground":
         return "ground", {}
     kind, _, value = spec.partition(":")
-    try:
-        name, parse = {"fock": ("n", int), "squeezed": ("r", float)}[kind]
-        return kind, {name: parse(value)}
-    except (KeyError, ValueError):
-        raise ValueError(f"--generator {spec!r} is not one of ground, fock:n, squeezed:r") from None
+    name, parse = {"fock": ("n", int), "squeezed": ("r", float)}.get(kind, (None, None))
+    if parse and (number := formats.number(value, parse)) is not None:
+        return kind, {name: number}
+    raise ValueError(f"--generator {spec!r} is not one of ground, fock:n, squeezed:r")
 
 
 def _parse_region(spec: str):
@@ -43,14 +52,9 @@ def _parse_region(spec: str):
     from . import localization as loc
 
     kind, _, value = spec.partition(":")
-    try:
-        numbers = [float(x) for x in value.split(",")]
-    except ValueError:
-        numbers = []
-    if kind == "disk" and len(numbers) == 1:
-        return loc.RegionSpec.disk(*numbers)
-    if kind == "rect" and len(numbers) == 4:
-        return loc.RegionSpec.rect(*numbers)
+    numbers = [formats.number(x) for x in value.split(",")]
+    if None not in numbers and (kind, len(numbers)) in (("disk", 1), ("rect", 4)):
+        return getattr(loc.RegionSpec, kind)(*numbers)
     raise ValueError(f"--region {spec!r} is not one of disk:R, rect:q0,q1,p0,p1")
 
 
@@ -312,9 +316,9 @@ def cmd_admissibility(args) -> int:
 
 
 def _add_grid_flags(sub, dim, radius, spacing, generator="ground"):
-    sub.add_argument("--dim", type=int, default=dim, help="Fock truncation dimension")
-    sub.add_argument("--radius", type=float, default=radius, help="grid disk radius")
-    sub.add_argument("--spacing", type=float, default=spacing, help="grid lattice spacing")
+    sub.add_argument("--dim", type=_strict(int), default=dim, help="Fock truncation dimension")
+    sub.add_argument("--radius", type=_strict(float), default=radius, help="grid disk radius")
+    sub.add_argument("--spacing", type=_strict(float), default=spacing, help="grid lattice spacing")
     sub.add_argument(
         "--generator",
         default=generator,
@@ -353,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("spectrum", help="localization-operator spectrum of a region")
     _add_grid_flags(p, dim=32, radius=7.0, spacing=0.098)
     p.add_argument("--region", default="disk:3", help="disk:R or rect:q0,q1,p0,p1")
-    p.add_argument("--epsilon", type=float, default=0.1, help="clustering band width")
-    p.add_argument("--threshold", type=float, default=0.5, help="channel-capacity cut")
+    p.add_argument("--epsilon", type=_strict(float), default=0.1, help="clustering band width")
+    p.add_argument("--threshold", type=_strict(float), default=0.5, help="channel-capacity cut")
     _add_output_flags(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -372,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("effects", help="effect-algebra axioms and projection scan")
     _add_grid_flags(p, dim=6, radius=7.0, spacing=0.15)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_strict(int), default=1000)
     p.add_argument("--seed", type=_seed, default=1)
     _add_output_flags(p)
     p.set_defaults(func=cmd_effects)
@@ -385,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("admissibility", help="generator admissibility diagnostics")
     _add_grid_flags(p, dim=24, radius=7.0, spacing=0.15)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_strict(int), default=50)
     p.add_argument("--seed", type=_seed, default=0)
     _add_output_flags(p)
     p.set_defaults(func=cmd_admissibility)

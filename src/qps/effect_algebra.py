@@ -32,19 +32,28 @@ class EffectCheck:
     upper_margin: float
 
 
+def _effect_gate(m: np.ndarray, ndim: int):
+    """is_effect on an ndim-axis stack: where each matrix is not Hermitian, is an effect, and its margins."""
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+        raise ValueError("effect candidate must be a square matrix")
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    skew = np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1)) > 1e-12 * scale
+    evals = np.linalg.eigvalsh(m)
+    lower, upper = evals[..., 0], 1.0 - evals[..., -1]
+    return skew, (lower >= -DEFINEDNESS_TOL) & (upper >= -DEFINEDNESS_TOL), lower, upper
+
+
 def is_effect(matrix) -> EffectCheck:
     """Spectrum-in-[0,1] test with the distances to both ends."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("effect candidate must be a square matrix")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
+    skew, ok, lower, upper = _effect_gate(np.asarray(matrix, dtype=complex), 2)
+    if skew:
         raise ValueError("effect candidate must be Hermitian")
-    evals = np.linalg.eigvalsh(m)
-    lower = float(evals[0])
-    upper = float(1.0 - evals[-1])
-    ok = lower >= -DEFINEDNESS_TOL and upper >= -DEFINEDNESS_TOL
-    return EffectCheck(ok=ok, lower_margin=lower, upper_margin=upper)
+    return EffectCheck(ok=bool(ok), lower_margin=float(lower), upper_margin=float(upper))
+
+
+def _defined(total: np.ndarray) -> np.ndarray:
+    """Where each sum in a stack of them stays below 1: the test of oplus."""
+    return ~(np.linalg.eigvalsh(total)[..., -1] > 1.0 + DEFINEDNESS_TOL)
 
 
 def oplus(a, b):
@@ -53,9 +62,7 @@ def oplus(a, b):
     :func:`is_effect` is the check on effects, and it is not repeated: a sum
     of two effects is positive, so only its top eigenvalue is tested."""
     total = np.asarray(a, dtype=complex) + np.asarray(b, dtype=complex)
-    if np.linalg.eigvalsh(total)[-1] > 1.0 + DEFINEDNESS_TOL:
-        return None
-    return total
+    return total if _defined(total) else None
 
 
 def effect_sampler(n_dim: int, seed: int):
@@ -87,10 +94,10 @@ class AxiomReport:
 def verify_axioms(sampler, trials: int) -> AxiomReport:
     """Randomized check of the effect-algebra axioms that rounding can break.
 
-    Per trial, three samples are drawn and associativity and the zero-one
-    axiom are evaluated; each failure stores a witness (up to five).
-    Samples that fail the effect gate raise immediately: the axioms only
-    speak about effects.
+    All 3 * trials samples (a, b, c per trial) are drawn first, then each
+    test runs as one stacked eigvalsh, and each failure stores a witness (up
+    to five, in trial order).  The first sample that fails the effect gate
+    raises: the axioms only speak about effects.
 
     Commutativity and complement uniqueness are theorems here, so their
     counts stay 0.  :func:`oplus` forms a + b, and IEEE addition is
@@ -104,33 +111,28 @@ def verify_axioms(sampler, trials: int) -> AxiomReport:
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    mats = np.array([np.asarray(sampler(), dtype=complex) for _ in range(3 * trials)])
+    skew, ok, _, _ = _effect_gate(mats, 3)
+    bad = np.flatnonzero(skew | ~ok)
+    if bad.size:  # the first sample, in draw order, that is not an effect
+        raise ValueError("effect candidate must be Hermitian" if skew[bad[0]]
+                         else "sampler produced a non-effect")
+    a, b, c = mats[0::3], mats[1::3], mats[2::3]
+    defined = _defined(np.concatenate([b + c, a + np.eye(a.shape[1])]))
+    right = defined[:trials].copy()  # a (+) (b (+) c), formed where b (+) c is defined
+    right[right] = _defined(a[right] + (b[right] + c[right]))
+    left = right.copy()  # (a (+) b) (+) c, tested where the right bracketing is defined
+    left[left] = _defined(a[left] + b[left])
+    left[left] = _defined(a[left] + b[left] + c[left])
+    zero_one = defined[trials:].copy()
+    zero_one[zero_one] = np.linalg.norm(a[zero_one], ord=2, axis=(1, 2)) > DEFINEDNESS_TOL
+    found = (("associativity", right & ~left, (a, b, c)), ("zero_one", zero_one, (a,)))
     failures = {"commutativity": 0, "associativity": 0, "unique_complement": 0, "zero_one": 0}
-    witnesses: list = []
-
-    def record(axiom: str, *mats):
-        failures[axiom] += 1
-        if len(witnesses) < 5:
-            witnesses.append({"axiom": axiom, "operators": [np.array(m) for m in mats]})
-
-    def gate(e) -> np.ndarray:
-        m = np.asarray(e, dtype=complex)
-        if not is_effect(m).ok:
-            raise ValueError("sampler produced a non-effect")
-        return m
-
-    for _ in range(trials):
-        a, b, c = (gate(sampler()) for _ in range(3))
-
-        bc = oplus(b, c)
-        if bc is not None and oplus(a, bc) is not None:
-            ab = oplus(a, b)
-            if ab is None or oplus(ab, c) is None:
-                record("associativity", a, b, c)
-
-        if oplus(a, np.eye(len(a))) is not None and np.linalg.norm(a, ord=2) > DEFINEDNESS_TOL:
-            record("zero_one", a)
-
-    return AxiomReport(trials=trials, failures=failures, witnesses=witnesses)
+    failures.update((axiom, int(failed.sum())) for axiom, failed, _ in found)
+    witnesses = [{"axiom": axiom, "operators": [np.array(m[t]) for m in operands]}
+                 for t in np.flatnonzero(right & ~left | zero_one)
+                 for axiom, failed, operands in found if failed[t]]
+    return AxiomReport(trials=trials, failures=failures, witnesses=witnesses[:5])
 
 
 @dataclass

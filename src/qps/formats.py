@@ -66,12 +66,12 @@ def write_values_csv(values, grid, path) -> None:
     _write_columns(path, ["q", "p", "value", "weight"], [grid.q, grid.p, values, grid.weights])
 
 
-def _number(text: str):
-    """``float(text)``, or None where float refuses it or reads digit grouping ('1_0')."""
+def number(text: str, kind=float):
+    """``kind(text)``, or None where kind refuses it or reads digit grouping ('1_0')."""
     if "_" in text:
         return None
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
         return None
 
@@ -83,7 +83,7 @@ def _parse_column(texts: list):
             return np.fromiter(map(float, texts), float, len(texts)), np.zeros(len(texts), bool)
         except ValueError:
             pass
-    numbers = [_number(t) for t in texts]
+    numbers = [number(t) for t in texts]
     bad = np.array([x is None for x in numbers], dtype=bool)
     return np.array([math.nan if x is None else x for x in numbers], dtype=float), bad
 

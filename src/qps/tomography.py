@@ -15,7 +15,7 @@ import numpy as np
 
 from .localization import quantize, symbol_values
 from .transform import GammaFunctionSamples
-from .wh_model import SQRT2, FockContext, PhaseGrid, coherent_family
+from .wh_model import SQRT2, FockContext, PhaseGrid, coherent_family, row_blocks
 
 # singular values below this fraction of the largest count as zero in a rank
 SVD_CUTOFF = 1e-10
@@ -58,8 +58,9 @@ def random_density(rng: np.random.Generator, n: int, rank: int | None = None) ->
 def classical_density(rho: DensityOperator, eta, grid: PhaseGrid, ctx: FockContext) -> GammaFunctionSamples:
     """Pointwise Tr(rho T(x_k)) = <u_k| rho |u_k>: real, nonnegative by positivity."""
     fam = coherent_family(eta, grid, ctx)
-    vals = np.einsum("kn,kn->k", fam.conj() @ rho.matrix, fam).real
-    return GammaFunctionSamples(values=vals, grid=grid)
+    vals = [np.einsum("kn,kn->k", fam[part].conj() @ rho.matrix, fam[part]).real
+            for part in row_blocks(len(grid), 16 * ctx.n_dim)]
+    return GammaFunctionSamples(values=np.concatenate(vals), grid=grid)
 
 
 def expectation_pair(rho: DensityOperator, f, eta, grid: PhaseGrid, ctx: FockContext):
@@ -115,10 +116,11 @@ def _family_rows(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     fam = coherent_family(eta, grid, ctx)
     n = ctx.n_dim
     iu, ju = np.triu_indices(n, k=1)
-    cross = fam[:, iu] * fam[:, ju].conj()
-    return np.concatenate(
-        [np.abs(fam) ** 2, SQRT2 * cross.real, SQRT2 * cross.imag], axis=1
-    )
+    rows = np.empty((len(grid), n * n))
+    for part in row_blocks(len(grid), 8 * n * n):
+        cross = fam[part, iu] * fam[part, ju].conj()
+        rows[part] = np.concatenate([np.abs(fam[part]) ** 2, SQRT2 * cross.real, SQRT2 * cross.imag], axis=1)
+    return rows
 
 
 @dataclass

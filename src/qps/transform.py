@@ -46,8 +46,12 @@ def w_transform(eta, grid: PhaseGrid, phi, ctx: FockContext) -> GammaFunctionSam
 
 
 def weighted_gram(fam: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights_k |u_k><u_k| over the rows u_k of fam, Hermitized."""
-    a = (fam.T * weights) @ fam.conj()
+    """sum_k weights_k |u_k><u_k| over the rows u_k of fam, Hermitized.  One real product r = v^T diag(w) v
+    on the float view v of fam, rows (Re u_k0, Im u_k0, Re u_k1, ...), gives entry (m, n) as r[2m, 2n] +
+    r[2m+1, 2n+1] + i (r[2m+1, 2n] - r[2m, 2n+1]): the conjugate is a sign there, not a copy of fam."""
+    v = np.ascontiguousarray(fam, dtype=complex).view(float)
+    r = v.T @ (v * weights[:, None])
+    a = (r[0::2, 0::2] + r[1::2, 1::2]) + 1j * (r[1::2, 0::2] - r[0::2, 1::2])
     return 0.5 * (a + a.conj().T)
 
 

@@ -57,6 +57,12 @@ def low_block(ctx: FockContext) -> slice:
 _RADIAL_BYTES = 2**23
 
 
+def row_blocks(n_rows: int, row_bytes: int):
+    """Slices of range(n_rows), 128 KiB of rows each: heap-sized temporaries, not freshly mapped pages."""
+    step = max(1, 2**17 // row_bytes)
+    return (slice(start, start + step) for start in range(0, n_rows, step))
+
+
 def _radial(x, m, n):
     """The part of <m|D(alpha)|n> that depends on alpha only through x = |alpha|^2.
 
@@ -256,19 +262,14 @@ def _fill_rows(vec, grid: PhaseGrid, fam: np.ndarray, todo: np.ndarray) -> None:
     # chunks whose tables fit in _RADIAL_BYTES together, so a wide
     # support does not hold all of them at once.
     chunk = max(1, _RADIAL_BYTES // (8 * xs.size * n_dim))
-    # Row blocks of about 128 KiB of complex entries: temporaries that
-    # small are reused from the heap, while whole-grid ones are mapped and
-    # faulted in afresh on every call.  Every entry still sums its columns
-    # in support order, so it depends on neither blocking.
-    block = max(1, 2**17 // (16 * n_dim))
+    # each entry sums its columns in support order, so no blocking changes a bit
     for first in range(0, support.size, chunk):
         cols = support[first : first + chunk]
         radials = [_radial(xs[:, None], np.arange(n_dim)[None, :], n0) for n0 in cols]
         top = cols[-1]
         up_exps = np.arange(n_dim - cols[0])
         down_exps = np.arange(top, 0, -1)
-        for start in range(0, todo.size, block):
-            part = slice(start, start + block)
+        for part in row_blocks(todo.size, 16 * n_dim):
             dest = todo[part]
             if dest[-1] - dest[0] == dest.size - 1:
                 dest = slice(dest[0], dest[-1] + 1)  # a run of rows: write through a view

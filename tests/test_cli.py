@@ -703,6 +703,36 @@ def test_malformed_generator_or_region_names_the_flag_exit_2(tmp_path, capsys, a
     assert not out.exists()
 
 
+
+# Python's int and float read '1_0' as 10; no flag value does, as no CSV value does
+_DIGIT_GROUPING = [
+    (["spectrum", "--dim", "3_2"], "qps spectrum: error: argument --dim: invalid int value: '3_2'"),
+    (["tomography", "--self-test", "--dim", "1_6"],
+     "qps tomography: error: argument --dim: invalid int value: '1_6'"),
+    (["spectrum", "--radius", "7.0_0"], "qps spectrum: error: argument --radius: invalid float value: '7.0_0'"),
+    (["transform", "--spacing", "0.1_5"], "qps transform: error: argument --spacing: invalid float value: '0.1_5'"),
+    (["spectrum", "--epsilon", "0.1_0"], "qps spectrum: error: argument --epsilon: invalid float value: '0.1_0'"),
+    (["spectrum", "--threshold", "0.5_0"],
+     "qps spectrum: error: argument --threshold: invalid float value: '0.5_0'"),
+    (["effects", "--trials", "1_0"], "qps effects: error: argument --trials: invalid int value: '1_0'"),
+    (["admissibility", "--trials", "5_0"], "qps admissibility: error: argument --trials: invalid int value: '5_0'"),
+    (["admissibility", "--generator", "fock:1_0"],
+     "error: --generator 'fock:1_0' is not one of ground, fock:n, squeezed:r"),
+    (["transform", "--generator", "squeezed:0.1_0"],
+     "error: --generator 'squeezed:0.1_0' is not one of ground, fock:n, squeezed:r"),
+    (["spectrum", "--region", "disk:1_5"], "error: --region 'disk:1_5' is not one of disk:R, rect:q0,q1,p0,p1"),
+    (["spectrum", "--region", "rect:0,2_0,0,2"],
+     "error: --region 'rect:0,2_0,0,2' is not one of disk:R, rect:q0,q1,p0,p1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _DIGIT_GROUPING, ids=["=".join(argv[-2:]) for argv, _ in _DIGIT_GROUPING])
+def test_digit_grouping_in_a_number_names_the_flag_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_admissibility_without_trials_exit_2(tmp_path, capsys, trials):
     out = tmp_path / "report.json"
@@ -1053,6 +1083,8 @@ _PINNED = {
     ("cohomology", "h3", "--omega", ""): 2,
     ("transform", "--radius", "1e200", "--spacing", "1e199"): 2,
     ("admissibility",): 0,
+    # digit grouping, one case per numeric flag and per number inside --generator and --region
+    **{tuple(argv): 2 for argv, _ in _DIGIT_GROUPING},
 }
 
 

@@ -171,6 +171,73 @@ def test_adversarial_sampler_rejected_by_gate():
         ea.verify_axioms(bad_sampler, 5)
 
 
+
+def _per_trial_axioms(samples, trials):
+    """The one-trial-at-a-time check, built from oplus and is_effect: the oracle."""
+    failures, witnesses = {"associativity": 0, "zero_one": 0}, []
+    for t in range(trials):
+        a, b, c = samples[3 * t : 3 * t + 3]
+        assert all(ea.is_effect(m).ok for m in (a, b, c))
+        found = []
+        bc = ea.oplus(b, c)
+        if bc is not None and ea.oplus(a, bc) is not None:
+            ab = ea.oplus(a, b)
+            if ab is None or ea.oplus(ab, c) is None:
+                found.append(("associativity", [a, b, c]))
+        if ea.oplus(a, np.eye(len(a))) is not None and np.linalg.norm(a, ord=2) > ea.DEFINEDNESS_TOL:
+            found.append(("zero_one", [a]))
+        for axiom, operators in found:
+            failures[axiom] += 1
+            witnesses.append((axiom, operators))
+    return failures, witnesses[:5]
+
+
+def _gate_edge_samples(seed, count):
+    """Diagonal effects whose sums sit at the definedness tolerance."""
+    levels = np.array([0.0, -1e-9, 0.4 + 1.5e-9, 0.4, 0.6, 0.6 - 5e-10, 0.5, 1.0, 1.0 + 5e-10,
+                       np.nextafter(1e-9, 1.0), 1e-12])
+    spectra = np.random.default_rng(seed).choice(levels, size=(count, 3))
+    return [np.diag(spectrum).astype(complex) for spectrum in spectra]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4, 9])
+def test_stacked_axioms_match_the_per_trial_check(seed):
+    trials = 300
+    samples = _gate_edge_samples(seed, 3 * trials)
+    failures, witnesses = _per_trial_axioms(samples, trials)
+    assert failures["associativity"] and failures["zero_one"]
+    report = ea.verify_axioms(iter(samples).__next__, trials)
+    assert report.failures == {"commutativity": 0, "unique_complement": 0, **failures}
+    assert [w["axiom"] for w in report.witnesses] == [axiom for axiom, _ in witnesses]
+    for got, (_, operators) in zip(report.witnesses, witnesses):
+        assert all(np.array_equal(g, o) and g.dtype == complex for g, o in zip(got["operators"], operators))
+
+
+def test_axiom_check_makes_five_eigvalsh_calls_for_any_trial_count(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    for trials in (1, 100, 1000):
+        calls.clear()
+        ea.verify_axioms(ea.effect_sampler(6, seed=1), trials)
+        assert len(calls) == 5
+    assert calls[0] == (3000, 6, 6)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [({0: "non-effect", 2: "skew"}, "non-effect"), ({0: "skew", 2: "non-effect"}, "Hermitian"),
+     ({4: "non-effect"}, "non-effect"), ({5: "skew"}, "Hermitian")],
+    ids=["non-effect-first", "non-hermitian-first", "non-effect", "non-hermitian"],
+)
+def test_first_bad_sample_in_draw_order_decides_the_error(bad, message):
+    good = ea.effect_sampler(3, seed=0)
+    samples = [good() for _ in range(6)]
+    for index, kind in bad.items():
+        samples[index] = 2 * np.eye(3) if kind == "non-effect" else np.triu(np.ones((3, 3))) / 3
+    with pytest.raises(ValueError, match=message):
+        ea.verify_axioms(iter(samples).__next__, 2)
+
 def test_trials_validation():
     with pytest.raises(ValueError):
         ea.verify_axioms(ea.effect_sampler(4, seed=0), 0)

@@ -6,6 +6,8 @@ import pytest
 from qps import tomography as tom
 from qps import wh_model as wh
 
+from conftest import random_low_block
+
 
 # ---------------------------------------------------------------------------
 # density operators
@@ -86,6 +88,20 @@ def test_density_affine_in_the_state(ctx24, grid_ref, eta24):
         + 0.7 * tom.classical_density(rho2, eta24, grid_ref, ctx24).values
     )
     assert np.max(np.abs(d_mix - d_sum)) < 1e-13
+
+
+@pytest.mark.parametrize("n_dim", [4, 8, 16])
+def test_density_matches_the_whole_grid_product_bit_for_bit(n_dim):
+    # K = 6,828 rows in blocks of 2**17 / (16 N) rows: the last block is partial
+    grid = wh.build_grid(7.0, 0.15)
+    assert len(grid) % (2**17 // (16 * n_dim))
+    ctx = wh.fock_space(n_dim)
+    rng = np.random.default_rng(n_dim)
+    eta = random_low_block(rng, n_dim, top=n_dim - 1)
+    rho = tom.random_density(rng, n_dim)
+    fam = wh.coherent_family(eta, grid, ctx)
+    expected = np.einsum("kn,kn->k", fam.conj() @ rho.matrix, fam).real
+    assert np.array_equal(tom.classical_density(rho, eta, grid, ctx).values, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +188,23 @@ def test_coherent_family_is_informationally_complete(ctx4, grid4, eta4):
     # no singular value is discarded, so the gap ratio is infinite; the
     # completeness margin is the condition number of the rows (20.5 here)
     assert report.singular_values[0] / report.smallest_kept_singular_value <= 1e3
+
+
+@pytest.mark.parametrize("n_dim", [8, 12, 16])
+def test_family_rows_match_the_unblocked_products_bit_for_bit(n_dim):
+    # K = 716 rows in blocks of 2**17 / (8 N^2) rows: the last block is partial
+    grid = wh.build_grid(6.0, 0.4)
+    assert len(grid) % (2**17 // (8 * n_dim**2))
+    ctx = wh.fock_space(n_dim)
+    eta = random_low_block(np.random.default_rng(n_dim), n_dim, top=n_dim - 1)
+    fam = wh.coherent_family(eta, grid, ctx)
+    iu, ju = np.triu_indices(n_dim, k=1)
+    # named operands: numpy may evaluate a product of two large temporaries in
+    # place as ju-factor * iu-factor, whose imaginary parts round differently
+    left, right = fam[:, iu], fam[:, ju].conj()
+    cross = left * right
+    expected = np.concatenate([np.abs(fam) ** 2, wh.SQRT2 * cross.real, wh.SQRT2 * cross.imag], axis=1)
+    assert np.array_equal(tom._family_rows(eta, grid, ctx), expected)
 
 
 def test_position_projectors_are_incomplete():

@@ -102,6 +102,56 @@ def test_frame_nearly_commutes_with_number_operator(ctx24, grid_ref, eta24):
 
 
 # ---------------------------------------------------------------------------
+# weighted Gram product
+# ---------------------------------------------------------------------------
+
+
+def _per_row_gram(fam, weights):
+    """sum_k w_k u_k u_k^H, one row at a time, accumulated in extended precision."""
+    out = np.zeros((fam.shape[1],) * 2, dtype=np.clongdouble)
+    for u, w in zip(fam.astype(np.clongdouble), np.asarray(weights, dtype=np.longdouble)):
+        out += w * np.outer(u, u.conj())
+    return out
+
+
+def _gram_weights(kind, rng, n_rows):
+    return {
+        "grid": np.full(n_rows, 0.4**2 / (2 * np.pi)),
+        "signed": rng.normal(size=n_rows),
+        "zero": np.zeros(n_rows),
+        "negative": -rng.uniform(0.1, 2.0, size=n_rows),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["grid", "signed", "zero", "negative"])
+@pytest.mark.parametrize("n_dim", [2, 3, 8, 17, 32])
+@pytest.mark.parametrize("rows", ["all", "strided", "one"])
+def test_weighted_gram_matches_the_per_row_sum(kind, n_dim, rows):
+    rng = np.random.default_rng(n_dim)
+    grid = wh.build_grid(6.0, 0.4)  # K = 716
+    ctx = wh.fock_space(n_dim)
+    fam = wh.coherent_family(random_low_block(rng, n_dim, top=min(n_dim - 1, 8)), grid, ctx)
+    fam = {"all": fam, "strided": fam[::3], "one": fam[200:201]}[rows]
+    weights = _gram_weights(kind, rng, len(fam))
+    gram = tr.weighted_gram(fam, weights)
+    # every |G_mn| is at most max_m sum_k |w_k| |u_km|^2
+    scale = float(np.max(np.abs(weights) @ np.abs(fam) ** 2))
+    assert np.max(np.abs(gram - _per_row_gram(fam, weights))) <= 1e-14 * scale
+    assert kind != "zero" or not gram.any()
+
+
+@pytest.mark.parametrize("kind", ["grid", "signed", "negative"])
+def test_weighted_gram_is_exactly_hermitian_with_a_real_diagonal(kind):
+    rng = np.random.default_rng(3)
+    grid = wh.build_grid(6.0, 0.4)
+    ctx = wh.fock_space(24)
+    fam = wh.coherent_family(random_low_block(rng, 24), grid, ctx)
+    gram = tr.weighted_gram(fam, _gram_weights(kind, rng, len(fam)))
+    assert np.array_equal(gram, gram.conj().T)
+    assert np.all(gram.diagonal().imag == 0)
+
+
+# ---------------------------------------------------------------------------
 # reconstruct / projection
 # ---------------------------------------------------------------------------
 
