@@ -121,6 +121,8 @@ def cmd_cohomology(args) -> int:
             coords = tuple(lc.parse_rational(x) for x in args.omega.split(","))
         except ZeroDivisionError:
             raise ValueError(f"--omega has a zero denominator: {args.omega!r}")
+        except ValueError as exc:
+            raise ValueError(f"--omega {args.omega!r} is not a comma list of rational numbers ({exc})")
         omega = lc.Cochain(dim=sc.dim, coords=coords)
         report["kernel"] = lc.kernel_report_json(lc.kernel_subalgebra(sc, omega))
     _emit(report, args)

@@ -276,17 +276,21 @@ _DECIMAL_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def parse_rational(value) -> Fraction:
-    """``Fraction(value)``, refusing a decimal exponent that is too large.
+    """``Fraction(value)``, refusing a decimal exponent that is too large and
+    digit grouping ('1_0'), which Fraction reads as 10.
 
     Fraction expands an exponent exactly, so '1e10000000' alone takes
     seconds.  A string whose exponent exceeds sys.get_int_max_str_digits()
-    in magnitude (4300 by default; 0 lifts the bound) raises ValueError.
+    in magnitude (4300 by default; 0 lifts the bound) raises ValueError, as
+    does a string with '_' in it.
     """
     if isinstance(value, str):
         match = _DECIMAL_EXPONENT.search(value)
         limit = sys.get_int_max_str_digits()
         if match and limit and abs(int(match.group(1))) > limit:
             raise ValueError(f"decimal exponent of {value!r} exceeds {limit} in magnitude")
+        if "_" in value:
+            raise ValueError(f"{value!r} uses digit grouping")
     return Fraction(value)
 
 

@@ -94,6 +94,8 @@ def quantize(f, eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     """
     vals = symbol_values(f, grid)
     rows = np.flatnonzero(vals)
+    if rows.size == len(grid):  # full support: the stored family itself, not a K x N copy of it
+        return weighted_gram(coherent_family(eta, grid, ctx), grid.weights * vals)
     fam = coherent_family(eta, grid, ctx, rows=rows)
     return weighted_gram(fam, grid.weights[rows] * vals[rows])
 

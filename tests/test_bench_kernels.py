@@ -1,0 +1,32 @@
+"""Smoke test of the per-kernel bench: its benches still run against the package."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_kernels.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_kernels", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_frame_solve_and_transform_grid_rows(bench, tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    rows = bench.bench_frame_solve() + bench.bench_transform_grid(tmp_path)
+    assert [row["kernel"] for row in rows] == [
+        "transform.reconstruct", "transform.v_action", "formats.write_values_csv",
+        "formats.write_samples_csv", "formats.read_values_csv",
+    ]
+    for row in rows:
+        assert row["repeats"] == 1
+        assert row["median_s"] > 0 and len(row["quartiles_s"]) == 2
+        assert "relative_error" in row or len(row["sha256"]) == 16
+        line = bench._summary(row)
+        assert row["kernel"] in line and "quartiles" not in line
+    assert rows[0]["relative_error"] < 1e-12

@@ -226,6 +226,16 @@ def test_cohomology_file_equivalent_to_catalog(tmp_path):
     assert from_file == from_catalog
 
 
+def test_cohomology_omega_that_is_not_a_number_names_the_flag_exit_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["cohomology", "so3", "--omega", "x,0,0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --omega 'x,0,0' is not a comma list of rational numbers "
+        "(Invalid literal for Fraction: 'x')\n"
+    )
+    assert not out.exists()
+
+
 def test_cohomology_empty_omega_exit_2(tmp_path, capsys):
     # an empty --omega used to be skipped: exit 0, no kernel, "omega": ""
     out = tmp_path / "report.json"
@@ -723,6 +733,8 @@ _DIGIT_GROUPING = [
     (["spectrum", "--region", "disk:1_5"], "error: --region 'disk:1_5' is not one of disk:R, rect:q0,q1,p0,p1"),
     (["spectrum", "--region", "rect:0,2_0,0,2"],
      "error: --region 'rect:0,2_0,0,2' is not one of disk:R, rect:q0,q1,p0,p1"),
+    (["cohomology", "so3", "--omega", "1_0,0,0"],
+     "error: --omega '1_0,0,0' is not a comma list of rational numbers ('1_0' uses digit grouping)"),
 ]
 
 
@@ -1081,6 +1093,7 @@ _PINNED = {
     ("cohomology", "h3"): 0,
     ("cohomology", "so3", "--omega", "1,0,0"): 0,
     ("cohomology", "h3", "--omega", ""): 2,
+    ("cohomology", "so3", "--omega", "x,0,0"): 2,
     ("transform", "--radius", "1e200", "--spacing", "1e199"): 2,
     ("admissibility",): 0,
     # digit grouping, one case per numeric flag and per number inside --generator and --region

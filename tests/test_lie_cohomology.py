@@ -638,6 +638,16 @@ def test_huge_decimal_exponent_rejected(text):
         lc.from_json_dict(data)
 
 
+@pytest.mark.parametrize("text", ["1_0", "1/1_0", "1.0_0", "1e1_0"])
+def test_digit_grouping_rejected(text):
+    # Fraction reads '1_0' as 10; the CSV reader and every other CLI number refuse it
+    with pytest.raises(ValueError, match="uses digit grouping"):
+        lc.parse_rational(text)
+    data = {"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "coeffs": {"0": text}}]}
+    with pytest.raises(ValueError, match="not a rational number .*uses digit grouping"):
+        lc.from_json_dict(data)
+
+
 def test_rationals_parse_exactly():
     assert lc.parse_rational("1e-3") == Fraction(1, 1000)
     assert lc.parse_rational("3/4") == Fraction(3, 4)

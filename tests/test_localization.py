@@ -143,6 +143,26 @@ def test_quantize_matches_full_grid_sum(ctx24, grid_ref, eta24, symbol):
     assert np.max(np.abs(loc.quantize(vals, eta24, grid_ref, ctx24) - full)) <= 1e-14
 
 
+def test_quantize_asks_for_the_whole_family_only_at_full_support(ctx24, grid_ref, eta24, monkeypatch):
+    # full support takes the stored family as it is; a region takes its own rows
+    asked = []
+
+    def spy(eta, grid, ctx, rows=None):
+        asked.append(rows)
+        return wh.coherent_family(eta, grid, ctx, rows=rows)
+
+    monkeypatch.setattr(loc, "coherent_family", spy)
+    gaussian = np.exp(-(grid_ref.q**2 + grid_ref.p**2) / 4)
+    assert np.all(gaussian > 0)
+    a = loc.quantize(gaussian, eta24, grid_ref, ctx24)
+    assert asked == [None]
+    expected = tr.weighted_gram(wh.coherent_family(eta24, grid_ref, ctx24), grid_ref.weights * gaussian)
+    assert np.array_equal(a, expected)
+    disk = loc.RegionSpec.disk(3.0).mask(grid_ref).astype(float)
+    loc.quantize(disk, eta24, grid_ref, ctx24)
+    assert np.array_equal(asked[1], np.flatnonzero(disk))
+
+
 def test_symbol_shape_validation(ctx24, grid_ref, eta24):
     with pytest.raises(ValueError):
         loc.quantize(np.ones(3), eta24, grid_ref, ctx24)

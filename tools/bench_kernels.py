@@ -2,20 +2,17 @@
 the Hermitian eigensolve, the frame solve, the classical density, the
 admissibility check, the tomography solve, the exact cohomology kernels,
 the effect-algebra axiom check, the lattice translation, the CSV layer and
-``qps spectrum``, each time with a paired accuracy figure.
+the ``qps`` subcommands, each time with a paired accuracy figure.
 
 Coherent family: for each generator (ground, fock:3, squeezed:0.5 and a
 9-column low-block vector) on two grids (the ``roundtrips`` orthogonality
 grid, R 13, h 0.35, N 24, and the ``spectra`` frame, R 7, h 0.098, N 32)
-it times ``wh_model.coherent_family`` on a fresh grid.  Next to each time
-it records the largest |difference| between the family and the closed
-form summed column by column over the whole grid
-(``_displacement_elements``); an exact build reads 0.
-
-Family rows: on the ``spectra`` frame it times the ground family's rows
-in the ``disk:3`` region (``coherent_family(..., rows=...)``, what
-``localization.quantize`` asks for) on a fresh grid, against the whole
-grid, next to the same closed-form difference over those rows.
+it times ``wh_model.coherent_family`` of the whole grid on a fresh grid,
+and on the ``spectra`` frame also the ground family's rows in the
+``disk:3`` region (``coherent_family(..., rows=...)``, what
+``localization.quantize`` asks for).  Next to each time it records the
+largest |difference| between the rows built and the closed form summed
+column by column (``_displacement_elements``); an exact build reads 0.
 
 Weighted Gram: on the ``spectra`` frame it times
 ``transform.weighted_gram`` of the ground family with the grid weights,
@@ -65,32 +62,30 @@ default, sampling included.  Next to each time it records the failure
 count of each axiom, which reads 0 on a correct effect algebra, and the
 number of ``numpy.linalg.eigvalsh`` calls one run makes.
 
-CLI: it times ``qps spectrum`` in process at its defaults (``disk:3``) and
-on the half plane ``rect:0,inf,-inf,inf``, the JSON report going to a
-buffer.  Next to each time it records a digest of the report, which two
-trees must share.
-
-CSV: on the ``qps transform`` grid (R 7, h 0.15, K 6,828) it times
-``formats.write_values_csv`` of a closed-form Husimi density,
+Transform grid: on the ``qps transform`` grid (R 7, h 0.15, K 6,828) it
+times ``formats.write_values_csv`` of a closed-form Husimi density,
 ``formats.write_samples_csv`` of the transform of a low-block state
-(N 24) and ``formats.read_values_csv`` of the values file.  It also times
-in-process ``qps transform --out`` at its defaults and ``qps tomography
---probabilities FILE --out`` on a Husimi-density file, at its defaults
-(N 4, R 5, h 0.4) and at the ``roundtrips`` configuration (N 4, R 7,
-h 0.15).  Next to each time it records the SHA-256 digest of the bytes
-written (for the reader, of the float64 values read; for a command, of
-its JSON report, whose config names the temporary directory, and its CSV
-table), which two trees must share.
+(N 24), ``formats.read_values_csv`` of the values file and
+``transform.v_action`` of the samples by 10 spacings in q and -10 in p.
+Next to each time it records the SHA-256 digest of the bytes written, or
+of the float64 values read or translated, which two trees must share.
 
-Lattice translation: on the ``qps transform`` grid (R 7, h 0.15,
-K 6,828) it times ``transform.v_action`` of the transform of a low-block
-state (N 24) by 10 spacings in q and -10 in p.  Next to the time it
-records the SHA-256 digest of the translated values, which two trees
-must share.
+CLI: it times ``qps`` in process: ``spectrum`` at its defaults
+(``disk:3``) and on the half plane ``rect:0,inf,-inf,inf``, ``cohomology
+so3 --omega 1,0,0``, ``effects``, ``admissibility``, ``tomography
+--self-test`` and ``tomography --positions-only``, each at its defaults
+with the JSON report going to a buffer, and with ``--out``: ``transform``
+at its defaults and ``tomography --probabilities FILE`` on a
+Husimi-density file, at its defaults (N 4, R 5, h 0.4) and at the
+``roundtrips`` configuration (N 4, R 7, h 0.15).  Next to each time it
+records a digest of the report, or of the files written (the JSON report,
+whose config names the temporary directory, written as TMP, and the CSV
+table), which two trees must share.
 
 Every kernel runs once to warm up and then ``REPEATS`` times; each row
 holds the median and quartiles.  Run from the repository root; the JSON
-goes to ``--out``::
+goes to ``--out``, and each row prints one line: its median, its kernel
+and every field that is not timing::
 
     OPENBLAS_NUM_THREADS=2 python tools/bench_kernels.py --out BENCH.json
 """
@@ -131,7 +126,14 @@ REPEATS = 9
 GRIDS = {
     "roundtrips": (13.0, 0.35, 24),
     "spectra": (7.0, 0.098, 32),
+    "transform": (7.0, 0.15, 24),
 }
+
+
+def _frame(radius: float, spacing: float, n_dim: int):
+    """Fock context, lattice grid and ground generator of one configuration."""
+    ctx = wh.fock_space(n_dim)
+    return ctx, wh.build_grid(radius, spacing), wh.resolution_generator("ground", ctx)
 
 
 def _generators(n_dim: int) -> dict:
@@ -168,24 +170,31 @@ def _machine() -> dict:
     }
 
 
-def _stats(times) -> dict:
-    """Median and quartiles of the timed calls, the warm-up ``times[0]`` left out."""
-    q1, med, q3 = np.percentile(times[1:], [25, 50, 75])
-    return {"repeats": REPEATS, "median_s": float(med), "quartiles_s": [float(q1), float(q3)]}
-
-
-def _timed(fn):
-    """Timing of ``REPEATS`` calls of ``fn`` after one warm-up, and the last result."""
+def _timed(fn, fresh=None):
+    """Median and quartiles of ``REPEATS`` calls of ``fn`` after one warm-up, and
+    the last result.  With ``fresh``, each call is ``fn(fresh())``, and
+    ``fresh()`` is not timed."""
     times = []
     for _ in range(REPEATS + 1):
+        args = () if fresh is None else (fresh(),)
         start = time.perf_counter()
-        out = fn()
+        out = fn(*args)
         times.append(time.perf_counter() - start)
-    return _stats(times), out
+    q1, med, q3 = np.percentile(times[1:], [25, 50, 75])
+    return {"repeats": REPEATS, "median_s": float(med), "quartiles_s": [float(q1), float(q3)]}, out
 
 
-def _digest(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+def _digest(*parts) -> str:
+    """First 16 hex digits of the SHA-256 of ``parts`` one after another: bytes
+    as they are, an array's bytes, any other value as its sorted JSON text."""
+    digest = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            part = part.tobytes()
+        elif not isinstance(part, bytes):
+            part = json.dumps(part, sort_keys=True).encode()
+        digest.update(part)
+    return digest.hexdigest()[:16]
 
 
 def _algebras() -> dict:
@@ -223,76 +232,25 @@ def bench_cohomology() -> list:
 
 
 def bench_family() -> list:
+    cases = [(grid_name, gen_name, None) for grid_name in ("roundtrips", "spectra")
+             for gen_name in _generators(GRIDS[grid_name][2])]
     rows = []
-    for grid_name, (radius, spacing, n_dim) in GRIDS.items():
-        ctx = wh.fock_space(n_dim)
-        for gen_name, vec in _generators(n_dim).items():
-            times = []
-            for _ in range(REPEATS + 1):
-                grid = wh.build_grid(radius, spacing)
-                start = time.perf_counter()
-                fam = wh.coherent_family(vec, grid, ctx)
-                times.append(time.perf_counter() - start)
-            rows.append(
-                {
-                    "kernel": "wh_model.coherent_family",
-                    "grid": grid_name,
-                    "K": len(grid),
-                    "N": n_dim,
-                    "generator": gen_name,
-                    "support_columns": int(np.count_nonzero(vec)),
-                    **_stats(times),
-                    "max_abs_diff_closed_form": float(np.max(np.abs(fam - _closed_form(vec, grid, n_dim)))),
-                }
-            )
+    for grid_name, gen_name, region in [*cases, ("spectra", "ground", "disk:3")]:
+        radius, spacing, n_dim = GRIDS[grid_name]
+        ctx, probe, _ = _frame(radius, spacing, n_dim)
+        vec = _generators(n_dim)[gen_name]
+        expected = _closed_form(vec, probe, n_dim)
+        if region is None:
+            row_set, extra = None, {"support_columns": int(np.count_nonzero(vec))}
+        else:
+            row_set = np.flatnonzero(loc.RegionSpec.disk(3.0).mask(probe))
+            expected, extra = expected[row_set], {"rows": region, "rows_built": len(row_set)}
+        timing, fam = _timed(lambda grid: wh.coherent_family(vec, grid, ctx, rows=row_set),
+                             fresh=lambda: wh.build_grid(radius, spacing))
+        rows.append({"kernel": "wh_model.coherent_family", "grid": grid_name, "K": len(probe), "N": n_dim,
+                     "generator": gen_name, **extra, **timing,
+                     "max_abs_diff_closed_form": float(np.max(np.abs(fam - expected)))})
     return rows
-
-
-def bench_family_rows() -> list:
-    radius, spacing, n_dim = GRIDS["spectra"]
-    ctx = wh.fock_space(n_dim)
-    vec = wh.resolution_generator("ground", ctx)
-    probe = wh.build_grid(radius, spacing)
-    sets = {"disk:3": np.flatnonzero(loc.RegionSpec.disk(3.0).mask(probe)), "whole grid": None}
-    expected = _closed_form(vec, probe, n_dim)
-    rows = []
-    for name, row_set in sets.items():
-        times = []
-        for _ in range(REPEATS + 1):
-            grid = wh.build_grid(radius, spacing)
-            start = time.perf_counter()
-            fam = wh.coherent_family(vec, grid, ctx, rows=row_set)
-            times.append(time.perf_counter() - start)
-        ref = expected if row_set is None else expected[row_set]
-        rows.append({"kernel": "wh_model.coherent_family", "grid": "spectra", "K": len(probe), "N": n_dim,
-                     "generator": "ground", "rows": name, "rows_built": len(fam), **_stats(times),
-                     "max_abs_diff_closed_form": float(np.max(np.abs(fam - ref)))})
-    return rows
-
-
-def bench_cli_spectrum() -> list:
-    rows = []
-    for region in ("disk:3", "rect:0,inf,-inf,inf"):
-        def run():
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                code = cli.main(["spectrum", "--region", region])
-            if code != 0:
-                raise RuntimeError(f"qps spectrum --region {region} exited {code}")
-            return out.getvalue()
-
-        timing, report = _timed(run)
-        rows.append({"kernel": "cli.spectrum", "region": region, **timing,
-                     "report_digest": _digest(report)})
-    return rows
-
-
-def _sha256(*paths, tmp=None) -> str:
-    """Digest of the files' bytes, with the directory ``tmp`` written as TMP."""
-    digest = hashlib.sha256()
-    for path in paths:
-        data = Path(path).read_bytes()
-        digest.update(data if tmp is None else data.replace(str(tmp).encode(), b"TMP"))
-    return digest.hexdigest()[:16]
 
 
 def _husimi_csv(path, n_dim: int, radius: float, spacing: float) -> None:
@@ -302,65 +260,65 @@ def _husimi_csv(path, n_dim: int, radius: float, spacing: float) -> None:
     formats.write_values_csv(inputs.husimi_values(rho, grid.q, grid.p), grid, path)
 
 
-def bench_csv(tmp: Path) -> list:
-    radius, spacing, n_dim = 7.0, 0.15, 24
-    ctx = wh.fock_space(n_dim)
-    grid = wh.build_grid(radius, spacing)
+def bench_transform_grid(tmp: Path) -> list:
+    radius, spacing, n_dim = GRIDS["transform"]
+    ctx, grid, eta = _frame(radius, spacing, n_dim)
     phi = inputs.low_block_vector(np.random.default_rng(16), n_dim, 8)
-    samples = tr.w_transform(wh.resolution_generator("ground", ctx), grid, phi, ctx)
+    samples = tr.w_transform(eta, grid, phi, ctx)
     values_csv, samples_csv = tmp / "values.csv", tmp / "samples.csv"
     _husimi_csv(values_csv, 4, radius, spacing)
     values = formats.read_values_csv(values_csv, grid)
     base = {"grid": "transform", "K": len(grid)}
-    rows = []
+    timing, moved = _timed(lambda: tr.v_action((10 * spacing, -10 * spacing), samples))
+    rows = [{"kernel": "transform.v_action", **base, "shift_spacings": [10, -10], **timing,
+             "sha256": _digest(moved.values)}]
     timing, _ = _timed(lambda: formats.write_values_csv(values, grid, values_csv))
-    rows.append({"kernel": "formats.write_values_csv", **base, **timing, "sha256": _sha256(values_csv)})
+    rows.append({"kernel": "formats.write_values_csv", **base, **timing, "sha256": _digest(values_csv.read_bytes())})
     timing, _ = _timed(lambda: formats.write_samples_csv(samples, samples_csv))
-    rows.append({"kernel": "formats.write_samples_csv", **base, **timing, "sha256": _sha256(samples_csv)})
+    rows.append({"kernel": "formats.write_samples_csv", **base, **timing, "sha256": _digest(samples_csv.read_bytes())})
     timing, back = _timed(lambda: formats.read_values_csv(values_csv, grid))
-    rows.append({"kernel": "formats.read_values_csv", **base, **timing,
-                 "sha256": hashlib.sha256(back.tobytes()).hexdigest()[:16]})
+    rows.append({"kernel": "formats.read_values_csv", **base, **timing, "sha256": _digest(back)})
     return rows
 
 
-def bench_v_action() -> list:
-    radius, spacing, n_dim = 7.0, 0.15, 24
-    ctx = wh.fock_space(n_dim)
-    grid = wh.build_grid(radius, spacing)
-    phi = inputs.low_block_vector(np.random.default_rng(16), n_dim, 8)
-    samples = tr.w_transform(wh.resolution_generator("ground", ctx), grid, phi, ctx)
-    timing, moved = _timed(lambda: tr.v_action((10 * spacing, -10 * spacing), samples))
-    return [{"kernel": "transform.v_action", "grid": "transform", "K": len(grid), "shift_spacings": [10, -10],
-             **timing, "sha256": hashlib.sha256(moved.values.tobytes()).hexdigest()[:16]}]
-
-
-def bench_cli_csv(tmp: Path) -> list:
+def bench_cli(tmp: Path) -> list:
+    """In-process ``qps`` runs, each next to a digest of its report on stdout
+    or, with ``--out``, of the files it wrote with ``tmp`` written as TMP."""
     out = tmp / "report.json"
-    runs = {"transform": ["transform"]}
+    runs = [({"kernel": "cli.spectrum", "region": region}, ["spectrum", "--region", region])
+            for region in ("disk:3", "rect:0,inf,-inf,inf")]
+    runs.append(({"kernel": "cli.csv", "command": "transform"}, ["transform", "--out", str(out)]))
     for name, (radius, spacing) in {"defaults": (5.0, 0.4), "roundtrips": (7.0, 0.15)}.items():
         probabilities = tmp / f"probabilities-{name}.csv"
         _husimi_csv(probabilities, 4, radius, spacing)
         flags = [] if name == "defaults" else ["--radius", str(radius), "--spacing", str(spacing)]
-        runs[f"tomography {name}"] = ["tomography", "--probabilities", str(probabilities), *flags]
+        runs.append(({"kernel": "cli.csv", "command": f"tomography {name}"},
+                     ["tomography", "--probabilities", str(probabilities), *flags, "--out", str(out)]))
+    runs += [({"kernel": f"cli.{argv[0]}", "argv": " ".join(argv)}, argv)
+             for argv in (["cohomology", "so3", "--omega", "1,0,0"], ["effects"], ["admissibility"],
+                          ["tomography", "--self-test"], ["tomography", "--positions-only"])]
     rows = []
-    for name, argv in runs.items():
+    for head, argv in runs:
         def run():
-            code = cli.main([*argv, "--out", str(out)])
+            with contextlib.redirect_stdout(io.StringIO()) as report:
+                code = cli.main(argv)
             if code != 0:
                 raise RuntimeError(f"qps {' '.join(argv)} exited {code}")
+            return report.getvalue()
 
-        timing, _ = _timed(run)
-        rows.append({"kernel": "cli.csv", "command": name, **timing,
-                     "sha256": _sha256(out, out.with_suffix(".csv"), tmp=tmp)})
+        timing, report = _timed(run)
+        if "--out" in argv:
+            files = (path.read_bytes().replace(str(tmp).encode(), b"TMP") for path in (out, out.with_suffix(".csv")))
+            rows.append({**head, **timing, "sha256": _digest(*files)})
+        else:
+            rows.append({**head, **timing, "report_digest": _digest(report)})
     return rows
 
 
 def bench_admissibility() -> list:
-    radius, spacing, n_dim = GRIDS["roundtrips"]
-    ctx = wh.fock_space(n_dim)
-    grid = wh.build_grid(radius, spacing)
+    ctx, grid, _ = _frame(*GRIDS["roundtrips"])
     rows = []
-    for gen_name, vec in _generators(n_dim).items():
+    for gen_name, vec in _generators(ctx.n_dim).items():
         if gen_name == "9-column":
             continue
         wh.coherent_family(vec, grid, ctx)
@@ -370,7 +328,7 @@ def bench_admissibility() -> list:
                 "kernel": "wh_model.admissibility",
                 "grid": "roundtrips",
                 "K": len(grid),
-                "N": n_dim,
+                "N": ctx.n_dim,
                 "generator": gen_name,
                 **timing,
                 "sample_radius": rep.beta_sample_radius,
@@ -386,9 +344,7 @@ def bench_tomography() -> list:
     rows = []
     configs = [(n, "roundtrips", 6.0, 0.4) for n in (4, 8, 12, 16)] + [(4, "transform", 7.0, 0.15)]
     for n_dim, grid_name, radius, spacing in configs:
-        ctx = wh.fock_space(n_dim)
-        grid = wh.build_grid(radius, spacing)
-        eta = wh.resolution_generator("ground", ctx)
+        ctx, grid, eta = _frame(radius, spacing, n_dim)
         rho = inputs.density_matrix(np.random.default_rng(17), n_dim, n_dim)
         probs = tom.classical_density(tom.DensityOperator(rho), eta, grid, ctx).values
         timing, result = _timed(lambda: tom.reconstruct_state(probs, eta, grid, ctx))
@@ -406,10 +362,8 @@ def _gram_oracle(fam, weights) -> np.ndarray:
 
 
 def bench_gram() -> list:
-    radius, spacing, n_dim = GRIDS["spectra"]
-    ctx = wh.fock_space(n_dim)
-    grid = wh.build_grid(radius, spacing)
-    fam = wh.coherent_family(wh.resolution_generator("ground", ctx), grid, ctx)
+    ctx, grid, eta = _frame(*GRIDS["spectra"])
+    fam = wh.coherent_family(eta, grid, ctx)
     disk = np.flatnonzero(loc.RegionSpec.disk(3.0).mask(grid))
     signed = grid.weights * np.random.default_rng(19).normal(size=len(grid))
     cases = {"constant": (fam, grid.weights), "signed": (fam, signed),
@@ -417,7 +371,7 @@ def bench_gram() -> list:
     rows = []
     for name, (rows_in, weights) in cases.items():
         timing, gram = _timed(lambda: tr.weighted_gram(rows_in, weights))
-        rows.append({"kernel": "transform.weighted_gram", "grid": "spectra", "K": len(rows_in), "N": n_dim,
+        rows.append({"kernel": "transform.weighted_gram", "grid": "spectra", "K": len(rows_in), "N": ctx.n_dim,
                      "weights": name, **timing,
                      "max_abs_diff_oracle": float(np.max(np.abs(gram - _gram_oracle(rows_in, weights))))})
     return rows
@@ -425,40 +379,32 @@ def bench_gram() -> list:
 
 def bench_classical_density() -> list:
     rows = []
-    for grid_name, radius, spacing, n_dim in (("spectra", 7.0, 0.098, 32), ("tomography", 6.0, 0.4, 16)):
-        ctx = wh.fock_space(n_dim)
-        grid = wh.build_grid(radius, spacing)
-        eta = wh.resolution_generator("ground", ctx)
-        rho = tom.DensityOperator(inputs.density_matrix(np.random.default_rng(19), n_dim, 3))
+    for grid_name, config in (("spectra", GRIDS["spectra"]), ("tomography", (6.0, 0.4, 16))):
+        ctx, grid, eta = _frame(*config)
+        rho = tom.DensityOperator(inputs.density_matrix(np.random.default_rng(19), ctx.n_dim, 3))
         wh.coherent_family(eta, grid, ctx)
         timing, dens = _timed(lambda: tom.classical_density(rho, eta, grid, ctx))
-        rows.append({"kernel": "tomography.classical_density", "grid": grid_name, "K": len(grid), "N": n_dim,
-                     **timing, "sha256": hashlib.sha256(dens.values.tobytes()).hexdigest()[:16]})
+        rows.append({"kernel": "tomography.classical_density", "grid": grid_name, "K": len(grid),
+                     "N": ctx.n_dim, **timing, "sha256": _digest(dens.values)})
     return rows
 
 
 def bench_eigensolve() -> list:
-    radius, spacing, n_dim = GRIDS["spectra"]
-    ctx = wh.fock_space(n_dim)
-    grid = wh.build_grid(radius, spacing)
-    region = loc.RegionSpec.disk(3.0)
-    op = loc.quantize(region.mask(grid).astype(float), wh.resolution_generator("ground", ctx), grid, ctx)
+    ctx, grid, eta = _frame(*GRIDS["spectra"])
+    op = loc.quantize(loc.RegionSpec.disk(3.0).mask(grid).astype(float), eta, grid, ctx)
     timing, evals = _timed(lambda: np.linalg.eigvalsh(op))
     # Daubechies: the vacuum disk operator of radius R has eigenvalues P(n + 1, R^2 / 2)
-    err = float(np.max(np.abs(evals[::-1] - gammainc(np.arange(1, n_dim + 1), 4.5))))
+    err = float(np.max(np.abs(evals[::-1] - gammainc(np.arange(1, ctx.n_dim + 1), 4.5))))
     return [{"kernel": "numpy.linalg.eigvalsh", "operator": "quantize(disk:3)", "grid": "spectra",
-             "K": len(grid), "N": n_dim, **timing, "max_abs_diff_daubechies": err}]
+             "K": len(grid), "N": ctx.n_dim, **timing, "max_abs_diff_daubechies": err}]
 
 
 def bench_frame_solve() -> list:
-    radius, spacing, n_dim = 7.0, 0.15, 24
-    ctx = wh.fock_space(n_dim)
-    grid = wh.build_grid(radius, spacing)
-    eta = wh.resolution_generator("ground", ctx)
-    phi = inputs.low_block_vector(np.random.default_rng(19), n_dim, n_dim // 2)
+    ctx, grid, eta = _frame(*GRIDS["transform"])
+    phi = inputs.low_block_vector(np.random.default_rng(19), ctx.n_dim, ctx.n_dim // 2)
     samples = tr.w_transform(eta, grid, phi, ctx)
     timing, back = _timed(lambda: tr.reconstruct(eta, grid, samples, ctx))
-    return [{"kernel": "transform.reconstruct", "grid": "transform", "K": len(grid), "N": n_dim, **timing,
+    return [{"kernel": "transform.reconstruct", "grid": "transform", "K": len(grid), "N": ctx.n_dim, **timing,
              "relative_error": float(np.linalg.norm(back - phi) / np.linalg.norm(phi))}]
 
 
@@ -479,54 +425,25 @@ def bench_axioms() -> list:
     return rows
 
 
+def _summary(row: dict) -> str:
+    """One line: the median, the kernel and every field that is not timing."""
+    fields = " ".join(f"{k} {f'{v:.3g}' if isinstance(v, float) else v}"
+                      for k, v in row.items() if k not in ("kernel", "repeats", "median_s", "quartiles_s"))
+    return f"{row['median_s'] * 1e3:9.2f} ms  {row['kernel']}  {fields}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the JSON record")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        csv_rows = bench_csv(Path(tmp)) + bench_cli_csv(Path(tmp))
-    kernels = (bench_family() + bench_family_rows() + bench_gram() + bench_eigensolve() + bench_frame_solve()
-               + bench_classical_density() + bench_admissibility() + bench_tomography() + bench_cohomology()
-               + bench_axioms() + bench_cli_spectrum() + bench_v_action() + csv_rows)
-    record = {"machine": _machine(), "kernels": kernels}
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    for row in record["kernels"]:
-        if "max_abs_diff_oracle" in row:
-            label = f"{'gram':>10} {row['weights']:>12} K {row['K']}"
-            check = f"max|G - oracle| {row['max_abs_diff_oracle']:.1e}"
-        elif "max_abs_diff_daubechies" in row:
-            label = f"{'eigvalsh':>10} {row['operator']:>18}"
-            check = f"max|lambda - P(n+1, 4.5)| {row['max_abs_diff_daubechies']:.1e}"
-        elif "relative_error" in row:
-            label = f"{'frame':>10} {row['grid']:>12} N {row['N']}"
-            check = f"round trip {row['relative_error']:.1e}"
-        elif row["kernel"] == "tomography.classical_density":
-            label = f"{'density':>10} {row['grid']:>12} N {row['N']}"
-            check = f"sha256 {row['sha256']}"
-        elif "values_digest" in row:
-            label = f"{'admissib.':>10} {row['generator']:>12}"
-            check = f"beta_max_deviation {row['beta_max_deviation']:.3e} digest {row['values_digest']}"
-        elif "frobenius_error" in row:
-            label = f"{'tomography':>10} {row['grid']:>12} N {row['N']}"
-            check = f"frobenius {row['frobenius_error']:.1e} rank {row['rank']}"
-        elif "input" in row:
-            label = f"{'axioms':>10} {row['input'][:18]:>18}"
-            check = (f"trials {row['trials']} eigvalsh {row['eigvalsh_calls']} "
-                     f"failures {row['total_failures']}")
-        elif "sha256" in row:
-            label = f"{'csv':>10} {row.get('command', row['kernel'].split('.')[1])[:18]:>18}"
-            check = f"sha256 {row['sha256']}"
-        elif "report_digest" in row:
-            label = f"{'spectrum':>10} {row['region'][:18]:>18}"
-            check = f"digest {row['report_digest']}"
-        elif "grid" in row:
-            label = f"{row['grid']:>10} {row['generator']:>12} {row.get('rows', '')}"
-            check = f"max|diff| {row['max_abs_diff_closed_form']:.1e}"
-        else:
-            label = f"{row['algebra']:>10} {row['kernel'].split('.')[1]:>18}"
-            check = " ".join(f"{k} {row[k]}" for k in ("jacobi_ok", "h1_h2", "exact", "gamma_dim")
-                             if k in row)
-        print(f"{label}  {row['median_s'] * 1e3:8.2f} ms  {check}")
+        kernels = (bench_family() + bench_gram() + bench_eigensolve() + bench_frame_solve()
+                   + bench_classical_density() + bench_admissibility() + bench_tomography()
+                   + bench_cohomology() + bench_axioms() + bench_transform_grid(Path(tmp)) + bench_cli(Path(tmp)))
+    Path(args.out).write_text(json.dumps({"machine": _machine(), "kernels": kernels}, indent=2) + "\n",
+                              encoding="utf-8")
+    for row in kernels:
+        print(_summary(row))
     return 0
 
 
