@@ -77,12 +77,26 @@ def _csv_sibling(out: str) -> str:
     return str(Path(out).with_suffix(".csv"))
 
 
-def _emit(report: dict, args, csv_writer=None) -> None:
+def _emit(report: dict, args, csv_writer=None, source=None) -> None:
     """The JSON report with its configuration; with ``--out``, also the
-    command's table, if it has one, in the ``.csv`` sibling of that path."""
+    command's table, if it has one, in the ``.csv`` sibling of that path.
+    Refuses, before writing, an ``--out`` whose files would overwrite each
+    other or ``source``, the file the command read."""
+    if args.out is not None:
+        out = Path(args.out).resolve()
+        table = Path(_csv_sibling(args.out)).resolve() if csv_writer is not None else None
+        if table == out:
+            raise ValueError(f"--out {args.out!r} is also its .csv table's path; give the report another suffix")
+        if source is not None and Path(source).resolve() in (out, table):
+            raise ValueError(f"--out {args.out!r} would write over the input file {source!r}")
     formats.write_json({**report, "config": _config(args)}, args.out)
     if args.out is not None and csv_writer is not None:
         csv_writer(_csv_sibling(args.out))
+
+
+def _text(vectors) -> list:
+    """Exact rational vectors as lists of coordinate text ('3/4'), which JSON keeps exact."""
+    return [[str(x) for x in vec] for vec in vectors]
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +107,11 @@ def _emit(report: dict, args, csv_writer=None) -> None:
 def cmd_cohomology(args) -> int:
     from . import lie_cohomology as lc
 
-    if args.algebra in lc.CATALOG:
+    source = None if args.algebra in lc.CATALOG else args.algebra
+    if source is None:
         sc = lc.catalog(args.algebra)
     else:
-        with open(args.algebra, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8") as fh:
             sc = lc.from_json_dict(json.load(fh))
 
     jacobi = lc.validate_algebra(sc)
@@ -104,10 +119,10 @@ def cmd_cohomology(args) -> int:
         "algebra": sc.label or args.algebra,
         "dim": sc.dim,
         "jacobi_ok": jacobi.ok,
-        "violations": [list(v) for v in jacobi.violations],
+        "violations": jacobi.violations,
     }
     if not jacobi.ok:
-        _emit(report, args)
+        _emit(report, args, source=source)
         print(
             f"Jacobi identity fails at {len(jacobi.violations)} quadruple(s), "
             f"first: {jacobi.violations[0]}",
@@ -115,7 +130,12 @@ def cmd_cohomology(args) -> int:
         )
         return 2
 
-    report["cohomology"] = lc.cohomology_report_json(lc.second_cohomology(sc))
+    h2 = lc.second_cohomology(sc)
+    report["cohomology"] = {
+        **vars(h2),
+        "z2_basis": _text(ch.coords for ch in h2.z2_basis),
+        "b2_basis": _text(ch.coords for ch in h2.b2_basis),
+    }
     if args.omega is not None:
         try:
             coords = tuple(lc.parse_rational(x) for x in args.omega.split(","))
@@ -123,9 +143,14 @@ def cmd_cohomology(args) -> int:
             raise ValueError(f"--omega has a zero denominator: {args.omega!r}")
         except ValueError as exc:
             raise ValueError(f"--omega {args.omega!r} is not a comma list of rational numbers ({exc})")
-        omega = lc.Cochain(dim=sc.dim, coords=coords)
-        report["kernel"] = lc.kernel_report_json(lc.kernel_subalgebra(sc, omega))
-    _emit(report, args)
+        if len(coords) != (pairs := math.comb(sc.dim, 2)):
+            raise ValueError(
+                f"--omega {args.omega!r} has {len(coords)} coordinates; {report['algebra']} "
+                f"needs {pairs}, one per basis pair i < j"
+            )
+        kernel = lc.kernel_subalgebra(sc, lc.Cochain(dim=sc.dim, coords=coords))
+        report["kernel"] = {**vars(kernel), "h_basis": _text(kernel.h_basis)}
+    _emit(report, args, source=source)
     return 0
 
 
@@ -141,18 +166,12 @@ def cmd_spectrum(args) -> int:
     region = _parse_region(args.region)
     spec = loc.localization_spectrum(region, eta, grid, ctx, epsilon=args.epsilon)
     loc.clustering_report(spec)
-    count = spec.count_above(args.threshold)
     ratio = spec.mid_to_near_one_ratio
     report = {
-        "trace": spec.trace,
-        "mu_delta": spec.mu_delta,
-        "near_one": spec.near_one,
-        "near_zero": spec.near_zero,
-        "mid": spec.mid,
-        "epsilon": spec.epsilon,
+        **{name: value for name, value in vars(spec).items() if name != "eigenvalues"},  # in the table
         # infinite when no eigenvalue is near one; strict JSON has no Infinity
         "mid_to_near_one_ratio": ratio if math.isfinite(ratio) else None,
-        "capacity_count": count,
+        "capacity_count": spec.count_above(args.threshold),
         "capacity_threshold": args.threshold,
     }
     _emit(report, args, csv_writer=lambda p: formats.write_spectrum_csv(spec.eigenvalues, p))
@@ -206,6 +225,7 @@ def cmd_tomography(args) -> int:
         report,
         args,
         csv_writer=lambda p: formats.write_values_csv(np.asarray(probs), grid, p),
+        source=args.probabilities,
     )
     return 0
 
@@ -249,15 +269,7 @@ def cmd_effects(args) -> int:
         "projection_scan": {
             "projection_gap": ea.PROJECTION_GAP,
             "all_pass": scan.all_pass,
-            "regions": [
-                {
-                    "label": e.label,
-                    "mu_delta": e.mu_delta,
-                    "max_spectral_gap": e.max_spectral_gap,
-                    "passes": e.passes,
-                }
-                for e in scan.entries
-            ],
+            "regions": [vars(entry) for entry in scan.entries],
         },
     }
     _emit(report, args)
@@ -300,15 +312,7 @@ def cmd_admissibility(args) -> int:
     from . import wh_model as wh
 
     ctx, grid, eta = _setup(args)
-    rep = wh.admissibility(eta, grid, ctx, trials=args.trials, seed=args.seed)
-    report = {
-        "integral": rep.integral,
-        "d_constant": rep.d_constant,
-        "beta_ok": rep.beta_ok,
-        "beta_max_deviation": rep.beta_max_deviation,
-        "beta_sample_radius": rep.beta_sample_radius,
-    }
-    _emit(report, args)
+    _emit(vars(wh.admissibility(eta, grid, ctx, trials=args.trials, seed=args.seed)), args)
     return 0
 
 

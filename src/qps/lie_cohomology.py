@@ -364,24 +364,3 @@ def catalog(name: str) -> StructureConstants:
     ref = resources.files("qps") / "algebras" / f"{name}.json"
     return from_json_dict(json.loads(ref.read_text(encoding="utf-8")))
 
-
-def cohomology_report_json(report: CohomologyReport) -> dict:
-    def cochain_coords(ch: Cochain):
-        return [str(x) for x in ch.coords]
-
-    return {
-        "dim_z2": report.dim_z2,
-        "dim_b2": report.dim_b2,
-        "dim_h2": report.dim_h2,
-        "dim_h1": report.dim_h1,
-        "z2_basis": [cochain_coords(ch) for ch in report.z2_basis],
-        "b2_basis": [cochain_coords(ch) for ch in report.b2_basis],
-    }
-
-
-def kernel_report_json(report: KernelReport) -> dict:
-    return {
-        "h_basis": [[str(x) for x in vec] for vec in report.h_basis],
-        "is_subalgebra": report.is_subalgebra,
-        "gamma_dim": report.gamma_dim,
-    }

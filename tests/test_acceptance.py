@@ -32,6 +32,7 @@ from qps import localization as loc
 from qps import tomography as tom
 from qps import transform as tr
 from qps import wh_model as wh
+from qps.cli import _standard_battery
 
 from conftest import cli_env, quadratures, random_low_block
 
@@ -85,26 +86,11 @@ def test_criterion_04_disk_spectrum_incomplete_gamma(ctx32, grid_fine, eta32):
     report_line(4, "disk spectrum vs incomplete-gamma oracle", err <= 1e-4, f"max err={err:.2e}")
 
 
-def _battery(grid):
-    annulus = loc.RegionSpec.from_mask(
-        loc.RegionSpec.disk(3.0).mask(grid) & ~loc.RegionSpec.disk(2.0).mask(grid),
-        label="annulus(2,3)",
-    )
-    return [
-        loc.RegionSpec.disk(1.0),
-        loc.RegionSpec.disk(2.0),
-        loc.RegionSpec.disk(3.0),
-        loc.RegionSpec.rect(0.0, np.inf, -np.inf, np.inf),
-        annulus,
-        loc.RegionSpec.rect(0.0, 2.0, 0.0, 2.0),
-    ]
-
-
 def test_criterion_05_trace_and_norm_bounds(ctx32, grid_ref, eta32):
     tol = 1 + 1e-6
     ok = True
     details = []
-    for region in _battery(grid_ref):
+    for region in _standard_battery(grid_ref):
         spec = loc.localization_spectrum(region, eta32, grid_ref, ctx32)
         top = float(spec.eigenvalues[0])
         ok &= spec.trace <= spec.mu_delta * tol
@@ -214,7 +200,7 @@ def test_criterion_11_expectation_equality(ctx24, grid_ref, eta24):
 
 def test_criterion_12_effect_algebra(ctx32, grid_ref, eta32):
     axioms = ea.verify_axioms(ea.effect_sampler(6, seed=1), 1000)
-    scan = ea.projection_scan(eta32, grid_ref, ctx32, _battery(grid_ref))
+    scan = ea.projection_scan(eta32, grid_ref, ctx32, _standard_battery(grid_ref))
 
     rng = np.random.default_rng(12)
     mv_ok = True

@@ -30,3 +30,14 @@ def test_frame_solve_and_transform_grid_rows(bench, tmp_path, monkeypatch):
         line = bench._summary(row)
         assert row["kernel"] in line and "quartiles" not in line
     assert rows[0]["relative_error"] < 1e-12
+
+
+def test_cohomology_rows_keep_the_exact_digests(bench, monkeypatch):
+    # exact rational arithmetic: these BENCH_20 digests hold on any machine
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    algebras = bench._algebras()
+    monkeypatch.setattr(bench, "_algebras", lambda: {"so(8)": algebras["so(8)"]})
+    jacobi, h2, kernel = bench.bench_cohomology()
+    assert jacobi["jacobi_ok"] is True
+    assert h2["exact"] is True and h2["bases_digest"] == "eba5784d21c42bff"
+    assert kernel["kernel_digest"] == "666a774195851ec2"

@@ -236,6 +236,18 @@ def test_cohomology_omega_that_is_not_a_number_names_the_flag_exit_2(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("omega", ["1,0", "1,0,0,0"])
+def test_cohomology_omega_with_the_wrong_count_names_the_flag_exit_2(tmp_path, capsys, omega):
+    # the count used to be refused by Cochain, in a line that named no flag
+    out = tmp_path / "report.json"
+    assert main(["cohomology", "so3", "--omega", omega, "--out", str(out)]) == 2
+    count = omega.count(",") + 1
+    assert capsys.readouterr().err == (
+        f"error: --omega {omega!r} has {count} coordinates; so3 needs 3, one per basis pair i < j\n"
+    )
+    assert not out.exists()
+
+
 def test_cohomology_empty_omega_exit_2(tmp_path, capsys):
     # an empty --omega used to be skipped: exit 0, no kernel, "omega": ""
     out = tmp_path / "report.json"
@@ -784,6 +796,49 @@ def test_format_flag_only_where_a_table_exists(tmp_path, capsys, command):
     assert not out.exists()
 
 
+_SMALL_GRID = ["--dim", "8", "--radius", "6", "--spacing", "0.4"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["spectrum", *_SMALL_GRID], ["transform", *_SMALL_GRID], ["tomography", "--self-test"]],
+    ids=["spectrum", "transform", "tomography"],
+)
+def test_out_that_is_its_own_table_exit_2(tmp_path, capsys, command):
+    # the table used to be written over the report at the same path, with exit 0
+    out = tmp_path / "r.csv"
+    assert main([*command, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out {str(out)!r} is also its .csv table's path; give the report another suffix\n"
+    )
+    assert not out.exists()
+
+
+def test_out_whose_table_is_the_probabilities_file_exit_2(tmp_path, capsys, grid4):
+    csv_in = tmp_path / "in.csv"
+    formats.write_values_csv(np.full(len(grid4), 0.01), grid4, csv_in)
+    before = csv_in.read_bytes()
+    out = tmp_path / "sub" / ".." / "in.json"  # the check compares resolved paths
+    (tmp_path / "sub").mkdir()
+    assert main(["tomography", "--probabilities", str(csv_in), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out {str(out)!r} would write over the input file {str(csv_in)!r}\n"
+    )
+    assert csv_in.read_bytes() == before
+    assert not (tmp_path / "in.json").exists()
+
+
+def test_out_that_is_the_algebra_file_exit_2(tmp_path, capsys):
+    algebra = tmp_path / "alg.json"
+    algebra.write_text((resources.files("qps") / "algebras" / "so3.json").read_text())
+    before = algebra.read_bytes()
+    assert main(["cohomology", str(algebra), "--out", str(algebra)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out {str(algebra)!r} would write over the input file {str(algebra)!r}\n"
+    )
+    assert algebra.read_bytes() == before
+
+
 @pytest.mark.parametrize(
     "argv,size",
     [
@@ -1094,6 +1149,7 @@ _PINNED = {
     ("cohomology", "so3", "--omega", "1,0,0"): 0,
     ("cohomology", "h3", "--omega", ""): 2,
     ("cohomology", "so3", "--omega", "x,0,0"): 2,
+    ("cohomology", "so3", "--omega", "1,0"): 2,
     ("transform", "--radius", "1e200", "--spacing", "1e199"): 2,
     ("admissibility",): 0,
     # digit grouping, one case per numeric flag and per number inside --generator and --region

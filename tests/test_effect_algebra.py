@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from qps import effect_algebra as ea
 from qps import localization as loc
+from qps.cli import _standard_battery
 
 
 unit_arrays = arrays(
@@ -307,23 +308,8 @@ def test_overlapping_and_non_covering_partitions_rejected(ctx24, grid_ref, eta24
 # ---------------------------------------------------------------------------
 
 
-def _battery(grid):
-    annulus = loc.RegionSpec.from_mask(
-        loc.RegionSpec.disk(3.0).mask(grid) & ~loc.RegionSpec.disk(2.0).mask(grid),
-        label="annulus(2,3)",
-    )
-    return [
-        loc.RegionSpec.disk(1.0),
-        loc.RegionSpec.disk(2.0),
-        loc.RegionSpec.disk(3.0),
-        loc.RegionSpec.rect(0.0, np.inf, -np.inf, np.inf),
-        annulus,
-        loc.RegionSpec.rect(0.0, 2.0, 0.0, 2.0),
-    ]
-
-
 def test_no_quantized_indicator_is_a_projection(ctx32, grid_ref, eta32):
-    report = ea.projection_scan(eta32, grid_ref, ctx32, _battery(grid_ref))
+    report = ea.projection_scan(eta32, grid_ref, ctx32, _standard_battery(grid_ref))
     assert report.all_pass
     gaps = {e.label: e.max_spectral_gap for e in report.entries}
     # hand values: top eigenvalue of the radius-2 disk is 1 - e^-2 = 0.8647,

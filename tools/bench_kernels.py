@@ -219,7 +219,7 @@ def bench_cohomology() -> list:
                      "jacobi_ok": jacobi.ok})
         timing, report = _timed(lambda: lc.second_cohomology(sc))
         h1_h2 = [report.dim_h1, report.dim_h2]
-        bases = [[[str(x) for x in ch.coords] for ch in b] for b in (report.z2_basis, report.b2_basis)]
+        bases = [cli._text(ch.coords for ch in b) for b in (report.z2_basis, report.b2_basis)]
         rows.append({"kernel": "lie_cohomology.second_cohomology", **base, **timing,
                      "h1_h2": h1_h2, "h1_h2_oracle": oracle, "exact": h1_h2 == oracle,
                      "dim_z2": report.dim_z2, "bases_digest": _digest(bases)})
@@ -227,7 +227,7 @@ def bench_cohomology() -> list:
         timing, kernel = _timed(lambda: lc.kernel_subalgebra(sc, omega))
         rows.append({"kernel": "lie_cohomology.kernel_subalgebra", **base, **timing,
                      "is_subalgebra": kernel.is_subalgebra, "gamma_dim": kernel.gamma_dim,
-                     "kernel_digest": _digest(lc.kernel_report_json(kernel))})
+                     "kernel_digest": _digest({**vars(kernel), "h_basis": cli._text(kernel.h_basis)})})
     return rows
 
 
