@@ -16,6 +16,7 @@ large to allocate, 2 validation failure (a malformed flag included).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -350,7 +351,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qps`` parser, built once per process; parsing leaves it as it is."""
     parser = _Parser(prog="qps", description="Phase-space quantum mechanics toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
 

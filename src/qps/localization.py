@@ -75,13 +75,24 @@ class RegionSpec:
 
 
 def symbol_values(f, grid: PhaseGrid) -> np.ndarray:
-    """One real value per grid point, from an array or a callable f(q, p)."""
+    """One finite real value per grid point, from an array or a callable f(q, p).
+
+    Raises ``ValueError`` naming the first grid point whose value is NaN or
+    infinite.
+    """
     if callable(f):
         vals = np.asarray(f(grid.q, grid.p), dtype=float)
     else:
         vals = np.asarray(f, dtype=float)
     if vals.shape != (len(grid),):
         raise ValueError("symbol must evaluate to one real value per grid point")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"symbol is {vals[k]} at grid point {k}, (q, p) = ({grid.q[k]}, {grid.p[k]}); "
+            "it must be finite everywhere"
+        )
     return vals
 
 
@@ -90,14 +101,12 @@ def quantize(f, eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
 
     Only the grid points where f is nonzero enter the sum, and only their
     rows of the coherent family are built, so an indicator costs the rows
-    of its region.
+    of its region.  The Gram product reads them in the grid's stored family,
+    where the other rows have weight zero, so no copy of them is made.
     """
     vals = symbol_values(f, grid)
-    rows = np.flatnonzero(vals)
-    if rows.size == len(grid):  # full support: the stored family itself, not a K x N copy of it
-        return weighted_gram(coherent_family(eta, grid, ctx), grid.weights * vals)
-    fam = coherent_family(eta, grid, ctx, rows=rows)
-    return weighted_gram(fam, grid.weights[rows] * vals[rows])
+    fam = coherent_family(eta, grid, ctx, rows=np.flatnonzero(vals))
+    return weighted_gram(fam, grid.weights * vals)
 
 
 @dataclass

@@ -56,10 +56,18 @@ def random_density(rng: np.random.Generator, n: int, rank: int | None = None) ->
 
 
 def classical_density(rho: DensityOperator, eta, grid: PhaseGrid, ctx: FockContext) -> GammaFunctionSamples:
-    """Pointwise Tr(rho T(x_k)) = <u_k| rho |u_k>: real, nonnegative by positivity."""
-    fam = coherent_family(eta, grid, ctx)
-    vals = [np.einsum("kn,kn->k", fam[part].conj() @ rho.matrix, fam[part]).real
-            for part in row_blocks(len(grid), 16 * ctx.n_dim)]
+    """Pointwise Tr(rho T(x_k)) = <u_k| rho |u_k>: real, nonnegative by positivity.
+
+    With v_k the float view (Re u_k0, Im u_k0, Re u_k1, ...) of u_k and M the
+    2N x 2N real form of rho (each entry a + ib a block [[a, -b], [b, a]]),
+    <u_k| rho |u_k> = v_k^T M v_k: one real product per row block.
+    """
+    v = coherent_family(eta, grid, ctx).view(float)
+    m = np.empty((2 * ctx.n_dim,) * 2)
+    m[0::2, 0::2] = m[1::2, 1::2] = rho.matrix.real
+    m[1::2, 0::2] = rho.matrix.imag
+    m[0::2, 1::2] = -rho.matrix.imag
+    vals = [np.einsum("ki,ki->k", v[part] @ m, v[part]) for part in row_blocks(len(grid), 16 * ctx.n_dim)]
     return GammaFunctionSamples(values=np.concatenate(vals), grid=grid)
 
 

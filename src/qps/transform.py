@@ -46,18 +46,35 @@ def w_transform(eta, grid: PhaseGrid, phi, ctx: FockContext) -> GammaFunctionSam
 
 
 def weighted_gram(fam: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights_k |u_k><u_k| over the rows u_k of fam, Hermitized.  One real product r = v^T diag(w) v
-    on the float view v of fam, rows (Re u_k0, Im u_k0, Re u_k1, ...), gives entry (m, n) as r[2m, 2n] +
-    r[2m+1, 2n+1] + i (r[2m+1, 2n] - r[2m, 2n+1]): the conjugate is a sign there, not a copy of fam."""
+    """sum_k weights_k |u_k><u_k| over the rows u_k of fam, exactly Hermitian.  One real product
+    r = v^T diag(w) v on the float view v of fam, rows (Re u_k0, Im u_k0, Re u_k1, ...), gives entry (m, n)
+    as r[2m, 2n] + r[2m+1, 2n+1] + i (r[2m+1, 2n] - r[2m, 2n+1]): the conjugate is a sign there, not a
+    copy of fam.  The rows of nonzero weight are gathered into one buffer s, those of positive weight
+    first, and scaled in place by sqrt|w|; r is then s+^T s+ - s-^T s- over the two parts of s, each a
+    symmetric rank-k update, so r is exactly symmetric.  Rows of zero weight take no part."""
     v = np.ascontiguousarray(fam, dtype=complex).view(float)
-    r = v.T @ (v * weights[:, None])
-    a = (r[0::2, 0::2] + r[1::2, 1::2]) + 1j * (r[1::2, 0::2] - r[0::2, 1::2])
-    return 0.5 * (a + a.conj().T)
+    positive = np.flatnonzero(weights > 0)
+    rows = np.concatenate([positive, np.flatnonzero(weights < 0)])
+    s = v[rows]
+    s *= np.sqrt(np.abs(weights[rows]))[:, None]
+    plus, minus = s[: positive.size], s[positive.size :]
+    r = plus.T @ plus - minus.T @ minus
+    return (r[0::2, 0::2] + r[1::2, 1::2]) + 1j * (r[1::2, 0::2] - r[0::2, 1::2])
 
 
 def frame_operator(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
-    """S = sum_k mu_k |D(alpha_k) eta><D(alpha_k) eta|, Hermitian positive."""
-    return weighted_gram(coherent_family(eta, grid, ctx), grid.weights)
+    """S = sum_k mu_k |D(alpha_k) eta><D(alpha_k) eta|, Hermitian positive and read-only.
+
+    S is formed once per family and kept in the grid's family store (see
+    ``wh_model.FamilyStore``), so it goes with the family it comes from.
+    """
+    fam = coherent_family(eta, grid, ctx)
+    store = grid._family  # the store coherent_family just returned fam from
+    if store.frame is None:
+        frame = weighted_gram(fam, grid.weights)
+        frame.flags.writeable = False
+        store.frame = frame
+    return store.frame
 
 
 def _solve_frame(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -75,7 +92,7 @@ def _solve_frame(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def reconstruct(eta, grid: PhaseGrid, samples: GammaFunctionSamples, ctx: FockContext) -> np.ndarray:
     """Invert the transform: phi = S^-1 sum_k mu_k F_k D(alpha_k) eta."""
     fam = coherent_family(eta, grid, ctx)
-    return _solve_frame(weighted_gram(fam, grid.weights), fam.T @ (grid.weights * samples.values))
+    return _solve_frame(frame_operator(eta, grid, ctx), fam.T @ (grid.weights * samples.values))
 
 
 def projection_P(eta, grid: PhaseGrid, samples: GammaFunctionSamples, ctx: FockContext) -> GammaFunctionSamples:

@@ -131,8 +131,8 @@ class PhaseGrid:
     spacing: float
     # index of the point (iq, ip) at [iq + h, ip + h] with h = len(slots) // 2, -1 off the grid
     slots: np.ndarray = field(repr=False)
-    # (key, family, built-row mask) of the most recent generator and N on this grid
-    _family: tuple | None = field(default=None, init=False, repr=False)
+    # the family store of the most recent generator and N on this grid
+    _family: FamilyStore | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -284,39 +284,58 @@ def _fill_rows(vec, grid: PhaseGrid, fam: np.ndarray, todo: np.ndarray) -> None:
                 fam[dest] += vec[n0] * (radial.take(block_radii, axis=0) * amp)
 
 
+@dataclass(eq=False)
+class FamilyStore:
+    """The coherent family of one generator and N on a grid, as far as it is built.
+
+    ``family`` is K x N complex and read-only: row k holds D(alpha_k) eta
+    where ``built[k]`` and zeros elsewhere (pages no built row reached are
+    never touched).  ``frame`` is the frame operator S of the whole family,
+    read-only, once ``transform.frame_operator`` has formed it; it goes
+    with the store when a new generator or N replaces it.  Only
+    :func:`coherent_family` makes a store or builds its rows.
+    """
+
+    key: tuple
+    family: np.ndarray
+    built: np.ndarray
+    frame: np.ndarray | None = None
+
+
 def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.ndarray:
     """Row k holds D(alpha_k) eta: the displaced-generator family over the grid.
 
     Rows are built from the closed form (see :func:`_fill_rows`), only
     the requested ones, and each at most once per grid and generator: the
-    grid keeps the family of the most recent generator and N (K x N
-    complex entries, pages that no row reached are never touched) and the
-    mask of its built rows.  A call with another N or eta starts a new
-    family.  The call builds the ``rows`` (indices or a mask into the grid,
-    None for all) it lacks and returns family[rows], read-only: a view of
-    the stored array for the whole grid, a copy for a row set.  Built rows
-    are never written again, so an array once returned never changes.
-    Raises ``ValueError`` if a row to build lies so far out that
-    alpha**(N - 1) would overflow.
+    grid keeps the :class:`FamilyStore` of the most recent generator and
+    N, and a call with another N or eta starts a new one.  The call builds
+    the ``rows`` (indices or a mask into the grid, None for all) the store
+    lacks and returns the stored K x N array, read-only, in which a row
+    not built yet is zero.  Built rows are never written again, so a row
+    once built never changes.  Raises ``ValueError`` if a row to build
+    lies so far out that alpha**(N - 1) would overflow.
     """
     vec = np.asarray(eta, dtype=complex)
     n_dim = ctx.n_dim
     if vec.shape != (n_dim,):
         raise ValueError(f"generator has dim {vec.shape}, context has {n_dim}")
     key = (n_dim, vec.tobytes())
-    if grid._family is None or grid._family[0] != key:
-        grid._family = (key, np.zeros((len(grid), n_dim), dtype=complex), np.zeros(len(grid), dtype=bool))
-    _, fam, built = grid._family
-    rows = slice(None) if rows is None else rows
+    if grid._family is None or grid._family.key != key:
+        family = np.zeros((len(grid), n_dim), dtype=complex)
+        family.flags.writeable = False
+        grid._family = FamilyStore(key=key, family=family, built=np.zeros(len(grid), dtype=bool))
+    store = grid._family
     wanted = np.zeros(len(grid), dtype=bool)
-    wanted[rows] = True
-    todo = np.flatnonzero(wanted & ~built)
+    wanted[slice(None) if rows is None else rows] = True
+    todo = np.flatnonzero(wanted & ~store.built)
     if todo.size:
-        _fill_rows(vec, grid, fam, todo)
-        built[todo] = True
-    out = fam[rows]
-    out.flags.writeable = False
-    return out
+        store.family.flags.writeable = True
+        try:
+            _fill_rows(vec, grid, store.family, todo)
+        finally:
+            store.family.flags.writeable = False
+        store.built[todo] = True
+    return store.family
 
 
 def autocorrelation_integrand(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:

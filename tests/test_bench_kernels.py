@@ -41,3 +41,14 @@ def test_cohomology_rows_keep_the_exact_digests(bench, monkeypatch):
     assert jacobi["jacobi_ok"] is True
     assert h2["exact"] is True and h2["bases_digest"] == "eba5784d21c42bff"
     assert kernel["kernel_digest"] == "666a774195851ec2"
+
+
+def test_quantize_rows_time_it_in_situ(bench, monkeypatch):
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    rows = bench.bench_quantize()
+    assert [(row["kernel"], row["symbol"], row["rows"]) for row in rows] == [
+        ("localization.quantize", "disk:3", 2944), ("localization.quantize", "disk:5", 8184),
+    ]
+    for row in rows:
+        assert row["K"] == 15996 and row["median_s"] > 0 and row["minor_faults"] >= 0
+    assert rows[0]["max_abs_diff_daubechies"] < 1e-4

@@ -19,7 +19,7 @@ from qps import localization as loc
 from qps import tomography as tom
 from qps import transform as tr
 from qps import wh_model as wh
-from qps.cli import main
+from qps.cli import build_parser, main
 
 from conftest import cli_env, random_low_block
 
@@ -343,7 +343,7 @@ def test_spectrum_builds_only_the_rows_inside_the_disk(tmp_path, monkeypatch):
     (grid,) = grids
     inside = loc.RegionSpec.disk(1.0).mask(grid)
     assert 0 < inside.sum() < len(grid) / 40
-    assert np.array_equal(grid._family[2], inside)
+    assert np.array_equal(grid._family.built, inside)
 
 
 def test_overflowing_grid_radius_exit_2_with_one_line():
@@ -780,6 +780,17 @@ def test_seed_must_be_a_non_negative_integer_exit_2(tmp_path, capsys, command, s
     assert err == (f"qps {command[0]}: error: argument {command[1]}: "
                    f"expected a non-negative integer seed, got '{seed}'\n")
     assert not out.exists()
+
+
+def test_parser_is_built_once_and_parsing_leaves_it_as_it_is():
+    parser = build_parser()
+    assert build_parser() is parser
+    spectrum = parser.parse_args(["spectrum", "--region", "disk:2", "--dim", "8"])
+    cohomology = parser.parse_args(["cohomology", "h3"])
+    # nothing of one parse reaches the next: each holds its own command's flags at their defaults
+    assert (spectrum.region, spectrum.dim) == ("disk:2", 8)
+    assert not hasattr(cohomology, "region") and cohomology.omega is None
+    assert parser.parse_args(["spectrum"]).region == "disk:3"
 
 
 # no command takes --format: with --out, a table goes to the .csv sibling of the report

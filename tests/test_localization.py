@@ -5,6 +5,8 @@ vacuum generator, has eigenvalues P(n+1, R^2/2) with P the regularized
 lower incomplete gamma (radial quadrature of the photon-number kernel).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gammainc
@@ -143,24 +145,47 @@ def test_quantize_matches_full_grid_sum(ctx24, grid_ref, eta24, symbol):
     assert np.max(np.abs(loc.quantize(vals, eta24, grid_ref, ctx24) - full)) <= 1e-14
 
 
-def test_quantize_asks_for_the_whole_family_only_at_full_support(ctx24, grid_ref, eta24, monkeypatch):
-    # full support takes the stored family as it is; a region takes its own rows
-    asked = []
-
-    def spy(eta, grid, ctx, rows=None):
-        asked.append(rows)
-        return wh.coherent_family(eta, grid, ctx, rows=rows)
-
-    monkeypatch.setattr(loc, "coherent_family", spy)
-    gaussian = np.exp(-(grid_ref.q**2 + grid_ref.p**2) / 4)
+def test_quantize_asks_for_the_whole_family_only_at_full_support(ctx24, eta24):
+    # a region builds its own rows and no others; full support builds every row
+    grid = wh.build_grid(7.0, 0.3)
+    disk = loc.RegionSpec.disk(3.0).mask(grid).astype(float)
+    a_disk = loc.quantize(disk, eta24, grid, ctx24)
+    assert np.array_equal(grid._family.built, disk > 0)
+    gaussian = np.exp(-(grid.q**2 + grid.p**2) / 4)
     assert np.all(gaussian > 0)
-    a = loc.quantize(gaussian, eta24, grid_ref, ctx24)
-    assert asked == [None]
-    expected = tr.weighted_gram(wh.coherent_family(eta24, grid_ref, ctx24), grid_ref.weights * gaussian)
-    assert np.array_equal(a, expected)
-    disk = loc.RegionSpec.disk(3.0).mask(grid_ref).astype(float)
-    loc.quantize(disk, eta24, grid_ref, ctx24)
-    assert np.array_equal(asked[1], np.flatnonzero(disk))
+    a = loc.quantize(gaussian, eta24, grid, ctx24)
+    assert grid._family.built.all()
+    whole = wh.coherent_family(eta24, grid, ctx24)
+    assert np.array_equal(a, tr.weighted_gram(whole, grid.weights * gaussian))
+    # rows of weight zero take no part, so the region's operator has the whole family's bits
+    assert np.array_equal(a_disk, tr.weighted_gram(whole, grid.weights * disk))
+
+
+def test_row_set_quantize_holds_one_row_buffer(ctx32, eta32):
+    # the spectra frame (K = 15,996, N = 32), its disk:3 rows (2,944) already built: the
+    # one scaled K_rows x 2N buffer of the Gram product, and no copy of the rows besides
+    grid = wh.build_grid(7.0, 0.098)
+    disk = loc.RegionSpec.disk(3.0).mask(grid).astype(float)
+    loc.quantize(disk, eta32, grid, ctx32)
+    tracemalloc.start()
+    try:
+        loc.quantize(disk, eta32, grid, ctx32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows_bytes = int(disk.sum()) * 32 * 16
+    assert peak <= 1.25 * rows_bytes, f"peak {peak / rows_bytes:.2f} x rows x N x 16 bytes"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_symbol_names_the_first_grid_point(ctx24, grid_ref, eta24, bad):
+    vals = np.ones(len(grid_ref))
+    vals[[17, 40]] = bad
+    q, p = grid_ref.points[17]
+    with pytest.raises(ValueError, match=rf"symbol is {bad} at grid point 17, \(q, p\) = \({q}, {p}\)"):
+        loc.quantize(vals, eta24, grid_ref, ctx24)
+    with pytest.raises(ValueError, match="grid point 17,"):
+        loc.symbol_values(lambda q, p: vals, grid_ref)
 
 
 def test_symbol_shape_validation(ctx24, grid_ref, eta24):

@@ -90,6 +90,15 @@ def test_density_affine_in_the_state(ctx24, grid_ref, eta24):
     assert np.max(np.abs(d_mix - d_sum)) < 1e-13
 
 
+def _real_form(a):
+    """The 2N x 2N real matrix that acts on float views (Re z0, Im z0, Re z1, ...) as ``a`` acts on z."""
+    m = np.empty((2 * len(a),) * 2)
+    m[0::2, 0::2] = m[1::2, 1::2] = a.real
+    m[1::2, 0::2] = a.imag
+    m[0::2, 1::2] = -a.imag
+    return m
+
+
 @pytest.mark.parametrize("n_dim", [4, 8, 16])
 def test_density_matches_the_whole_grid_product_bit_for_bit(n_dim):
     # K = 6,828 rows in blocks of 2**17 / (16 N) rows: the last block is partial
@@ -99,9 +108,25 @@ def test_density_matches_the_whole_grid_product_bit_for_bit(n_dim):
     rng = np.random.default_rng(n_dim)
     eta = random_low_block(rng, n_dim, top=n_dim - 1)
     rho = tom.random_density(rng, n_dim)
-    fam = wh.coherent_family(eta, grid, ctx)
-    expected = np.einsum("kn,kn->k", fam.conj() @ rho.matrix, fam).real
+    v = wh.coherent_family(eta, grid, ctx).view(float)
+    expected = np.einsum("ki,ki->k", v @ _real_form(rho.matrix), v)
     assert np.array_equal(tom.classical_density(rho, eta, grid, ctx).values, expected)
+
+
+@pytest.mark.parametrize("n_dim", [2, 4, 8, 16, 32])
+def test_density_matches_the_per_row_sum_in_extended_precision(n_dim):
+    grid = wh.build_grid(6.0, 0.4)  # K = 716
+    ctx = wh.fock_space(n_dim)
+    rng = np.random.default_rng(n_dim)
+    eta = random_low_block(rng, n_dim, top=min(n_dim - 1, 8))
+    rho = tom.random_density(rng, n_dim)
+    fam = wh.coherent_family(eta, grid, ctx)
+    u = fam.astype(np.clongdouble)
+    exact = np.einsum("km,mn,kn->k", u.conj(), rho.matrix.astype(np.clongdouble), u)
+    # every term of row k is at most |u_km| |rho_mn| |u_kn|
+    scale = np.einsum("km,mn,kn->k", np.abs(fam), np.abs(rho.matrix), np.abs(fam))
+    values = tom.classical_density(rho, eta, grid, ctx).values
+    assert np.all(np.abs(values - exact.real) <= 1e-14 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +158,16 @@ def test_vacuum_energy_symbol_expectation(ctx24, grid_ref, eta24):
     )
     assert quantum == pytest.approx(2.0, abs=1e-2)
     assert classical == pytest.approx(2.0, abs=1e-2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_expectation_of_a_non_finite_symbol_is_refused(ctx24, grid_ref, eta24, bad):
+    # it used to return (nan, nan), or (nan, inf) for an infinity, with RuntimeWarnings only
+    rho = tom.DensityOperator.pure(np.eye(24)[0])
+    vals = np.ones(len(grid_ref))
+    vals[100] = bad
+    with pytest.raises(ValueError, match="at grid point 100,"):
+        tom.expectation_pair(rho, vals, eta24, grid_ref, ctx24)
 
 
 def test_expectations_equal_for_random_states_and_symbols(ctx24, grid_ref, eta24):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from qps import effect_algebra as ea
+from qps import localization as loc
 from qps import transform as tr
 from qps import wh_model as wh
 
@@ -82,6 +84,32 @@ def test_transform_norm_equals_frame_quadratic_form(ctx24, grid_ref, eta24):
     samples = tr.w_transform(eta24, grid_ref, phi, ctx24)
     s = tr.frame_operator(eta24, grid_ref, ctx24)
     assert samples.weighted_norm_sq() == pytest.approx(np.vdot(phi, s @ phi).real, abs=1e-12)
+
+
+def test_frame_operator_is_formed_once_per_stored_family(monkeypatch):
+    grams = []
+    gram = tr.weighted_gram
+    monkeypatch.setattr(tr, "weighted_gram", lambda *args: grams.append(args) or gram(*args))
+    grid = wh.build_grid(5.0, 0.4)
+    ctx = wh.fock_space(12)
+    eta = wh.resolution_generator("ground", ctx)
+    s = tr.frame_operator(eta, grid, ctx)
+    assert not s.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        s[0, 0] = 0.0
+    # the frame solve and the POVM check read the stored S
+    tr.reconstruct(eta, grid, tr.w_transform(eta, grid, eta, ctx), ctx)
+    upper = loc.RegionSpec.from_mask(grid.p > 0, label="upper")
+    lower = loc.RegionSpec.from_mask(grid.p < 0, label="lower")
+    assert ea.povm_check([upper, lower], eta, grid, ctx).additivity_error <= 1e-12
+    assert tr.frame_operator(eta.copy(), grid, ctx) is s and len(grams) == 1
+    # a new generator or a new N forms it again; the store keeps only the latest family
+    fock = wh.resolution_generator("fock", ctx, n=1)
+    assert not np.array_equal(tr.frame_operator(fock, grid, ctx), s) and len(grams) == 2
+    ctx16 = wh.fock_space(16)
+    assert tr.frame_operator(wh.resolution_generator("ground", ctx16), grid, ctx16).shape == (16, 16)
+    again = tr.frame_operator(eta, grid, ctx)
+    assert len(grams) == 4 and again is not s and np.array_equal(again, s)
 
 
 def test_undersized_grid_gives_small_frame(ctx24, eta24):

@@ -391,7 +391,7 @@ def test_repeat_family_call_returns_the_stored_read_only_array(ctx24, monkeypatc
     again = wh.coherent_family(eta.copy(), grid, ctx24)
     # both are views of the stored family, which was built once
     assert len(builds) == 1
-    assert np.shares_memory(first, grid._family[1]) and np.shares_memory(again, grid._family[1])
+    assert np.shares_memory(first, grid._family.family) and np.shares_memory(again, grid._family.family)
     assert not first.flags.writeable and not again.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         first[0, 0] = 0.0
@@ -476,14 +476,16 @@ def test_family_built_in_pieces_is_the_one_shot_family(monkeypatch, name):
     # two overlapping row sets, in no particular order, then the rest of the grid
     disk = np.flatnonzero(np.hypot(grid.q, grid.p) <= 2.5)
     band = np.flatnonzero(np.abs(grid.q - 1.0) <= 1.2)[::-1]
-    pieces = [(rows, wh.coherent_family(vec, grid, ctx, rows=rows)) for rows in (disk, band)]
-    kept = [piece.copy() for _, piece in pieces]
+    pieces = []
+    for rows in (disk, band):
+        fam = wh.coherent_family(vec, grid, ctx, rows=rows)
+        pieces.append((rows, fam, fam[rows].copy()))
     whole = wh.coherent_family(vec, grid, ctx)
     assert np.array_equal(whole, one_shot)
-    for (rows, piece), before in zip(pieces, kept):
-        assert not piece.flags.writeable
-        assert np.array_equal(piece, one_shot[rows])
-        assert np.array_equal(piece, before)
+    # each call returned the stored array, its rows as the one-shot build made them
+    for rows, fam, built in pieces:
+        assert fam is whole and not fam.flags.writeable
+        assert np.array_equal(built, one_shot[rows])
 
 
 def test_family_rows_are_built_once_and_only_where_asked():
@@ -491,12 +493,12 @@ def test_family_rows_are_built_once_and_only_where_asked():
     ctx = wh.fock_space(12)
     vec = random_low_block(np.random.default_rng(5), 12, 4)
     inner = np.hypot(grid.q, grid.p) <= 2.0
-    wh.coherent_family(vec, grid, ctx, rows=inner)
-    assert np.array_equal(grid._family[2], inner)
-    fam = grid._family[1]
+    fam = wh.coherent_family(vec, grid, ctx, rows=inner)
+    assert fam is grid._family.family and fam.shape == (len(grid), 12)
+    assert np.array_equal(grid._family.built, inner)
     assert not fam[~inner].any()
     wh.coherent_family(vec, grid, ctx, rows=np.flatnonzero(inner)[:5])
-    assert grid._family[1] is fam and np.array_equal(grid._family[2], inner)
+    assert grid._family.family is fam and np.array_equal(grid._family.built, inner)
 
 
 def test_new_generator_or_dimension_resets_the_built_rows():
@@ -507,7 +509,7 @@ def test_new_generator_or_dimension_resets_the_built_rows():
         ctx = wh.fock_space(n_dim)
         vec = _exactness_generator(name, ctx)
         wh.coherent_family(vec, grid, ctx, rows=rows)
-        assert np.flatnonzero(grid._family[2]).tolist() == rows.tolist()
+        assert np.flatnonzero(grid._family.built).tolist() == rows.tolist()
         whole = wh.coherent_family(vec, grid, ctx)
         assert np.array_equal(whole, _per_column_sum(vec, grid, n_dim))
         held.append((whole, whole.copy()))
@@ -524,7 +526,7 @@ def test_overflowing_power_names_the_largest_radius():
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(ValueError, match=r"N = 32 allows grid radii up to 1\.21e\+10"):
             wh.coherent_family(vec, grid, ctx)
-        assert grid._family[2].sum() == 0
+        assert grid._family.built.sum() == 0
         # only the rows to build are checked
         near = np.flatnonzero(np.hypot(grid.q, grid.p) <= 1e10)
         assert not wh.coherent_family(vec, grid, ctx, rows=near).any()

@@ -1,24 +1,38 @@
 """Per-kernel bench of the coherent family build, the weighted Gram product,
-the Hermitian eigensolve, the frame solve, the classical density, the
-admissibility check, the tomography solve, the exact cohomology kernels,
-the effect-algebra axiom check, the lattice translation, the CSV layer and
-the ``qps`` subcommands, each time with a paired accuracy figure.
+the localization operator, the Hermitian eigensolve, the frame solve, the
+classical density, the admissibility check, the tomography solve, the exact
+cohomology kernels, the effect-algebra axiom check, the lattice translation,
+the CSV layer and the ``qps`` subcommands, each time with a paired accuracy
+figure.
 
 Coherent family: for each generator (ground, fock:3, squeezed:0.5 and a
 9-column low-block vector) on two grids (the ``roundtrips`` orthogonality
 grid, R 13, h 0.35, N 24, and the ``spectra`` frame, R 7, h 0.098, N 32)
 it times ``wh_model.coherent_family`` of the whole grid on a fresh grid,
 and on the ``spectra`` frame also the ground family's rows in the
-``disk:3`` region (``coherent_family(..., rows=...)``, what
-``localization.quantize`` asks for).  Next to each time it records the
+``disk:3`` region (``coherent_family(..., rows=...)``, the rows
+``localization.quantize`` builds).  Next to each time it records the
 largest |difference| between the rows built and the closed form summed
 column by column (``_displacement_elements``); an exact build reads 0.
 
 Weighted Gram: on the ``spectra`` frame it times
 ``transform.weighted_gram`` of the ground family with the grid weights,
-with seeded signed weights, and on the rows inside ``disk:3`` (what
-``quantize`` hands it).  Next to each time it records the largest
-|difference| from the same sum accumulated in extended precision.
+with seeded signed weights, and on a copy of the rows inside ``disk:3``
+(the kernel alone: ``quantize`` hands it the stored family, see below).
+Next to each time it records the largest |difference| from the same sum
+accumulated in extended precision.
+
+Quantize in situ: on the ``spectra`` frame it times
+``localization.quantize`` of the ``disk:3`` and ``disk:5`` indicators with
+their rows already built, as a workload op finds them, so the row gather
+and the scaled buffer of the Gram product are timed where they happen.
+Next to each time it records the largest |lambda_n - P(n + 1, R^2 / 2)|
+over the N = 32 eigenvalues (the Daubechies values for the vacuum
+generator).  These rows run first: whether a temporary of a few MB is
+mapped afresh on each call (and faults its pages in) depends on what the
+process freed before, since glibc raises its mmap threshold to the
+largest block freed so far, and a fresh ``qps`` process has freed
+nothing large.
 
 Eigensolve and frame solve: it times ``numpy.linalg.eigvalsh`` of the
 ``disk:3`` localization operator on the ``spectra`` frame, next to the
@@ -83,7 +97,9 @@ whose config names the temporary directory, written as TMP, and the CSV
 table), which two trees must share.
 
 Every kernel runs once to warm up and then ``REPEATS`` times; each row
-holds the median and quartiles.  Run from the repository root; the JSON
+holds the median and quartiles, and the median number of minor page
+faults per call (``resource.getrusage``): a temporary mapped afresh on
+every call shows there.  Run from the repository root; the JSON
 goes to ``--out``, and each row prints one line: its median, its kernel
 and every field that is not timing::
 
@@ -99,6 +115,7 @@ import io
 import json
 import os
 import platform
+import resource
 import sys
 import tempfile
 import time
@@ -171,17 +188,20 @@ def _machine() -> dict:
 
 
 def _timed(fn, fresh=None):
-    """Median and quartiles of ``REPEATS`` calls of ``fn`` after one warm-up, and
-    the last result.  With ``fresh``, each call is ``fn(fresh())``, and
-    ``fresh()`` is not timed."""
-    times = []
+    """Median and quartiles of ``REPEATS`` calls of ``fn`` after one warm-up, the
+    median count of minor page faults per call, and the last result.  With
+    ``fresh``, each call is ``fn(fresh())``, and ``fresh()`` is not timed."""
+    times, faults = [], []
     for _ in range(REPEATS + 1):
         args = () if fresh is None else (fresh(),)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         out = fn(*args)
         times.append(time.perf_counter() - start)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     q1, med, q3 = np.percentile(times[1:], [25, 50, 75])
-    return {"repeats": REPEATS, "median_s": float(med), "quartiles_s": [float(q1), float(q3)]}, out
+    return {"repeats": REPEATS, "median_s": float(med), "quartiles_s": [float(q1), float(q3)],
+            "minor_faults": int(np.median(faults[1:]))}, out
 
 
 def _digest(*parts) -> str:
@@ -247,9 +267,10 @@ def bench_family() -> list:
             expected, extra = expected[row_set], {"rows": region, "rows_built": len(row_set)}
         timing, fam = _timed(lambda grid: wh.coherent_family(vec, grid, ctx, rows=row_set),
                              fresh=lambda: wh.build_grid(radius, spacing))
+        built = fam if row_set is None else fam[row_set]
         rows.append({"kernel": "wh_model.coherent_family", "grid": grid_name, "K": len(probe), "N": n_dim,
                      "generator": gen_name, **extra, **timing,
-                     "max_abs_diff_closed_form": float(np.max(np.abs(fam - expected)))})
+                     "max_abs_diff_closed_form": float(np.max(np.abs(built - expected)))})
     return rows
 
 
@@ -389,6 +410,20 @@ def bench_classical_density() -> list:
     return rows
 
 
+def bench_quantize() -> list:
+    ctx, grid, eta = _frame(*GRIDS["spectra"])
+    rows = []
+    for radius in (3.0, 5.0):
+        symbol = loc.RegionSpec.disk(radius).mask(grid).astype(float)
+        timing, op = _timed(lambda: loc.quantize(symbol, eta, grid, ctx))
+        evals = np.linalg.eigvalsh(op)[::-1]
+        err = float(np.max(np.abs(evals - gammainc(np.arange(1, ctx.n_dim + 1), radius**2 / 2))))
+        rows.append({"kernel": "localization.quantize", "symbol": f"disk:{radius:g}", "grid": "spectra",
+                     "K": len(grid), "rows": int(symbol.sum()), "N": ctx.n_dim, **timing,
+                     "max_abs_diff_daubechies": err})
+    return rows
+
+
 def bench_eigensolve() -> list:
     ctx, grid, eta = _frame(*GRIDS["spectra"])
     op = loc.quantize(loc.RegionSpec.disk(3.0).mask(grid).astype(float), eta, grid, ctx)
@@ -437,7 +472,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="path of the JSON record")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        kernels = (bench_family() + bench_gram() + bench_eigensolve() + bench_frame_solve()
+        kernels = (bench_quantize() + bench_family() + bench_gram() + bench_eigensolve() + bench_frame_solve()
                    + bench_classical_density() + bench_admissibility() + bench_tomography()
                    + bench_cohomology() + bench_axioms() + bench_transform_grid(Path(tmp)) + bench_cli(Path(tmp)))
     Path(args.out).write_text(json.dumps({"machine": _machine(), "kernels": kernels}, indent=2) + "\n",
