@@ -113,8 +113,9 @@ def unvectorize_hermitian(v: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-def _family_rows(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
-    """Vectorized rank-one densities |u_k><u_k| as rows of a real matrix."""
+def _family_rows(eta, grid: PhaseGrid, ctx: FockContext, diagonal: np.ndarray, off_diagonal: np.ndarray) -> None:
+    """Write the vectorized rank-one densities |u_k><u_k| as rows: their N diagonal
+    coordinates into ``diagonal`` (K x N) and the N^2 - N others into ``off_diagonal``."""
     required = ctx.n_dim**2
     if len(grid) < required:
         raise ValueError(
@@ -124,11 +125,10 @@ def _family_rows(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     fam = coherent_family(eta, grid, ctx)
     n = ctx.n_dim
     iu, ju = np.triu_indices(n, k=1)
-    rows = np.empty((len(grid), n * n))
     for part in row_blocks(len(grid), 8 * n * n):
+        diagonal[part] = np.abs(fam[part]) ** 2
         cross = fam[part, iu] * fam[part, ju].conj()
-        rows[part] = np.concatenate([np.abs(fam[part]) ** 2, SQRT2 * cross.real, SQRT2 * cross.imag], axis=1)
-    return rows
+        off_diagonal[part] = np.concatenate([SQRT2 * cross.real, SQRT2 * cross.imag], axis=1)
 
 
 @dataclass
@@ -170,7 +170,10 @@ def _rank_report(matrix: np.ndarray) -> CompletenessReport:
 
 def completeness_rank(eta, grid: PhaseGrid, ctx: FockContext) -> CompletenessReport:
     """Rank test of the displaced-generator POVM densities over the grid."""
-    return _rank_report(_family_rows(eta, grid, ctx))
+    n = ctx.n_dim
+    rows = np.empty((len(grid), n * n))
+    _family_rows(eta, grid, ctx, rows[:, :n], rows[:, n:])
+    return _rank_report(rows)
 
 
 class IncompleteFamilyError(ValueError):
@@ -207,13 +210,14 @@ def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> 
     probs = np.asarray(probabilities, dtype=float)
     if probs.shape != (len(grid),):
         raise ValueError("need one probability value per grid point")
-    rows = _family_rows(eta, grid, ctx)
     n, nsq = ctx.n_dim, ctx.n_dim**2
-    traceless = np.linalg.svd(np.ones((1, n)))[2][1:].T
+    # the off-diagonal coordinates go straight into the system; the diagonal ones change basis
     system = np.empty((len(grid), nsq + 1), order="F")
-    np.matmul(rows[:, :n], traceless, out=system[:, : n - 1])
-    system[:, n - 1 : nsq - 1] = rows[:, n:]
-    trace = rows[:, :n].sum(axis=1)
+    diagonal = np.empty((len(grid), n))
+    _family_rows(eta, grid, ctx, diagonal, system[:, n - 1 : nsq - 1])
+    traceless = np.linalg.svd(np.ones((1, n)))[2][1:].T
+    np.matmul(diagonal, traceless, out=system[:, : n - 1])
+    trace = diagonal.sum(axis=1)
     system[:, nsq - 1], system[:, nsq] = trace / np.sqrt(n), probs - trace / n
     r = np.linalg.qr(system, mode="r")
     report = _rank_report(r[:nsq, :nsq])
@@ -230,7 +234,8 @@ def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> 
     repaired = (evecs * evals) @ evecs.conj().T
     repaired = 0.5 * (repaired + repaired.conj().T)
 
-    residual = float(np.linalg.norm(rows @ vectorize_hermitian(repaired) - probs))
+    coords = vectorize_hermitian(repaired)
+    residual = float(np.linalg.norm(diagonal @ coords[:n] + system[:, n - 1 : nsq - 1] @ coords[n:] - probs))
     return ReconstructionResult(
         rho=DensityOperator(repaired), residual=residual, completeness=report
     )

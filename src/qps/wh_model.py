@@ -7,10 +7,22 @@ With these choices the coherent family resolves the identity with
 constant exactly 1.
 
 Displacement matrix elements are the closed-form values of the
-untruncated operator (associated-Laguerre form), truncated to N x N.
-Every stored entry is therefore exact up to floating point, and only
-quantities that probe the cut edge feel the truncation; operations
-advertise validity on the low Fock block n <= N/2.
+untruncated operator (associated-Laguerre form, Cahill and Glauber,
+Phys. Rev. 177, 1857, 1969), truncated to N x N.  Every stored entry is
+therefore exact up to floating point, and only quantities that probe the
+cut edge feel the truncation; operations advertise validity on the low
+Fock block n <= N/2.
+
+The closed form is taken in the factored form of rotation covariance:
+for alpha = r e^(i theta), D(alpha) = e^(i theta a*a) D(r) e^(-i theta a*a),
+so <m|D(alpha)|n> = T_mn(r) e^(i (m - n) theta) with T the real
+displacement of the radius alone.  A grid keeps T over its distinct radii
+for one N, one Fock column at a time as generators need it: U N 8 bytes a
+column for U distinct radii (92.5 KB at R 13, h 0.35, N 24, where U is
+482 and all 24 columns take 2.2 MB; 429 KB at R 7, h 0.098, N 32), at
+most 8 MiB of kept columns.  A new generator at the same N then costs a
+gather of the table and one phase per row and level, and no Laguerre
+evaluation.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ def low_block(ctx: FockContext) -> slice:
     return slice(0, ctx.n_dim // 2 + 1)
 
 
-# bytes of radial tables coherent_family holds at once
+# bytes of radial table columns a grid's family store keeps
 _RADIAL_BYTES = 2**23
 
 
@@ -81,19 +93,77 @@ def _radial(x, m, n):
     return radial * eval_genlaguerre(lo, hi - lo, x)
 
 
-def _displacement_elements(alpha, m, n):
-    """<m|D(alpha)|n> of the infinite-dimensional displacement operator.
+def _real_displacement(r, m, n):
+    """<m|D(r)|n> for real amplitudes r >= 0, over the shape of ``r`` followed by
+    that of ``m`` and ``n`` broadcast: the radial factor of r^2 times r^|m-n|,
+    negated above the diagonal where n - m is odd."""
+    m, n = np.broadcast_arrays(m, n)
+    k = np.abs(m - n)
+    r = np.asarray(r, dtype=float)
+    # each power of each radius once, not once per entry
+    powers = (r[..., None] ** np.arange(k.max() + 1))[..., k]
+    sign = np.where((m < n) & (k % 2 == 1), -1.0, 1.0)
+    r = r.reshape(r.shape + (1,) * k.ndim)
+    return _radial(r * r, m, n) * (powers * sign)
 
-    Broadcasts over ``alpha``, ``m``, ``n``.  Uses the associated-Laguerre
-    closed form for m >= n and the adjoint relation D(alpha)* = D(-alpha)
-    below the diagonal.
+
+def _unit(alpha, r):
+    """alpha / r with r = |alpha|, component by component; 1 where alpha is 0."""
+    nonzero = r > 0
+    safe = np.where(nonzero, r, 1.0)
+    unit = np.empty(np.shape(alpha), dtype=complex)
+    unit.real = np.where(nonzero, alpha.real / safe, 1.0)
+    unit.imag = alpha.imag / safe
+    return unit
+
+
+def _squares(unit, n_dim: int) -> np.ndarray:
+    """unit**(2**j) for 2**j < n_dim, on a new first axis: repeated squares of
+    ``unit``, each scaled back to modulus 1, so its modulus does not drift."""
+    # never 0-d: a 0-d square would be a numpy scalar, whose division rounds otherwise
+    squares = [np.asarray(unit, dtype=complex)[None]]
+    while 2 ** len(squares) < n_dim:
+        square = squares[-1] * squares[-1]
+        squares.append(square / np.abs(square))
+    return np.concatenate(squares)
+
+
+def _phases(squares, n_dim: int) -> np.ndarray:
+    """unit**m for m < n_dim on a new first axis, from the repeated squares of unit.
+
+    Doubling: the powers [w, 2w) are the powers [0, w) times unit**w, so
+    power m takes one product per bit of m, and its bits depend neither on
+    ``n_dim`` nor on how the points of ``squares`` are split.  The power
+    axis goes first so that each product runs along the points.
+    """
+    ph = np.empty((n_dim,) + squares.shape[1:], dtype=complex)
+    ph[0] = 1.0
+    for j, square in enumerate(squares):
+        width = 2**j
+        if width >= n_dim:
+            break
+        np.multiply(ph[: min(width, n_dim - width)], square, out=ph[width : 2 * width])
+    return ph
+
+
+def _displacement_elements(alpha, n_dim: int) -> np.ndarray:
+    """<m|D(alpha)|n> for m, n < n_dim of the infinite-dimensional operator, on two new last axes.
+
+    Rotation covariance: with alpha = r e^(i theta),
+    D(alpha) = e^(i theta a*a) D(r) e^(-i theta a*a), so the entry is
+    ``_real_displacement(r, m, n)`` times e^(i (m - n) theta), the power
+    (alpha / r)**|m - n|, conjugated above the diagonal.  Broadcasts over
+    ``alpha``.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    m = np.asarray(m)
-    n = np.asarray(n)
-    k = np.abs(m - n)
-    amp = np.where(m >= n, alpha**k, (-np.conj(alpha)) ** k)
-    return _radial(np.abs(alpha) ** 2, m, n) * amp
+    r = np.abs(alpha)
+    idx = np.arange(n_dim)
+    m, n = idx[:, None], idx[None, :]
+    rotation = np.moveaxis(_phases(_squares(_unit(alpha, r), n_dim), n_dim)[np.abs(m - n)], (0, 1), (-2, -1))
+    rotation = np.where(m >= n, rotation, rotation.conj())
+    # C order whatever the layout of alpha, so that products with the matrices keep their bits
+    out = np.empty(alpha.shape + (n_dim, n_dim), dtype=complex)
+    return np.multiply(_real_displacement(r, m, n), rotation, out=out)
 
 
 def displacement(alpha: complex, ctx: FockContext) -> np.ndarray:
@@ -112,8 +182,7 @@ def displacement(alpha: complex, ctx: FockContext) -> np.ndarray:
             TruncationWarning,
             stacklevel=2,
         )
-    idx = np.arange(ctx.n_dim)
-    return _displacement_elements(alpha, idx[:, None], idx[None, :])
+    return _displacement_elements(alpha, ctx.n_dim)
 
 
 @dataclass(eq=False)
@@ -231,107 +300,151 @@ def resolution_generator(kind: str, ctx: FockContext, *, n: int | None = None, r
     return vec
 
 
-def _fill_rows(vec, grid: PhaseGrid, fam: np.ndarray, todo: np.ndarray) -> None:
-    """Add D(alpha_k) vec into the zero rows fam[k] for k in ``todo`` (sorted, distinct).
+@dataclass(eq=False)
+class FamilyStore:
+    """What a grid keeps for one N: the real displacement table, and the
+    coherent family of one generator as far as it is built.
 
-    Each entry of a support column of vec is a radial factor of |alpha|^2
-    times a power of alpha (on and below the diagonal) or of -conj(alpha)
-    (above it).  The radial factors are evaluated once per distinct
-    |alpha|^2 among the rows, and the powers once per row block for all
-    columns, so a column costs a gather and a product per entry.
+    ``radii`` are the grid's distinct |alpha|, ascending, and
+    ``radius_index`` maps each grid point to its radius.  ``table[n]`` is
+    the column T[:, :, n], T[u, m, n] = <m|D(radii[u])|n>, over the first
+    ``covered`` radii, as far as the rows built so far reached; a column
+    is formed on first use, grows with the rows, and is kept while the
+    kept columns fit ``_RADIAL_BYTES`` (see :func:`_keep_columns`).  ``family`` is
+    K x N complex and read-only: row k holds D(alpha_k) eta where
+    ``built[k]`` and zeros elsewhere (pages no built row reached are never
+    touched).  ``frame`` is the frame operator S of the whole family,
+    read-only, once ``transform.frame_operator`` has formed it.  A new
+    generator replaces the family, ``built`` and S and keeps the table; a
+    new N replaces the store.  Only :func:`coherent_family` makes a store
+    or builds its rows.
+    """
+
+    n_dim: int
+    radii: np.ndarray
+    radius_index: np.ndarray
+    table: dict = field(default_factory=dict)
+    covered: int = 0
+    eta: bytes | None = None
+    family: np.ndarray | None = None
+    built: np.ndarray | None = None
+    frame: np.ndarray | None = None
+
+
+def _max_amplitude(n_dim: int) -> float:
+    """Largest |alpha| whose power N - 1 stays below half the largest float."""
+    return (np.finfo(float).max / 2) ** (1.0 / (n_dim - 1))
+
+
+def _keep_columns(store: FamilyStore, support: np.ndarray, count: int) -> None:
+    """Extend the kept columns to the first ``count`` radii, and keep the columns
+    of ``support`` the table lacks while the kept ones, at full length (the
+    radii up to ``_max_amplitude``), fit ``_RADIAL_BYTES``.  The columns a
+    call extends, and those it adds, are formed a few per evaluation of the
+    closed form."""
+    idx = np.arange(store.n_dim)
+    if count > store.covered:
+        kept = list(store.table)
+        if kept:
+            more = _real_displacement(store.radii[store.covered : count], idx, np.array(kept)[:, None])
+            for j, n in enumerate(kept):
+                store.table[n] = np.concatenate([store.table[n], more[:, j]])
+        store.covered = count
+    full = np.searchsorted(store.radii, _max_amplitude(store.n_dim), side="right")
+    room = _RADIAL_BYTES // (full * store.n_dim * 8) - len(store.table)
+    new = [n for n in support if n not in store.table][: max(room, 0)]
+    # a few columns at a time, so that the temporaries stay near 1 MiB, in pages the heap reuses
+    step = max(1, 2**20 // (8 * store.n_dim * store.covered))
+    for first in range(0, len(new), step):
+        cols = new[first : first + step]
+        formed = _real_displacement(store.radii[: store.covered], idx, np.array(cols)[:, None])
+        for j, n in enumerate(cols):
+            store.table[n] = np.ascontiguousarray(formed[:, j])
+
+
+def _fill_rows(vec, grid: PhaseGrid, store: FamilyStore, todo: np.ndarray) -> None:
+    """Write D(alpha_k) vec into the zero rows store.family[k] for k in ``todo`` (sorted, distinct).
+
+    Row k is ph * sum_n T[r(k), :, n] vec_n conj(ph_n) over the support
+    columns n of vec, in order, with ph_m = e^(i m theta_k): each column
+    adds a gather of the real table times one coefficient per row, and
+    the last one also multiplies by the phases, formed per row block of
+    about 128 KiB from each row's repeated squares (see :func:`_phases`).
+    A column past the table's budget is formed for this build only.
     """
     n_dim = len(vec)
     support = np.nonzero(np.abs(vec) > 0)[0]
     if not (support.size and todo.size):
         return
-    alpha = grid.alpha
-    # |alpha|^2 over the whole grid, then its rows: the bits cannot depend on the row set
-    x = (np.abs(alpha) ** 2)[todo]
-    alpha = alpha[todo]
-    # alpha**(N - 1) must stay below half the largest float
-    max_alpha = (np.finfo(float).max / 2) ** (1.0 / (n_dim - 1))
-    top_alpha = np.sqrt(x.max())
-    if top_alpha > max_alpha:
+    radius_index = store.radius_index[todo]
+    r = store.radii[radius_index]
+    max_alpha = _max_amplitude(n_dim)
+    if r.max() > max_alpha:
         raise ValueError(
-            f"grid point at radius {SQRT2 * top_alpha:.3g} overflows alpha**{n_dim - 1}; "
+            f"grid point at radius {SQRT2 * r.max():.3g} overflows alpha**{n_dim - 1}; "
             f"N = {n_dim} allows grid radii up to {SQRT2 * max_alpha:.3g}"
         )
-    # symmetric lattices repeat each radius, often many times over
-    xs, radius_index = np.unique(x, return_inverse=True)
-    # One radial table is len(xs) x N floats; the columns are taken in
-    # chunks whose tables fit in _RADIAL_BYTES together, so a wide
-    # support does not hold all of them at once.
-    chunk = max(1, _RADIAL_BYTES // (8 * xs.size * n_dim))
+    squares = _squares(_unit(grid.alpha[todo], r), n_dim)
+    blocks = []
+    for part in row_blocks(todo.size, 16 * n_dim):
+        dest = todo[part]
+        if dest[-1] - dest[0] == dest.size - 1:
+            dest = slice(dest[0], dest[-1] + 1)  # a run of rows: write through a view
+        blocks.append((part, dest))
+    coef = np.empty((todo.size, support.size), dtype=complex)
+    for part, _ in blocks:
+        coef[part] = vec[support] * _phases(squares[:, part], support[-1] + 1)[support].T.conj()
+    fam = store.family
+    count = radius_index.max() + 1
+    _keep_columns(store, support, count)
     # each entry sums its columns in support order, so no blocking changes a bit
-    for first in range(0, support.size, chunk):
-        cols = support[first : first + chunk]
-        radials = [_radial(xs[:, None], np.arange(n_dim)[None, :], n0) for n0 in cols]
-        top = cols[-1]
-        up_exps = np.arange(n_dim - cols[0])
-        down_exps = np.arange(top, 0, -1)
-        for part in row_blocks(todo.size, 16 * n_dim):
-            dest = todo[part]
-            if dest[-1] - dest[0] == dest.size - 1:
-                dest = slice(dest[0], dest[-1] + 1)  # a run of rows: write through a view
-            alphas = alpha[part, None]
-            # column top + e holds the power that <m|D|n0> takes for
-            # m - n0 = e: (-conj alpha)^-e above the diagonal, alpha^e on
-            # and below it
-            powers = np.concatenate([(-np.conj(alphas)) ** down_exps, alphas**up_exps], axis=1)
-            block_radii = radius_index[part]
-            for n0, radial in zip(cols, radials):
-                amp = powers[:, top - n0 : top - n0 + n_dim]
-                fam[dest] += vec[n0] * (radial.take(block_radii, axis=0) * amp)
-
-
-@dataclass(eq=False)
-class FamilyStore:
-    """The coherent family of one generator and N on a grid, as far as it is built.
-
-    ``family`` is K x N complex and read-only: row k holds D(alpha_k) eta
-    where ``built[k]`` and zeros elsewhere (pages no built row reached are
-    never touched).  ``frame`` is the frame operator S of the whole family,
-    read-only, once ``transform.frame_operator`` has formed it; it goes
-    with the store when a new generator or N replaces it.  Only
-    :func:`coherent_family` makes a store or builds its rows.
-    """
-
-    key: tuple
-    family: np.ndarray
-    built: np.ndarray
-    frame: np.ndarray | None = None
+    for j, n0 in enumerate(support):
+        column = store.table.get(n0)
+        if column is None:
+            column = _real_displacement(store.radii[:count], np.arange(n_dim), n0)
+        for part, dest in blocks:
+            rows = column.take(radius_index[part], axis=0) * coef[part, j, None]
+            if j:
+                rows += fam[dest]
+            if j == support.size - 1:
+                rows *= _phases(squares[:, part], n_dim).T
+            fam[dest] = rows
 
 
 def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.ndarray:
     """Row k holds D(alpha_k) eta: the displaced-generator family over the grid.
 
-    Rows are built from the closed form (see :func:`_fill_rows`), only
-    the requested ones, and each at most once per grid and generator: the
-    grid keeps the :class:`FamilyStore` of the most recent generator and
-    N, and a call with another N or eta starts a new one.  The call builds
-    the ``rows`` (indices or a mask into the grid, None for all) the store
+    Rows are built from the factored closed form (see :func:`_fill_rows`),
+    only the requested ones, and each at most once per grid and generator:
+    the grid keeps the :class:`FamilyStore` of the most recent N and
+    generator, and a call with another eta starts a new family on the
+    same table, one with another N a new store.  The call builds the
+    ``rows`` (indices or a mask into the grid, None for all) the store
     lacks and returns the stored K x N array, read-only, in which a row
     not built yet is zero.  Built rows are never written again, so a row
     once built never changes.  Raises ``ValueError`` if a row to build
-    lies so far out that alpha**(N - 1) would overflow.
+    lies so far out that |alpha|**(N - 1) would overflow.
     """
     vec = np.asarray(eta, dtype=complex)
     n_dim = ctx.n_dim
     if vec.shape != (n_dim,):
         raise ValueError(f"generator has dim {vec.shape}, context has {n_dim}")
-    key = (n_dim, vec.tobytes())
-    if grid._family is None or grid._family.key != key:
+    store = grid._family
+    if store is None or store.n_dim != n_dim:
+        radii, radius_index = np.unique(np.abs(grid.alpha), return_inverse=True)
+        store = grid._family = FamilyStore(n_dim=n_dim, radii=radii, radius_index=radius_index)
+    if store.eta != vec.tobytes():
         family = np.zeros((len(grid), n_dim), dtype=complex)
         family.flags.writeable = False
-        grid._family = FamilyStore(key=key, family=family, built=np.zeros(len(grid), dtype=bool))
-    store = grid._family
+        store.eta, store.family, store.frame = vec.tobytes(), family, None
+        store.built = np.zeros(len(grid), dtype=bool)
     wanted = np.zeros(len(grid), dtype=bool)
     wanted[slice(None) if rows is None else rows] = True
     todo = np.flatnonzero(wanted & ~store.built)
     if todo.size:
         store.family.flags.writeable = True
         try:
-            _fill_rows(vec, grid, store.family, todo)
+            _fill_rows(vec, grid, store, todo)
         finally:
             store.family.flags.writeable = False
         store.built[todo] = True
@@ -410,6 +523,8 @@ def admissibility(
     rng = np.random.default_rng(seed)
     r_beta = _commutator_sample_radius(ctx, vec)
     idx = np.arange(ctx.n_dim)
+    # D(-a) is D(a) with the entries of odd m - n negated: the phase e^(i (m - n) theta) turned by pi
+    flip = np.where((idx[:, None] - idx[None, :]) % 2 == 1, -1.0, 1.0)
     max_dev = 0.0
     for start in range(0, trials, _PAIR_BLOCK):
         # per pair: two radii, then two angles, as uniform draws
@@ -417,13 +532,14 @@ def admissibility(
         amps = r_beta * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
         # to the point (q, p) = sqrt(2) (Re a, Im a) and back, as the pinned report bits were drawn
         alphas = (SQRT2 * amps.real + 1j * (SQRT2 * amps.imag)) / SQRT2
-        pairs = _displacement_elements(alphas[:, :, None, None], idx[:, None], idx[None, :])
-        for dx, dy in pairs:
-            # D(-a) equals D(a)^H entry by entry, and a contiguous copy multiplies bit for bit alike
-            v = vec
-            for d in (dy, dx, np.ascontiguousarray(dy.conj().T), np.ascontiguousarray(dx.conj().T)):
-                v = d @ v
-            max_dev = max(max_dev, float(np.linalg.norm(v - np.vdot(vec, v) * vec)))
+        dx, dy = _displacement_elements(alphas.T, ctx.n_dim)
+        # D(-x) D(-y) D(x) D(y) eta for every pair at once
+        v = vec[:, None]
+        for d in (dy, dx, flip * dy, flip * dx):
+            v = d @ v
+        v = v[..., 0]
+        beta = np.sum(v * vec.conj(), axis=-1)
+        max_dev = max(max_dev, float(np.linalg.norm(v - beta[:, None] * vec, axis=-1).max()))
     return AdmissibilityReport(
         integral=integral,
         d_constant=d_constant,

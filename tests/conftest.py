@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 import qps
 from qps import rational_linalg as rla
@@ -83,6 +84,27 @@ def quadratures(n_dim: int):
     return a, ad, (a + ad) / np.sqrt(2.0), (a - ad) / (1j * np.sqrt(2.0))
 
 
+def closed_form_displacement(alpha, m, n):
+    """<m|D(alpha)|n> in the complex-power closed form: sqrt(lo!/hi!)
+    e^(-|alpha|^2/2) L_lo^(hi-lo)(|alpha|^2), with lo, hi the smaller and
+    larger of m, n, times alpha^(m-n) on and below the diagonal and
+    (-conj alpha)^(n-m) above it.  Broadcasts over ``alpha``, ``m``, ``n``.
+    The oracle for the factored form the package builds (Cahill and
+    Glauber, Phys. Rev. 177, 1857, 1969)."""
+    alpha = np.asarray(alpha, dtype=complex)
+    lo, hi = np.minimum(m, n), np.maximum(m, n)
+    x = np.abs(alpha) ** 2
+    radial = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)) - x / 2.0) * eval_genlaguerre(lo, hi - lo, x)
+    return radial * np.where(m >= n, alpha ** (hi - lo), (-np.conj(alpha)) ** (hi - lo))
+
+
+def central_phase(vec, v):
+    """(beta, deviation) of v against vec, along the last axis: beta = <vec, v>
+    and the norm distance of v from beta vec, each reduced row by row."""
+    beta = np.sum(v * vec.conj(), axis=-1)
+    return beta, np.linalg.norm(v - beta[..., None] * vec, axis=-1)
+
+
 def central_phase_deviation(x, y, eta, ctx):
     """Apply the displacement commutator of two phase-space points to eta.
 
@@ -99,9 +121,8 @@ def central_phase_deviation(x, y, eta, ctx):
     v = vec
     for d in (dy, dx, np.ascontiguousarray(dy.conj().T), np.ascontiguousarray(dx.conj().T)):
         v = d @ v
-    beta = np.vdot(vec, v)
-    deviation = float(np.linalg.norm(v - beta * vec))
-    return beta, deviation
+    beta, deviation = central_phase(vec, v)
+    return beta, float(deviation)
 
 
 # ---------------------------------------------------------------------------

@@ -52,3 +52,19 @@ def test_quantize_rows_time_it_in_situ(bench, monkeypatch):
     for row in rows:
         assert row["K"] == 15996 and row["median_s"] > 0 and row["minor_faults"] >= 0
     assert rows[0]["max_abs_diff_daubechies"] < 1e-4
+
+
+def test_family_rows_time_a_fresh_grid_and_a_second_generator(bench, monkeypatch):
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    generators = bench._generators
+    monkeypatch.setattr(bench, "_generators", lambda n_dim: {"ground": generators(n_dim)["ground"]})
+    rows = bench.bench_family()
+    assert [(row["grid"], row.get("rows"), row["build"]) for row in rows] == [
+        ("roundtrips", None, "fresh grid"), ("roundtrips", None, "second generator, same grid and N"),
+        ("spectra", None, "fresh grid"), ("spectra", None, "second generator, same grid and N"),
+        ("spectra", "disk:3", "fresh grid"),
+    ]
+    for row in rows:
+        assert row["kernel"] == "wh_model.coherent_family" and row["generator"] == "ground"
+        assert row["median_s"] > 0 and row["minor_faults"] >= 0
+        assert row["max_abs_err_mpmath"] < 5e-15

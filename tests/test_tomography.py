@@ -1,5 +1,7 @@
 """Husimi densities, expectation equality, completeness ranks, reconstruction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,14 @@ def test_coherent_family_is_informationally_complete(ctx4, grid4, eta4):
     assert report.singular_values[0] / report.smallest_kept_singular_value <= 1e3
 
 
+def _family_rows(eta, grid, ctx):
+    """The K x N^2 vectorized densities, diagonal coordinates first."""
+    n = ctx.n_dim
+    rows = np.empty((len(grid), n * n))
+    tom._family_rows(eta, grid, ctx, rows[:, :n], rows[:, n:])
+    return rows
+
+
 @pytest.mark.parametrize("n_dim", [8, 12, 16])
 def test_family_rows_match_the_unblocked_products_bit_for_bit(n_dim):
     # K = 716 rows in blocks of 2**17 / (8 N^2) rows: the last block is partial
@@ -239,7 +249,7 @@ def test_family_rows_match_the_unblocked_products_bit_for_bit(n_dim):
     left, right = fam[:, iu], fam[:, ju].conj()
     cross = left * right
     expected = np.concatenate([np.abs(fam) ** 2, wh.SQRT2 * cross.real, wh.SQRT2 * cross.imag], axis=1)
-    assert np.array_equal(tom._family_rows(eta, grid, ctx), expected)
+    assert np.array_equal(_family_rows(eta, grid, ctx), expected)
 
 
 def test_position_projectors_are_incomplete():
@@ -333,7 +343,7 @@ def grid716():
 
 def _svd_lstsq_estimate(probs, eta, grid, ctx):
     """Unit-trace least squares by lstsq (SVD) on rows @ Q, no repair: the oracle."""
-    rows = tom._family_rows(eta, grid, ctx)
+    rows = _family_rows(eta, grid, ctx)
     n = ctx.n_dim
     trace_row = tom.vectorize_hermitian(np.eye(n))
     x0 = trace_row / n
@@ -373,6 +383,24 @@ def test_reconstruction_error_within_twice_the_svd_oracle(grid716, n_dim):
         errors.append(np.linalg.norm(result.rho.matrix - rho.matrix))
         oracle_errors.append(np.linalg.norm(_svd_lstsq_estimate(probs, eta, grid716, ctx) - rho.matrix))
     assert max(errors) <= 2 * max(oracle_errors)
+
+
+def test_reconstruction_holds_two_system_buffers(grid716):
+    # N = 16, family stored: the K x (N^2 + 1) system and the QR's copy of it,
+    # the K x N diagonal block, R and row-block temporaries; no third K x N^2 buffer
+    ctx = wh.fock_space(16)
+    eta = wh.resolution_generator("ground", ctx)
+    rho = tom.random_density(np.random.default_rng(17), 16)
+    probs = tom.classical_density(rho, eta, grid716, ctx).values
+    tom.reconstruct_state(probs, eta, grid716, ctx)
+    tracemalloc.start()
+    try:
+        tom.reconstruct_state(probs, eta, grid716, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows_bytes = len(grid716) * 16**2 * 8
+    assert peak <= 2.75 * rows_bytes, f"peak {peak / rows_bytes:.2f} x K x N^2 x 8 bytes"
 
 
 def test_inconsistent_input_flagged_by_residual(ctx4, grid4, eta4):

@@ -331,16 +331,17 @@ def test_orthogonality_constant_is_the_admissibility_constant(ctx24, grid_wide, 
 
 
 def test_orthogonality_builds_each_family_once(ctx24, monkeypatch):
-    # one radial table per single-column family: eta1's family must be used
-    # up before eta2's replaces it in the grid's one-family store
+    # eta1's family must be used up before eta2's replaces it in the grid's
+    # one-family store: one row build per family (the table's columns would
+    # be kept across a rebuild, so the builds themselves are counted)
     calls = []
-    radial = wh._radial
+    fill_rows = wh._fill_rows
 
     def counted(*args):
         calls.append(args)
-        return radial(*args)
+        return fill_rows(*args)
 
-    monkeypatch.setattr(wh, "_radial", counted)
+    monkeypatch.setattr(wh, "_fill_rows", counted)
     grid = wh.build_grid(13.0, 0.35)
     eta1 = wh.resolution_generator("fock", ctx24, n=1)
     eta2 = wh.resolution_generator("fock", ctx24, n=2)

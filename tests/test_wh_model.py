@@ -9,7 +9,13 @@ from scipy.special import gammainc
 
 from qps import wh_model as wh
 
-from conftest import central_phase_deviation, quadratures, random_low_block
+from conftest import (
+    central_phase,
+    central_phase_deviation,
+    closed_form_displacement,
+    quadratures,
+    random_low_block,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +324,8 @@ def _four_build_commutator(x, y, vec, ctx):
     v = vec
     for amp in (ay, ax, -ay, -ax):
         v = wh.displacement(amp, ctx) @ v
-    beta = np.vdot(vec, v)
-    return beta, float(np.linalg.norm(v - beta * vec))
+    beta, deviation = central_phase(vec, v)
+    return beta, float(deviation)
 
 
 @pytest.mark.parametrize("n_dim", [8, 24])
@@ -375,9 +381,9 @@ def test_admissibility_integral_phase_invariant(ctx24, grid_ref, eta24):
 
 
 def _family_reference(vec, grid, n_dim):
-    """Rows D(alpha_k) vec from the closed-form matrix elements, no storage."""
+    """Rows D(alpha_k) vec from the complex-power closed form, no storage."""
     idx = np.arange(n_dim)
-    elems = wh._displacement_elements(grid.alpha[:, None, None], idx[None, :, None], idx[None, None, :])
+    elems = closed_form_displacement(grid.alpha[:, None, None], idx[None, :, None], idx[None, None, :])
     return elems @ vec
 
 
@@ -403,10 +409,7 @@ def test_blocked_family_equals_the_whole_grid_sum():
     grid = wh.build_grid(7.0, 0.15)
     ctx = wh.fock_space(24)
     vec = random_low_block(np.random.default_rng(4), 24)
-    expected = np.zeros((len(grid), 24), dtype=complex)
-    for n0 in range(9):
-        expected += vec[n0] * wh._displacement_elements(grid.alpha[:, None], np.arange(24)[None, :], n0)
-    assert np.array_equal(wh.coherent_family(vec, grid, ctx), expected)
+    assert np.array_equal(wh.coherent_family(vec, grid, ctx), _per_column_sum(vec, grid, 24))
 
 
 def test_family_follows_a_new_generator_or_dimension():
@@ -421,11 +424,14 @@ def test_family_follows_a_new_generator_or_dimension():
 
 
 def _per_column_sum(vec, grid, n_dim):
-    """The support columns of the closed form summed in order over the whole grid."""
-    expected = np.zeros((len(grid), n_dim), dtype=complex)
+    """The factored form summed over the whole grid: ph * sum_n T[r(k), :, n] vec_n conj(ph_n)
+    over the support columns n in order, with T the real displacement and ph_m = e^(i m theta_k)."""
+    r = np.abs(grid.alpha)
+    ph = wh._phases(wh._squares(wh._unit(grid.alpha, r), n_dim), n_dim).T
+    acc = np.zeros((len(grid), n_dim), dtype=complex)
     for n0 in np.nonzero(np.abs(vec) > 0)[0]:
-        expected += vec[n0] * wh._displacement_elements(grid.alpha[:, None], np.arange(n_dim)[None, :], n0)
-    return expected
+        acc += wh._real_displacement(r, np.arange(n_dim), n0) * (vec[n0] * ph[:, n0].conj())[:, None]
+    return acc * ph
 
 
 def _exactness_generator(name, ctx):
@@ -455,7 +461,7 @@ def test_family_is_exactly_the_per_column_closed_form(name, n_dim):
 @pytest.mark.parametrize("columns", [1, 5])
 @pytest.mark.parametrize("name", ["full", "squeezed:0.8"])
 def test_family_in_column_chunks_is_exactly_the_closed_form(monkeypatch, name, columns):
-    # a radial budget of `columns` tables splits the support into chunks, the last one partial
+    # a table budget of `columns` kept columns: the rest of the support is formed for the build and dropped
     grid = wh.build_grid(5.0, 0.18)
     ctx = wh.fock_space(24)
     distinct = np.unique(np.abs(grid.alpha) ** 2).size
@@ -488,6 +494,39 @@ def test_family_built_in_pieces_is_the_one_shot_family(monkeypatch, name):
         assert np.array_equal(built, one_shot[rows])
 
 
+def _mp_displacement(mpmath, alpha, m, n):
+    """<m|D(alpha)|n> in mpmath at the working precision, from the closed form."""
+    a = mpmath.mpc(alpha.real, alpha.imag)
+    x = abs(a) ** 2
+    lo, hi = min(m, n), max(m, n)
+    radial = mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(hi)) * mpmath.exp(-x / 2)
+    power = a ** (m - n) if m >= n else (-mpmath.conj(a)) ** (n - m)
+    return radial * mpmath.laguerre(lo, hi - lo, x) * power
+
+
+@pytest.mark.parametrize("n_dim", [4, 24, 32])
+def test_sampled_family_entries_match_mpmath_at_50_digits(grid_wide, n_dim):
+    # a full-support generator, so every column, its phase and the sign above the diagonal count
+    mpmath = pytest.importorskip("mpmath")
+    ctx = wh.fock_space(n_dim)
+    rng = np.random.default_rng(50 + n_dim)
+    vec = rng.normal(size=n_dim) + 1j * rng.normal(size=n_dim)
+    vec /= np.linalg.norm(vec)
+    fam = wh.coherent_family(vec, grid_wide, ctx)
+    # rows across the grid's radii (|alpha| up to 9.2), a few levels each
+    worst = 0.0
+    with mpmath.workdps(50):
+        for k in rng.choice(len(grid_wide), 12, replace=False):
+            alpha = grid_wide.alpha[k]
+            for m in rng.choice(n_dim, min(n_dim, 6), replace=False):
+                exact = mpmath.fsum(
+                    _mp_displacement(mpmath, alpha, int(m), n) * mpmath.mpc(vec[n].real, vec[n].imag)
+                    for n in range(n_dim)
+                )
+                worst = max(worst, float(abs(mpmath.mpc(fam[k, m].real, fam[k, m].imag) - exact)))
+    assert worst <= 5e-15
+
+
 def test_family_rows_are_built_once_and_only_where_asked():
     grid = wh.build_grid(5.0, 0.4)
     ctx = wh.fock_space(12)
@@ -516,6 +555,28 @@ def test_new_generator_or_dimension_resets_the_built_rows():
     for whole, before in held:
         assert not whole.flags.writeable
         assert np.array_equal(whole, before)
+
+
+def test_new_generator_keeps_the_table_and_a_new_dimension_drops_it(monkeypatch):
+    grid = wh.build_grid(5.0, 0.4)
+    ctx = wh.fock_space(12)
+    rng = np.random.default_rng(6)
+    wh.coherent_family(random_low_block(rng, 12, 4), grid, ctx)
+    store = grid._family
+    columns = {n: store.table[n] for n in range(5)}
+    vec = random_low_block(rng, 12, 3)
+    expected = _per_column_sum(vec, grid, 12)
+    formed = []
+    radial = wh._radial
+    monkeypatch.setattr(wh, "_radial", lambda *args: formed.append(args) or radial(*args))
+    # a second generator on columns already formed: a new family on the same table, no column formed
+    fam = wh.coherent_family(vec, grid, ctx)
+    assert grid._family is store and not formed
+    assert all(store.table[n] is columns[n] for n in range(5))
+    assert store.built.all() and np.array_equal(fam, expected)
+    # a new N starts a new store, with its own table
+    wh.coherent_family(wh.resolution_generator("ground", wh.fock_space(16)), grid, wh.fock_space(16))
+    assert grid._family is not store and list(grid._family.table) == [0] and len(formed) == 1
 
 
 def test_overflowing_power_names_the_largest_radius():

@@ -8,12 +8,14 @@ figure.
 Coherent family: for each generator (ground, fock:3, squeezed:0.5 and a
 9-column low-block vector) on two grids (the ``roundtrips`` orthogonality
 grid, R 13, h 0.35, N 24, and the ``spectra`` frame, R 7, h 0.098, N 32)
-it times ``wh_model.coherent_family`` of the whole grid on a fresh grid,
-and on the ``spectra`` frame also the ground family's rows in the
-``disk:3`` region (``coherent_family(..., rows=...)``, the rows
+it times ``wh_model.coherent_family`` of the whole grid twice: on a fresh
+grid, which forms the real displacement table's columns, and as a second
+generator on the same grid and N, which finds them kept; on the
+``spectra`` frame also the ground family's rows in the ``disk:3`` region
+on a fresh grid (``coherent_family(..., rows=...)``, the rows
 ``localization.quantize`` builds).  Next to each time it records the
-largest |difference| between the rows built and the closed form summed
-column by column (``_displacement_elements``); an exact build reads 0.
+largest |error| of 16 seeded entries of the rows built against the
+closed form summed in mpmath at 50 digits.
 
 Weighted Gram: on the ``spectra`` frame it times
 ``transform.weighted_gram`` of the ground family with the grid weights,
@@ -122,6 +124,7 @@ import time
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import scipy
 from scipy.special import gammainc
@@ -166,11 +169,25 @@ def _generators(n_dim: int) -> dict:
     }
 
 
-def _closed_form(vec, grid, n_dim: int) -> np.ndarray:
-    out = np.zeros((len(grid), n_dim), dtype=complex)
-    for n0 in np.nonzero(np.abs(vec) > 0)[0]:
-        out += vec[n0] * wh._displacement_elements(grid.alpha[:, None], np.arange(n_dim)[None, :], n0)
-    return out
+def _mp_error(fam, vec, grid, rows) -> float:
+    """Largest |error| of 16 seeded entries of the built ``rows`` of ``fam`` (4 rows, 4
+    levels each) against <m|D(alpha)|n> vec_n summed in mpmath at 50 digits."""
+    rng = np.random.default_rng(25)
+    n_dim = len(vec)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for k in rng.choice(rows, 4, replace=False):
+            a = mpmath.mpc(grid.alpha[k].real, grid.alpha[k].imag)
+            x = abs(a) ** 2
+            for m in rng.choice(n_dim, 4, replace=False):
+                exact = 0
+                for n in np.flatnonzero(vec):
+                    lo, hi = min(m, n), max(m, n)
+                    power = a ** (m - n) if m >= n else (-mpmath.conj(a)) ** (n - m)
+                    exact += (mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(hi)) * mpmath.exp(-x / 2)
+                              * mpmath.laguerre(lo, hi - lo, x) * power * mpmath.mpc(vec[n].real, vec[n].imag))
+                worst = max(worst, float(abs(mpmath.mpc(fam[k, m].real, fam[k, m].imag) - exact)))
+    return worst
 
 
 def _machine() -> dict:
@@ -259,18 +276,25 @@ def bench_family() -> list:
         radius, spacing, n_dim = GRIDS[grid_name]
         ctx, probe, _ = _frame(radius, spacing, n_dim)
         vec = _generators(n_dim)[gen_name]
-        expected = _closed_form(vec, probe, n_dim)
         if region is None:
-            row_set, extra = None, {"support_columns": int(np.count_nonzero(vec))}
+            row_set, checked, extra = None, np.arange(len(probe)), {"support_columns": int(np.count_nonzero(vec))}
         else:
             row_set = np.flatnonzero(loc.RegionSpec.disk(3.0).mask(probe))
-            expected, extra = expected[row_set], {"rows": region, "rows_built": len(row_set)}
+            checked, extra = row_set, {"rows": region, "rows_built": len(row_set)}
+        base = {"kernel": "wh_model.coherent_family", "grid": grid_name, "K": len(probe), "N": n_dim,
+                "generator": gen_name, **extra}
         timing, fam = _timed(lambda grid: wh.coherent_family(vec, grid, ctx, rows=row_set),
                              fresh=lambda: wh.build_grid(radius, spacing))
-        built = fam if row_set is None else fam[row_set]
-        rows.append({"kernel": "wh_model.coherent_family", "grid": grid_name, "K": len(probe), "N": n_dim,
-                     "generator": gen_name, **extra, **timing,
-                     "max_abs_diff_closed_form": float(np.max(np.abs(built - expected)))})
+        rows.append({**base, "build": "fresh grid", **timing, "max_abs_err_mpmath": _mp_error(fam, vec, probe, checked)})
+        if region is None:
+            def handover():
+                """Another generator takes the store, building no row: the family goes, the table stays."""
+                wh.coherent_family(-vec, probe, ctx, rows=[])
+                return probe
+
+            timing, fam = _timed(lambda grid: wh.coherent_family(vec, grid, ctx), fresh=handover)
+            rows.append({**base, "build": "second generator, same grid and N", **timing,
+                         "max_abs_err_mpmath": _mp_error(fam, vec, probe, checked)})
     return rows
 
 
