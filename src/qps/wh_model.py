@@ -16,13 +16,13 @@ Fock block n <= N/2.
 The closed form is taken in the factored form of rotation covariance:
 for alpha = r e^(i theta), D(alpha) = e^(i theta a*a) D(r) e^(-i theta a*a),
 so <m|D(alpha)|n> = T_mn(r) e^(i (m - n) theta) with T the real
-displacement of the radius alone.  A grid keeps T over its distinct radii
-for one N, one Fock column at a time as generators need it: U N 8 bytes a
-column for U distinct radii (92.5 KB at R 13, h 0.35, N 24, where U is
-482 and all 24 columns take 2.2 MB; 429 KB at R 7, h 0.098, N 32), at
-most 8 MiB of kept columns.  A new generator at the same N then costs a
-gather of the table and one phase per row and level, and no Laguerre
-evaluation.
+displacement of the radius alone.  The grid carries its distinct radii
+and the radius of each point; for one N it keeps T over those radii, one
+Fock column at a time as generators need it: U N 8 bytes a column for U
+distinct radii (92.5 KB at R 13, h 0.35, N 24, where U is 482 and all 24
+columns take 2.2 MB; 429 KB at R 7, h 0.098, N 32), at most 8 MiB of
+kept columns.  A new generator at the same N then costs a gather of the
+table and one phase per row and level, and no Laguerre evaluation.
 """
 
 from __future__ import annotations
@@ -191,7 +191,10 @@ class PhaseGrid:
 
     Lattice coordinates are (i + 1/2) * spacing, so the point set is
     symmetric under (q, p) -> (-q, -p) and contains no point at the
-    origin.  Each point carries weight spacing^2 / (2 pi).
+    origin.  Each point carries weight spacing^2 / (2 pi), and the
+    coherent amplitude alpha = (q + i p)/sqrt(2).  ``radii`` are the
+    distinct |alpha|, ascending, and ``radii[radius_index[k]]`` is
+    |alpha_k|.
     """
 
     points: np.ndarray
@@ -200,6 +203,9 @@ class PhaseGrid:
     spacing: float
     # index of the point (iq, ip) at [iq + h, ip + h] with h = len(slots) // 2, -1 off the grid
     slots: np.ndarray = field(repr=False)
+    alpha: np.ndarray = field(repr=False)
+    radii: np.ndarray = field(repr=False)
+    radius_index: np.ndarray = field(repr=False)
     # the family store of the most recent generator and N on this grid
     _family: FamilyStore | None = field(default=None, init=False, repr=False)
 
@@ -213,11 +219,6 @@ class PhaseGrid:
     @property
     def p(self) -> np.ndarray:
         return self.points[:, 1]
-
-    @property
-    def alpha(self) -> np.ndarray:
-        """Coherent amplitudes (q + i p)/sqrt(2) of the grid points."""
-        return (self.points[:, 0] + 1j * self.points[:, 1]) / SQRT2
 
     def indices(self, iq, ip) -> np.ndarray:
         """Index of each lattice point (iq, ip), -1 where it is not on the grid.
@@ -261,15 +262,20 @@ def build_grid(radius: float, spacing: float) -> PhaseGrid:
     idx = np.arange(-half_cells, half_cells)
     coords = (idx + 0.5) * spacing
     qq, pp = np.meshgrid(coords, coords, indexing="ij")
-    mask = qq**2 + pp**2 <= radius**2
+    # an outer site whose q^2 + p^2 overflows sums to inf, outside the disk
+    with np.errstate(over="ignore"):
+        mask = qq**2 + pp**2 <= radius**2
     points = np.column_stack([qq[mask], pp[mask]])
     weights = np.full(len(points), spacing**2 / (2.0 * np.pi))
     slots = np.full(mask.shape, -1, dtype=np.intp)
     slots[mask] = np.arange(len(points))
+    alpha = (points[:, 0] + 1j * points[:, 1]) / SQRT2
+    radii, radius_index = np.unique(np.abs(alpha), return_inverse=True)
     # read-only, so the grid cannot change under its stored family
-    for arr in (points, weights, slots):
+    for arr in (points, weights, slots, alpha, radii, radius_index):
         arr.flags.writeable = False
-    return PhaseGrid(points=points, weights=weights, radius=float(radius), spacing=float(spacing), slots=slots)
+    return PhaseGrid(points=points, weights=weights, radius=float(radius), spacing=float(spacing), slots=slots,
+                     alpha=alpha, radii=radii, radius_index=radius_index)
 
 
 def resolution_generator(kind: str, ctx: FockContext, *, n: int | None = None, r: float | None = None) -> np.ndarray:
@@ -305,12 +311,10 @@ class FamilyStore:
     """What a grid keeps for one N: the real displacement table, and the
     coherent family of one generator as far as it is built.
 
-    ``radii`` are the grid's distinct |alpha|, ascending, and
-    ``radius_index`` maps each grid point to its radius.  ``table[n]`` is
-    the column T[:, :, n], T[u, m, n] = <m|D(radii[u])|n>, over the first
-    ``covered`` radii, as far as the rows built so far reached; a column
-    is formed on first use, grows with the rows, and is kept while the
-    kept columns fit ``_RADIAL_BYTES`` (see :func:`_keep_columns`).  ``family`` is
+    ``table[n]`` is the column T[:, :, n], T[u, m, n] =
+    <m|D(grid.radii[u])|n>, over the grid's first radii, as many as the
+    build that formed it reached; a column is kept while the kept columns
+    fit ``_RADIAL_BYTES`` (see :func:`_column`).  ``family`` is
     K x N complex and read-only: row k holds D(alpha_k) eta where
     ``built[k]`` and zeros elsewhere (pages no built row reached are never
     touched).  ``frame`` is the frame operator S of the whole family,
@@ -321,10 +325,7 @@ class FamilyStore:
     """
 
     n_dim: int
-    radii: np.ndarray
-    radius_index: np.ndarray
     table: dict = field(default_factory=dict)
-    covered: int = 0
     eta: bytes | None = None
     family: np.ndarray | None = None
     built: np.ndarray | None = None
@@ -336,30 +337,19 @@ def _max_amplitude(n_dim: int) -> float:
     return (np.finfo(float).max / 2) ** (1.0 / (n_dim - 1))
 
 
-def _keep_columns(store: FamilyStore, support: np.ndarray, count: int) -> None:
-    """Extend the kept columns to the first ``count`` radii, and keep the columns
-    of ``support`` the table lacks while the kept ones, at full length (the
-    radii up to ``_max_amplitude``), fit ``_RADIAL_BYTES``.  The columns a
-    call extends, and those it adds, are formed a few per evaluation of the
-    closed form."""
-    idx = np.arange(store.n_dim)
-    if count > store.covered:
-        kept = list(store.table)
-        if kept:
-            more = _real_displacement(store.radii[store.covered : count], idx, np.array(kept)[:, None])
-            for j, n in enumerate(kept):
-                store.table[n] = np.concatenate([store.table[n], more[:, j]])
-        store.covered = count
-    full = np.searchsorted(store.radii, _max_amplitude(store.n_dim), side="right")
-    room = _RADIAL_BYTES // (full * store.n_dim * 8) - len(store.table)
-    new = [n for n in support if n not in store.table][: max(room, 0)]
-    # a few columns at a time, so that the temporaries stay near 1 MiB, in pages the heap reuses
-    step = max(1, 2**20 // (8 * store.n_dim * store.covered))
-    for first in range(0, len(new), step):
-        cols = new[first : first + step]
-        formed = _real_displacement(store.radii[: store.covered], idx, np.array(cols)[:, None])
-        for j, n in enumerate(cols):
-            store.table[n] = np.ascontiguousarray(formed[:, j])
+def _column(store: FamilyStore, radii: np.ndarray, n: int, count: int) -> np.ndarray:
+    """T[:, :, n] over at least the first ``count`` ``radii``: the kept column when
+    it spans them, else the column formed over them, which is kept (in place of
+    a shorter one) while the kept columns, at full length (the radii up to
+    ``_max_amplitude``), fit ``_RADIAL_BYTES``."""
+    column = store.table.get(n)
+    if column is not None and len(column) >= count:
+        return column
+    column = _real_displacement(radii[:count], np.arange(store.n_dim), n)
+    full = np.searchsorted(radii, _max_amplitude(store.n_dim), side="right")
+    if (len(store.table) + (n not in store.table)) * full * store.n_dim * 8 <= _RADIAL_BYTES:
+        store.table[n] = column
+    return column
 
 
 def _fill_rows(vec, grid: PhaseGrid, store: FamilyStore, todo: np.ndarray) -> None:
@@ -370,14 +360,15 @@ def _fill_rows(vec, grid: PhaseGrid, store: FamilyStore, todo: np.ndarray) -> No
     adds a gather of the real table times one coefficient per row, and
     the last one also multiplies by the phases, formed per row block of
     about 128 KiB from each row's repeated squares (see :func:`_phases`).
-    A column past the table's budget is formed for this build only.
+    Each column comes from :func:`_column`; one past the table's budget is
+    formed for this build only.
     """
     n_dim = len(vec)
     support = np.nonzero(np.abs(vec) > 0)[0]
     if not (support.size and todo.size):
         return
-    radius_index = store.radius_index[todo]
-    r = store.radii[radius_index]
+    radius_index = grid.radius_index[todo]
+    r = grid.radii[radius_index]
     max_alpha = _max_amplitude(n_dim)
     if r.max() > max_alpha:
         raise ValueError(
@@ -396,12 +387,9 @@ def _fill_rows(vec, grid: PhaseGrid, store: FamilyStore, todo: np.ndarray) -> No
         coef[part] = vec[support] * _phases(squares[:, part], support[-1] + 1)[support].T.conj()
     fam = store.family
     count = radius_index.max() + 1
-    _keep_columns(store, support, count)
     # each entry sums its columns in support order, so no blocking changes a bit
     for j, n0 in enumerate(support):
-        column = store.table.get(n0)
-        if column is None:
-            column = _real_displacement(store.radii[:count], np.arange(n_dim), n0)
+        column = _column(store, grid.radii, n0, count)
         for part, dest in blocks:
             rows = column.take(radius_index[part], axis=0) * coef[part, j, None]
             if j:
@@ -431,8 +419,7 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.nda
         raise ValueError(f"generator has dim {vec.shape}, context has {n_dim}")
     store = grid._family
     if store is None or store.n_dim != n_dim:
-        radii, radius_index = np.unique(np.abs(grid.alpha), return_inverse=True)
-        store = grid._family = FamilyStore(n_dim=n_dim, radii=radii, radius_index=radius_index)
+        store = grid._family = FamilyStore(n_dim=n_dim)
     if store.eta != vec.tobytes():
         family = np.zeros((len(grid), n_dim), dtype=complex)
         family.flags.writeable = False

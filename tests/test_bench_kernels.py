@@ -62,8 +62,9 @@ def test_family_rows_time_a_fresh_grid_and_a_second_generator(bench, monkeypatch
     assert [(row["grid"], row.get("rows"), row["build"]) for row in rows] == [
         ("roundtrips", None, "fresh grid"), ("roundtrips", None, "second generator, same grid and N"),
         ("spectra", None, "fresh grid"), ("spectra", None, "second generator, same grid and N"),
-        ("spectra", "disk:3", "fresh grid"),
+        ("spectra", "disk:3", "fresh grid"), ("tomography", None, "new N, same grid"),
     ]
+    assert (rows[-1]["K"], rows[-1]["N"]) == (716, 16)
     for row in rows:
         assert row["kernel"] == "wh_model.coherent_family" and row["generator"] == "ground"
         assert row["median_s"] > 0 and row["minor_faults"] >= 0

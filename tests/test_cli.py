@@ -360,6 +360,18 @@ def test_overflowing_grid_radius_exit_2_with_one_line():
     assert proc.stdout == ""
 
 
+def test_grid_whose_outer_sites_overflow_warns_nothing():
+    # q^2 + p^2 overflows at the outer lattice sites: numpy's RuntimeWarnings used to reach stderr
+    def qps(*argv):
+        return subprocess.run([sys.executable, "-m", "qps.cli", *argv], env=cli_env(), capture_output=True, text=True)
+
+    proc = qps("transform", "--radius", "1e154", "--spacing", "3e153")
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    proc = qps("spectrum", "--radius", "1e154", "--spacing", "1e153")
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
 def test_far_squeezed_spectrum_is_zero_without_overflow(tmp_path):
     # the Laguerre factor overflows out here, against an exponential of 0
     with np.errstate(over="raise", invalid="raise"):

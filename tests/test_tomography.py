@@ -264,6 +264,17 @@ def test_identity_alone_has_rank_one():
     assert report.gram_rank == 1
 
 
+def test_gap_ratio_is_the_smallest_kept_over_the_largest_discarded_singular_value():
+    # kept singular values 4, 3, 2, 1, all distinct, and one discarded at 1.4e-12
+    tiny = np.zeros((4, 4), dtype=complex)
+    tiny[0, 1] = tiny[1, 0] = 1e-12
+    operators = [w * np.diag((np.arange(4) == i).astype(complex)) for i, w in enumerate((1.0, 2.0, 3.0, 4.0))]
+    report = tom.operator_family_rank([*operators, tiny])
+    s, rank = report.singular_values, report.gram_rank
+    assert rank == 4 and len(s) == 5 and s[rank - 2] > s[rank - 1]
+    assert report.gap_ratio == s[rank - 1] / s[rank]
+
+
 def test_too_few_grid_points_rejected(ctx4, eta4):
     tiny = wh.build_grid(1.0, 0.5)
     with pytest.raises(ValueError, match="points"):

@@ -318,6 +318,16 @@ def test_orthogonality_sign_flip_in_generator(ctx24, grid_ref, eta24):
     assert minus.rhs == pytest.approx(-plus.rhs, abs=1e-15)
 
 
+def test_orthogonality_relative_error_is_the_misfit_over_the_larger_side(ctx24, grid_ref, eta24):
+    # both sides near 0.26: above the floor, and far enough from 1 that a product is not the quotient
+    rng = np.random.default_rng(6)
+    phi1, phi2 = random_low_block(rng, 24), random_low_block(rng, 24)
+    rep = tr.orthogonality_check(eta24, eta24, phi1, phi2, grid_ref, ctx24)
+    larger = max(abs(rep.lhs), abs(rep.rhs))
+    assert tr.ORTHOGONALITY_EPS_FLOOR < larger < 0.5
+    assert rep.relative_error == abs(rep.lhs - rep.rhs) / larger
+
+
 @pytest.mark.parametrize(
     "kind,kwargs", [("ground", {}), ("fock", {"n": 3}), ("squeezed", {"r": 0.5})],
     ids=["ground", "fock:3", "squeezed:0.5"],

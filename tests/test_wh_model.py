@@ -1,6 +1,8 @@
 """Fock model: ladder algebra, closed-form displacements vs the
 matrix-exponential oracle, grids, generators, admissibility."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,9 +166,25 @@ def test_grid_parameter_validation():
 
 def test_grid_arrays_are_read_only():
     grid = wh.build_grid(3.0, 0.4)
-    for arr in (grid.points, grid.weights, grid.slots, grid.q):
+    for arr in (grid.points, grid.weights, grid.slots, grid.q, grid.alpha, grid.radii, grid.radius_index):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
+
+
+def test_grid_radii_group_the_points_by_their_exact_modulus():
+    grid = wh.build_grid(5.0, 0.18)
+    assert np.array_equal(grid.alpha, (grid.q + 1j * grid.p) / wh.SQRT2)
+    assert np.array_equal(grid.radii[grid.radius_index], np.abs(grid.alpha))
+    assert np.all(np.diff(grid.radii) > 0)
+
+
+def test_grid_whose_outer_sites_overflow_builds_without_a_warning():
+    # q^2 + p^2 overflows at the outer lattice sites, which lie outside the disk
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = wh.build_grid(1e154, 3e153)
+    # the lattice of build_grid(10, 3) scaled by 1e153, whose points are nowhere near the rim
+    assert len(grid) == len(wh.build_grid(10.0, 3.0)) and np.all(np.hypot(grid.q, grid.p) <= 1e154)
 
 
 def test_grid_lookup_indexes_every_lattice_point():
@@ -464,8 +482,7 @@ def test_family_in_column_chunks_is_exactly_the_closed_form(monkeypatch, name, c
     # a table budget of `columns` kept columns: the rest of the support is formed for the build and dropped
     grid = wh.build_grid(5.0, 0.18)
     ctx = wh.fock_space(24)
-    distinct = np.unique(np.abs(grid.alpha) ** 2).size
-    monkeypatch.setattr(wh, "_RADIAL_BYTES", columns * 8 * distinct * 24)
+    monkeypatch.setattr(wh, "_RADIAL_BYTES", columns * 8 * grid.radii.size * 24)
     vec = _exactness_generator(name, ctx)
     assert np.array_equal(wh.coherent_family(vec, grid, ctx), _per_column_sum(vec, grid, 24))
 
@@ -474,8 +491,7 @@ def test_family_in_column_chunks_is_exactly_the_closed_form(monkeypatch, name, c
 def test_family_built_in_pieces_is_the_one_shot_family(monkeypatch, name):
     grid = wh.build_grid(5.0, 0.18)
     ctx = wh.fock_space(24)
-    distinct = np.unique(np.abs(grid.alpha) ** 2).size
-    monkeypatch.setattr(wh, "_RADIAL_BYTES", 5 * 8 * distinct * 24)
+    monkeypatch.setattr(wh, "_RADIAL_BYTES", 5 * 8 * grid.radii.size * 24)
     vec = _exactness_generator(name, ctx)
     one_shot = wh.coherent_family(vec, wh.build_grid(5.0, 0.18), ctx)
     assert np.array_equal(one_shot, _per_column_sum(vec, grid, 24))
@@ -577,6 +593,23 @@ def test_new_generator_keeps_the_table_and_a_new_dimension_drops_it(monkeypatch)
     # a new N starts a new store, with its own table
     wh.coherent_family(wh.resolution_generator("ground", wh.fock_space(16)), grid, wh.fock_space(16))
     assert grid._family is not store and list(grid._family.table) == [0] and len(formed) == 1
+
+
+def test_a_new_dimension_on_the_same_grid_sorts_no_radii(monkeypatch):
+    grid = wh.build_grid(6.0, 0.4)
+    ctx = wh.fock_space(12)
+    wh.coherent_family(wh.resolution_generator("ground", ctx), grid, ctx)
+    radii = grid.radii
+
+    def unique(*args, **kwargs):
+        raise AssertionError("the radii are the grid's; nothing sorts them again")
+
+    monkeypatch.setattr(np, "unique", unique)
+    ctx = wh.fock_space(16)
+    vec = random_low_block(np.random.default_rng(7), 16, 4)
+    fam = wh.coherent_family(vec, grid, ctx)
+    assert grid._family.n_dim == 16 and grid.radii is radii
+    assert np.array_equal(fam, _per_column_sum(vec, grid, 16))
 
 
 def test_overflowing_power_names_the_largest_radius():

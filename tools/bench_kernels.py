@@ -13,9 +13,12 @@ grid, which forms the real displacement table's columns, and as a second
 generator on the same grid and N, which finds them kept; on the
 ``spectra`` frame also the ground family's rows in the ``disk:3`` region
 on a fresh grid (``coherent_family(..., rows=...)``, the rows
-``localization.quantize`` builds).  Next to each time it records the
-largest |error| of 16 seeded entries of the rows built against the
-closed form summed in mpmath at 50 digits.
+``localization.quantize`` builds).  On the ``roundtrips`` tomography grid
+(R 6, h 0.4, K 716) it times the ground family at N 16 on a grid that has
+just built it at N 12: a new N on the same grid, which starts a new table
+on the grid's radii.  Next to each time it records the largest |error| of
+16 seeded entries of the rows built against the closed form summed in
+mpmath at 50 digits.
 
 Weighted Gram: on the ``spectra`` frame it times
 ``transform.weighted_gram`` of the ground family with the grid weights,
@@ -295,6 +298,19 @@ def bench_family() -> list:
             timing, fam = _timed(lambda grid: wh.coherent_family(vec, grid, ctx), fresh=handover)
             rows.append({**base, "build": "second generator, same grid and N", **timing,
                          "max_abs_err_mpmath": _mp_error(fam, vec, probe, checked)})
+    ctx12, _, ground12 = _frame(6.0, 0.4, 12)
+    ctx, probe, vec = _frame(6.0, 0.4, 16)
+
+    def after_n12():
+        """A fresh grid that holds the ground family at N 12."""
+        grid = wh.build_grid(6.0, 0.4)
+        wh.coherent_family(ground12, grid, ctx12)
+        return grid
+
+    timing, fam = _timed(lambda grid: wh.coherent_family(vec, grid, ctx), fresh=after_n12)
+    rows.append({"kernel": "wh_model.coherent_family", "grid": "tomography", "K": len(probe), "N": 16,
+                 "generator": "ground", "support_columns": 1, "build": "new N, same grid", **timing,
+                 "max_abs_err_mpmath": _mp_error(fam, vec, probe, np.arange(len(probe)))})
     return rows
 
 
