@@ -5,9 +5,10 @@ Submodules:
 - ``lie_cohomology``: exact-rational Chevalley-Eilenberg machinery
   (closed/exact 2-forms, kernel subalgebras, phase-space dimensions).
 - ``wh_model``: truncated Fock space, displacement operators, phase-space
-  grids, resolution generators, admissibility diagnostics.
-- ``transform``: coherent-state transform, frame operator, reconstruction,
-  orthogonality relation.
+  grids and their sampled functions, resolution generators, the family
+  store with its Gram products and frame operator, admissibility checks.
+- ``transform``: coherent-state transform, reconstruction, orthogonality
+  relation; only ``cli`` imports it.
 - ``localization``: phase-space quantization A(f), localization spectra,
   eigenvalue clustering, channel capacity.
 - ``tomography``: Husimi densities, informational completeness, state

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .localization import localization_spectrum, quantize
-from .transform import frame_operator
-from .wh_model import FockContext, PhaseGrid, low_block
+from .wh_model import FockContext, PhaseGrid, frame_operator, low_block
 
 DEFINEDNESS_TOL = 1e-9
 # smallest max lambda (1 - lambda) projection_scan accepts as "not a projection"

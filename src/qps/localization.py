@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import weighted_gram
-from .wh_model import SQUARE_OVERFLOW, FockContext, PhaseGrid, coherent_family
+from .wh_model import SQUARE_OVERFLOW, FockContext, PhaseGrid, coherent_family, weighted_gram
 
 
 class BoundViolationError(ValueError):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .localization import quantize, symbol_values
-from .transform import GammaFunctionSamples
-from .wh_model import SQRT2, FockContext, PhaseGrid, coherent_family, row_blocks
+from .wh_model import SQRT2, FockContext, GammaFunctionSamples, PhaseGrid, coherent_family, row_blocks
 
 # singular values below this fraction of the largest count as zero in a rank
 SVD_CUTOFF = 1e-10

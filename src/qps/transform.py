@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wh_model import FockContext, PhaseGrid, autocorrelation_integrand, coherent_family
+from .wh_model import (FockContext, GammaFunctionSamples, PhaseGrid, autocorrelation_integrand, coherent_family,
+                       frame_operator)
 
 # largest frame-operator condition number _solve_frame inverts
 MAX_FRAME_CONDITION = 1e6
@@ -25,17 +26,6 @@ class FrameConditionError(ValueError):
     """Frame operator too ill-conditioned to invert; enlarge the grid."""
 
 
-@dataclass
-class GammaFunctionSamples:
-    """Samples of a phase-space function, tied to its grid."""
-
-    values: np.ndarray
-    grid: PhaseGrid
-
-    def weighted_norm_sq(self) -> float:
-        return float(np.sum(self.grid.weights * np.abs(self.values) ** 2))
-
-
 def w_transform(eta, grid: PhaseGrid, phi, ctx: FockContext) -> GammaFunctionSamples:
     """Sample <D(alpha_k) eta, phi> over the grid."""
     phi = np.asarray(phi, dtype=complex)
@@ -43,38 +33,6 @@ def w_transform(eta, grid: PhaseGrid, phi, ctx: FockContext) -> GammaFunctionSam
         raise ValueError(f"state has shape {phi.shape}, context dim is {ctx.n_dim}")
     fam = coherent_family(eta, grid, ctx)
     return GammaFunctionSamples(values=fam.conj() @ phi, grid=grid)
-
-
-def weighted_gram(fam: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights_k |u_k><u_k| over the rows u_k of fam, exactly Hermitian.  One real product
-    r = v^T diag(w) v on the float view v of fam, rows (Re u_k0, Im u_k0, Re u_k1, ...), gives entry (m, n)
-    as r[2m, 2n] + r[2m+1, 2n+1] + i (r[2m+1, 2n] - r[2m, 2n+1]): the conjugate is a sign there, not a
-    copy of fam.  The rows of nonzero weight are gathered into one buffer s, those of positive weight
-    first, and scaled in place by sqrt|w|; r is then s+^T s+ - s-^T s- over the two parts of s, each a
-    symmetric rank-k update, so r is exactly symmetric.  Rows of zero weight take no part."""
-    v = np.ascontiguousarray(fam, dtype=complex).view(float)
-    positive = np.flatnonzero(weights > 0)
-    rows = np.concatenate([positive, np.flatnonzero(weights < 0)])
-    s = v[rows]
-    s *= np.sqrt(np.abs(weights[rows]))[:, None]
-    plus, minus = s[: positive.size], s[positive.size :]
-    r = plus.T @ plus - minus.T @ minus
-    return (r[0::2, 0::2] + r[1::2, 1::2]) + 1j * (r[1::2, 0::2] - r[0::2, 1::2])
-
-
-def frame_operator(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
-    """S = sum_k mu_k |D(alpha_k) eta><D(alpha_k) eta|, Hermitian positive and read-only.
-
-    S is formed once per family and kept in the grid's family store (see
-    ``wh_model.FamilyStore``), so it goes with the family it comes from.
-    """
-    fam = coherent_family(eta, grid, ctx)
-    store = grid._family  # the store coherent_family just returned fam from
-    if store.frame is None:
-        frame = weighted_gram(fam, grid.weights)
-        frame.flags.writeable = False
-        store.frame = frame
-    return store.frame
 
 
 def _solve_frame(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:

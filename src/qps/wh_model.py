@@ -252,6 +252,17 @@ class PhaseGrid:
         return self.indices(*sites), miss
 
 
+@dataclass
+class GammaFunctionSamples:
+    """Samples of a phase-space function, tied to its grid."""
+
+    values: np.ndarray
+    grid: PhaseGrid
+
+    def weighted_norm_sq(self) -> float:
+        return float(np.sum(self.grid.weights * np.abs(self.values) ** 2))
+
+
 def build_grid(radius: float, spacing: float) -> PhaseGrid:
     """Lattice of cell midpoints covering the disk q^2 + p^2 <= radius^2."""
     if not 0 < radius < SQUARE_OVERFLOW:
@@ -311,20 +322,22 @@ class FamilyStore:
     """What a grid keeps for one N: the real displacement table, and the
     coherent family of one generator as far as it is built.
 
-    ``table[n]`` is the column T[:, :, n], T[u, m, n] =
-    <m|D(grid.radii[u])|n>, over the grid's first radii, as many as the
-    build that formed it reached; a column is kept while the kept columns
-    fit ``_RADIAL_BYTES`` (see :func:`_column`).  ``family`` is
-    K x N complex and read-only: row k holds D(alpha_k) eta where
-    ``built[k]`` and zeros elsewhere (pages no built row reached are never
-    touched).  ``frame`` is the frame operator S of the whole family,
-    read-only, once ``transform.frame_operator`` has formed it.  A new
-    generator replaces the family, ``built`` and S and keeps the table; a
-    new N replaces the store.  Only :func:`coherent_family` makes a store
-    or builds its rows.
+    ``reach`` counts the grid's radii that N allows, those up to
+    :func:`_max_amplitude`; a row farther out is refused.  ``table[n]`` is
+    the column T[:, :, n], T[u, m, n] = <m|D(grid.radii[u])|n>, over the
+    grid's first radii, as many as the build that formed it reached; a
+    column is kept while the kept columns fit ``_RADIAL_BYTES`` (see
+    :func:`_column`).  ``family`` is K x N complex and read-only: row k
+    holds D(alpha_k) eta where ``built[k]`` and zeros elsewhere (pages no
+    built row reached are never touched).  ``frame`` is the frame operator
+    S of the whole family, read-only, once :func:`frame_operator` has
+    formed it.  A new generator replaces the family, ``built`` and S and
+    keeps the table; a new N replaces the store.  Only
+    :func:`coherent_family` makes a store or builds its rows.
     """
 
     n_dim: int
+    reach: int
     table: dict = field(default_factory=dict)
     eta: bytes | None = None
     family: np.ndarray | None = None
@@ -340,14 +353,13 @@ def _max_amplitude(n_dim: int) -> float:
 def _column(store: FamilyStore, radii: np.ndarray, n: int, count: int) -> np.ndarray:
     """T[:, :, n] over at least the first ``count`` ``radii``: the kept column when
     it spans them, else the column formed over them, which is kept (in place of
-    a shorter one) while the kept columns, at full length (the radii up to
-    ``_max_amplitude``), fit ``_RADIAL_BYTES``."""
+    a shorter one) while the kept columns, at full length (the store's
+    ``reach`` radii), fit ``_RADIAL_BYTES``."""
     column = store.table.get(n)
     if column is not None and len(column) >= count:
         return column
     column = _real_displacement(radii[:count], np.arange(store.n_dim), n)
-    full = np.searchsorted(radii, _max_amplitude(store.n_dim), side="right")
-    if (len(store.table) + (n not in store.table)) * full * store.n_dim * 8 <= _RADIAL_BYTES:
+    if (len(store.table) + (n not in store.table)) * store.reach * store.n_dim * 8 <= _RADIAL_BYTES:
         store.table[n] = column
     return column
 
@@ -368,14 +380,13 @@ def _fill_rows(vec, grid: PhaseGrid, store: FamilyStore, todo: np.ndarray) -> No
     if not (support.size and todo.size):
         return
     radius_index = grid.radius_index[todo]
-    r = grid.radii[radius_index]
-    max_alpha = _max_amplitude(n_dim)
-    if r.max() > max_alpha:
+    count = radius_index.max() + 1
+    if count > store.reach:
         raise ValueError(
-            f"grid point at radius {SQRT2 * r.max():.3g} overflows alpha**{n_dim - 1}; "
-            f"N = {n_dim} allows grid radii up to {SQRT2 * max_alpha:.3g}"
+            f"grid point at radius {SQRT2 * grid.radii[count - 1]:.3g} overflows alpha**{n_dim - 1}; "
+            f"N = {n_dim} allows grid radii up to {SQRT2 * _max_amplitude(n_dim):.3g}"
         )
-    squares = _squares(_unit(grid.alpha[todo], r), n_dim)
+    squares = _squares(_unit(grid.alpha[todo], grid.radii[radius_index]), n_dim)
     blocks = []
     for part in row_blocks(todo.size, 16 * n_dim):
         dest = todo[part]
@@ -386,7 +397,6 @@ def _fill_rows(vec, grid: PhaseGrid, store: FamilyStore, todo: np.ndarray) -> No
     for part, _ in blocks:
         coef[part] = vec[support] * _phases(squares[:, part], support[-1] + 1)[support].T.conj()
     fam = store.family
-    count = radius_index.max() + 1
     # each entry sums its columns in support order, so no blocking changes a bit
     for j, n0 in enumerate(support):
         column = _column(store, grid.radii, n0, count)
@@ -419,7 +429,8 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.nda
         raise ValueError(f"generator has dim {vec.shape}, context has {n_dim}")
     store = grid._family
     if store is None or store.n_dim != n_dim:
-        store = grid._family = FamilyStore(n_dim=n_dim)
+        reach = int(np.searchsorted(grid.radii, _max_amplitude(n_dim), side="right"))
+        store = grid._family = FamilyStore(n_dim=n_dim, reach=reach)
     if store.eta != vec.tobytes():
         family = np.zeros((len(grid), n_dim), dtype=complex)
         family.flags.writeable = False
@@ -436,6 +447,35 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.nda
             store.family.flags.writeable = False
         store.built[todo] = True
     return store.family
+
+
+def weighted_gram(fam: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights_k |u_k><u_k| over the rows u_k of fam, exactly Hermitian.  One real product
+    r = v^T diag(w) v on the float view v of fam, rows (Re u_k0, Im u_k0, Re u_k1, ...), gives entry (m, n)
+    as r[2m, 2n] + r[2m+1, 2n+1] + i (r[2m+1, 2n] - r[2m, 2n+1]): the conjugate is a sign there, not a
+    copy of fam.  The rows of nonzero weight are gathered into one buffer s, those of positive weight
+    first, and scaled in place by sqrt|w|; r is then s+^T s+ - s-^T s- over the two parts of s, each a
+    symmetric rank-k update, so r is exactly symmetric.  Rows of zero weight take no part."""
+    v = np.ascontiguousarray(fam, dtype=complex).view(float)
+    positive = np.flatnonzero(weights > 0)
+    rows = np.concatenate([positive, np.flatnonzero(weights < 0)])
+    s = v[rows]
+    s *= np.sqrt(np.abs(weights[rows]))[:, None]
+    plus, minus = s[: positive.size], s[positive.size :]
+    r = plus.T @ plus - minus.T @ minus
+    return (r[0::2, 0::2] + r[1::2, 1::2]) + 1j * (r[1::2, 0::2] - r[0::2, 1::2])
+
+
+def frame_operator(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
+    """S = sum_k mu_k |D(alpha_k) eta><D(alpha_k) eta|, Hermitian positive and read-only: formed once
+    per family by :func:`weighted_gram` and kept next to it in the grid's :class:`FamilyStore`."""
+    fam = coherent_family(eta, grid, ctx)
+    store = grid._family  # the store coherent_family just returned fam from
+    if store.frame is None:
+        frame = weighted_gram(fam, grid.weights)
+        frame.flags.writeable = False
+        store.frame = frame
+    return store.frame
 
 
 def autocorrelation_integrand(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:

@@ -1062,7 +1062,7 @@ def test_csv_writers_match_the_per_row_loop(tmp_path, grid4):
 
     complex_values = np.empty(len(grid4), dtype=complex)
     complex_values.real, complex_values.imag = values, values[::-1]
-    samples = tr.GammaFunctionSamples(grid=grid4, values=complex_values)
+    samples = wh.GammaFunctionSamples(grid=grid4, values=complex_values)
     formats.write_samples_csv(samples, tmp_path / "samples.csv")
     expected = _csv_by_rows(
         ["q", "p", "re", "im", "weight"],

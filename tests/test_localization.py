@@ -12,7 +12,6 @@ import pytest
 from scipy.special import gammainc
 
 from qps import localization as loc
-from qps import transform as tr
 from qps import wh_model as wh
 
 from conftest import quadratures, random_low_block
@@ -32,7 +31,7 @@ def quantize_via_transform(f, eta, grid, ctx):
     at finite truncation S^-1 breaks the symmetry at the quadrature-defect
     order.
     """
-    routed = np.linalg.solve(tr.frame_operator(eta, grid, ctx), loc.quantize(f, eta, grid, ctx))
+    routed = np.linalg.solve(wh.frame_operator(eta, grid, ctx), loc.quantize(f, eta, grid, ctx))
     return 0.5 * (routed + routed.conj().T)
 
 
@@ -67,7 +66,7 @@ def test_density_trace_is_displaced_norm(ctx32, eta32):
 
 def test_constant_symbol_gives_frame_operator(ctx24, grid_ref, eta24):
     a = loc.quantize(np.ones(len(grid_ref)), eta24, grid_ref, ctx24)
-    s = tr.frame_operator(eta24, grid_ref, ctx24)
+    s = wh.frame_operator(eta24, grid_ref, ctx24)
     # bit for bit: povm_check takes S from frame_operator
     assert np.array_equal(a, s)
     blk = slice(0, 9)
@@ -156,9 +155,9 @@ def test_quantize_asks_for_the_whole_family_only_at_full_support(ctx24, eta24):
     a = loc.quantize(gaussian, eta24, grid, ctx24)
     assert grid._family.built.all()
     whole = wh.coherent_family(eta24, grid, ctx24)
-    assert np.array_equal(a, tr.weighted_gram(whole, grid.weights * gaussian))
+    assert np.array_equal(a, wh.weighted_gram(whole, grid.weights * gaussian))
     # rows of weight zero take no part, so the region's operator has the whole family's bits
-    assert np.array_equal(a_disk, tr.weighted_gram(whole, grid.weights * disk))
+    assert np.array_equal(a_disk, wh.weighted_gram(whole, grid.weights * disk))
 
 
 def test_row_set_quantize_holds_one_row_buffer(ctx32, eta32):
@@ -243,7 +242,7 @@ def test_spectrum_containment(ctx32, grid_ref, eta32):
 def test_full_grid_region_gives_frame_spectrum(ctx24, grid_ref, eta24):
     full = loc.RegionSpec.from_mask(np.ones(len(grid_ref), bool), label="all")
     spec = loc.localization_spectrum(full, eta24, grid_ref, ctx24)
-    s_eigs = np.linalg.eigvalsh(tr.frame_operator(eta24, grid_ref, ctx24))[::-1]
+    s_eigs = np.linalg.eigvalsh(wh.frame_operator(eta24, grid_ref, ctx24))[::-1]
     assert np.max(np.abs(spec.eigenvalues - s_eigs)) < 1e-10
     assert spec.eigenvalues[0] == pytest.approx(1.0, abs=1e-3)
 

@@ -64,13 +64,13 @@ def test_dimension_mismatch_rejected(ctx24, grid_ref, eta24):
 
 
 def test_frame_operator_close_to_identity_on_low_block(ctx24, grid_ref, eta24):
-    s = tr.frame_operator(eta24, grid_ref, ctx24)
+    s = wh.frame_operator(eta24, grid_ref, ctx24)
     blk = slice(0, 9)
     assert np.linalg.norm(s[blk, blk] - np.eye(9), ord=2) <= 1e-3
 
 
 def test_frame_tightness_quadratic_form(ctx24, grid_ref, eta24):
-    s = tr.frame_operator(eta24, grid_ref, ctx24)
+    s = wh.frame_operator(eta24, grid_ref, ctx24)
     rng = np.random.default_rng(1)
     for _ in range(25):
         phi = random_low_block(rng, 24)
@@ -82,18 +82,18 @@ def test_transform_norm_equals_frame_quadratic_form(ctx24, grid_ref, eta24):
     rng = np.random.default_rng(2)
     phi = random_low_block(rng, 24)
     samples = tr.w_transform(eta24, grid_ref, phi, ctx24)
-    s = tr.frame_operator(eta24, grid_ref, ctx24)
+    s = wh.frame_operator(eta24, grid_ref, ctx24)
     assert samples.weighted_norm_sq() == pytest.approx(np.vdot(phi, s @ phi).real, abs=1e-12)
 
 
 def test_frame_operator_is_formed_once_per_stored_family(monkeypatch):
     grams = []
-    gram = tr.weighted_gram
-    monkeypatch.setattr(tr, "weighted_gram", lambda *args: grams.append(args) or gram(*args))
+    gram = wh.weighted_gram
+    monkeypatch.setattr(wh, "weighted_gram", lambda *args: grams.append(args) or gram(*args))
     grid = wh.build_grid(5.0, 0.4)
     ctx = wh.fock_space(12)
     eta = wh.resolution_generator("ground", ctx)
-    s = tr.frame_operator(eta, grid, ctx)
+    s = wh.frame_operator(eta, grid, ctx)
     assert not s.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         s[0, 0] = 0.0
@@ -102,26 +102,26 @@ def test_frame_operator_is_formed_once_per_stored_family(monkeypatch):
     upper = loc.RegionSpec.from_mask(grid.p > 0, label="upper")
     lower = loc.RegionSpec.from_mask(grid.p < 0, label="lower")
     assert ea.povm_check([upper, lower], eta, grid, ctx).additivity_error <= 1e-12
-    assert tr.frame_operator(eta.copy(), grid, ctx) is s and len(grams) == 1
+    assert wh.frame_operator(eta.copy(), grid, ctx) is s and len(grams) == 1
     # a new generator or a new N forms it again; the store keeps only the latest family
     fock = wh.resolution_generator("fock", ctx, n=1)
-    assert not np.array_equal(tr.frame_operator(fock, grid, ctx), s) and len(grams) == 2
+    assert not np.array_equal(wh.frame_operator(fock, grid, ctx), s) and len(grams) == 2
     ctx16 = wh.fock_space(16)
-    assert tr.frame_operator(wh.resolution_generator("ground", ctx16), grid, ctx16).shape == (16, 16)
-    again = tr.frame_operator(eta, grid, ctx)
+    assert wh.frame_operator(wh.resolution_generator("ground", ctx16), grid, ctx16).shape == (16, 16)
+    again = wh.frame_operator(eta, grid, ctx)
     assert len(grams) == 4 and again is not s and np.array_equal(again, s)
 
 
 def test_undersized_grid_gives_small_frame(ctx24, eta24):
     tiny = wh.build_grid(0.5, 0.05)
-    s = tr.frame_operator(eta24, tiny, ctx24)
+    s = wh.frame_operator(eta24, tiny, ctx24)
     assert np.linalg.norm(s, ord=2) < 0.2
 
 
 def test_frame_nearly_commutes_with_number_operator(ctx24, grid_ref, eta24):
     # the disk grid is rotation-symmetric up to the lattice anisotropy,
     # which only becomes visible toward the truncation edge
-    s = tr.frame_operator(eta24, grid_ref, ctx24)
+    s = wh.frame_operator(eta24, grid_ref, ctx24)
     a, ad, _, _ = quadratures(24)
     number = ad @ a
     comm = s @ number - number @ s
@@ -161,7 +161,7 @@ def test_weighted_gram_matches_the_per_row_sum(kind, n_dim, rows):
     fam = wh.coherent_family(random_low_block(rng, n_dim, top=min(n_dim - 1, 8)), grid, ctx)
     fam = {"all": fam, "strided": fam[::3], "one": fam[200:201]}[rows]
     weights = _gram_weights(kind, rng, len(fam))
-    gram = tr.weighted_gram(fam, weights)
+    gram = wh.weighted_gram(fam, weights)
     # every |G_mn| is at most max_m sum_k |w_k| |u_km|^2
     scale = float(np.max(np.abs(weights) @ np.abs(fam) ** 2))
     assert np.max(np.abs(gram - _per_row_gram(fam, weights))) <= 1e-14 * scale
@@ -174,7 +174,7 @@ def test_weighted_gram_is_exactly_hermitian_with_a_real_diagonal(kind):
     grid = wh.build_grid(6.0, 0.4)
     ctx = wh.fock_space(24)
     fam = wh.coherent_family(random_low_block(rng, 24), grid, ctx)
-    gram = tr.weighted_gram(fam, _gram_weights(kind, rng, len(fam)))
+    gram = wh.weighted_gram(fam, _gram_weights(kind, rng, len(fam)))
     assert np.array_equal(gram, gram.conj().T)
     assert np.all(gram.diagonal().imag == 0)
 
@@ -200,7 +200,7 @@ def test_reconstruct_random_low_block_states(ctx24, grid_ref, eta24):
 
 
 def test_reconstruct_zero(ctx24, grid_ref, eta24):
-    samples = tr.GammaFunctionSamples(values=np.zeros(len(grid_ref), complex), grid=grid_ref)
+    samples = wh.GammaFunctionSamples(values=np.zeros(len(grid_ref), complex), grid=grid_ref)
     assert np.allclose(tr.reconstruct(eta24, grid_ref, samples, ctx24), 0)
 
 
@@ -208,7 +208,7 @@ def test_ill_conditioned_frame_rejected_with_advice(eta24):
     ctx = wh.fock_space(32)
     eta = wh.resolution_generator("ground", ctx)
     small = wh.build_grid(3.0, 0.1)
-    samples = tr.GammaFunctionSamples(values=np.zeros(len(small), complex), grid=small)
+    samples = wh.GammaFunctionSamples(values=np.zeros(len(small), complex), grid=small)
     with pytest.raises(tr.FrameConditionError, match="radius"):
         tr.reconstruct(eta, small, samples, ctx)
 
@@ -225,7 +225,7 @@ def test_projection_fixes_transform_range(ctx24, grid_ref, eta24):
 def test_projection_idempotent_and_contractive(ctx24, grid_ref, eta24):
     point_mass = np.zeros(len(grid_ref), complex)
     point_mass[len(grid_ref) // 3] = 1.0
-    f = tr.GammaFunctionSamples(values=point_mass, grid=grid_ref)
+    f = wh.GammaFunctionSamples(values=point_mass, grid=grid_ref)
     pf = tr.projection_P(eta24, grid_ref, f, ctx24)
     ppf = tr.projection_P(eta24, grid_ref, pf, ctx24)
     assert np.max(np.abs(ppf.values - pf.values)) <= 1e-6

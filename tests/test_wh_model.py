@@ -227,6 +227,17 @@ def test_zero_squeezing_equals_ground(ctx24):
     assert np.allclose(eta, wh.resolution_generator("ground", ctx24))
 
 
+@pytest.mark.parametrize("r", [0.5, -0.5, 0.3])
+def test_squeezed_vacuum_squeezes_position_for_positive_r(r):
+    # S(r) = exp(r (a^2 - a*^2) / 2) on the vacuum: <x^2> = e^(-2r)/2, <p^2> = e^(2r)/2.
+    # N = 64 keeps the truncation below the tolerance (at N = 32 it shows, 3e-10 at r = 0.5).
+    eta = wh.resolution_generator("squeezed", wh.fock_space(64), r=r)
+    _, _, x, p = quadratures(64)
+    assert np.vdot(eta, x @ eta) == 0 and np.vdot(eta, p @ eta) == 0
+    assert abs(np.vdot(eta, x @ x @ eta) - np.exp(-2 * r) / 2) <= 1e-15
+    assert abs(np.vdot(eta, p @ p @ eta) - np.exp(2 * r) / 2) <= 1e-15
+
+
 def test_generators_unit_norm(ctx24):
     for kind, kw in [("ground", {}), ("fock", {"n": 3}), ("squeezed", {"r": 0.8})]:
         eta = wh.resolution_generator(kind, ctx24, **kw)
@@ -641,7 +652,6 @@ def test_radial_factor_is_zero_where_its_exponential_underflows():
 
 def test_symbol_on_some_radii_quantizes_exactly_from_the_closed_form():
     from qps import localization as loc
-    from qps.transform import weighted_gram
 
     grid = wh.build_grid(5.0, 0.18)
     ctx = wh.fock_space(24)
@@ -649,5 +659,5 @@ def test_symbol_on_some_radii_quantizes_exactly_from_the_closed_form():
     radius = np.hypot(grid.q, grid.p)
     symbol = np.where((radius > 2.0) & (radius <= 3.0), 0.5 + 0.1 * radius, 0.0)
     rows = np.flatnonzero(symbol)
-    expected = weighted_gram(_per_column_sum(vec, grid, 24)[rows], grid.weights[rows] * symbol[rows])
+    expected = wh.weighted_gram(_per_column_sum(vec, grid, 24)[rows], grid.weights[rows] * symbol[rows])
     assert np.array_equal(loc.quantize(symbol, vec, grid, ctx), expected)

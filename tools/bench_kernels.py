@@ -21,7 +21,7 @@ on the grid's radii.  Next to each time it records the largest |error| of
 mpmath at 50 digits.
 
 Weighted Gram: on the ``spectra`` frame it times
-``transform.weighted_gram`` of the ground family with the grid weights,
+``wh_model.weighted_gram`` of the ground family with the grid weights,
 with seeded signed weights, and on a copy of the rows inside ``disk:3``
 (the kernel alone: ``quantize`` hands it the stored family, see below).
 Next to each time it records the largest |difference| from the same sum
@@ -96,10 +96,14 @@ so3 --omega 1,0,0``, ``effects``, ``admissibility``, ``tomography
 with the JSON report going to a buffer, and with ``--out``: ``transform``
 at its defaults and ``tomography --probabilities FILE`` on a
 Husimi-density file, at its defaults (N 4, R 5, h 0.4) and at the
-``roundtrips`` configuration (N 4, R 7, h 0.15).  Next to each time it
-records a digest of the report, or of the files written (the JSON report,
-whose config names the temporary directory, written as TMP, and the CSV
-table), which two trees must share.
+``roundtrips`` configuration (N 4, R 7, h 0.15).  Then one large
+configuration per numeric and exact subcommand, each row marked ``size
+large``: ``spectrum --dim 128``, ``tomography --self-test --dim 16`` and
+``cohomology`` of so(10) (dimension 45) in its standard basis, from a file
+written with ``perfbench.inputs.algebra_json``.  Next to each time it
+records a digest of the report, or of the files written (the JSON report
+and the CSV table), with the temporary directory that a report may name
+written as TMP, which two trees must share.
 
 Every kernel runs once to warm up and then ``REPEATS`` times; each row
 holds the median and quartiles, and the median number of minor page
@@ -344,7 +348,7 @@ def bench_transform_grid(tmp: Path) -> list:
 
 def bench_cli(tmp: Path) -> list:
     """In-process ``qps`` runs, each next to a digest of its report on stdout
-    or, with ``--out``, of the files it wrote with ``tmp`` written as TMP."""
+    or, with ``--out``, of the files it wrote, with ``tmp`` written as TMP."""
     out = tmp / "report.json"
     runs = [({"kernel": "cli.spectrum", "region": region}, ["spectrum", "--region", region])
             for region in ("disk:3", "rect:0,inf,-inf,inf")]
@@ -358,6 +362,12 @@ def bench_cli(tmp: Path) -> list:
     runs += [({"kernel": f"cli.{argv[0]}", "argv": " ".join(argv)}, argv)
              for argv in (["cohomology", "so3", "--omega", "1,0,0"], ["effects"], ["admissibility"],
                           ["tomography", "--self-test"], ["tomography", "--positions-only"])]
+    so10 = tmp / "so10.json"
+    _, names, constants = inputs.so_algebra(10)
+    so10.write_text(json.dumps(inputs.algebra_json("so(10)", names, constants)), encoding="utf-8")
+    runs += [({"kernel": f"cli.{argv[0]}", "argv": " ".join(argv).replace(str(tmp), "TMP"), "size": "large"}, argv)
+             for argv in (["spectrum", "--dim", "128"], ["tomography", "--self-test", "--dim", "16"],
+                          ["cohomology", str(so10)])]
     rows = []
     for head, argv in runs:
         def run():
@@ -372,7 +382,7 @@ def bench_cli(tmp: Path) -> list:
             files = (path.read_bytes().replace(str(tmp).encode(), b"TMP") for path in (out, out.with_suffix(".csv")))
             rows.append({**head, **timing, "sha256": _digest(*files)})
         else:
-            rows.append({**head, **timing, "report_digest": _digest(report)})
+            rows.append({**head, **timing, "report_digest": _digest(report.replace(str(tmp), "TMP"))})
     return rows
 
 
@@ -431,8 +441,8 @@ def bench_gram() -> list:
              "disk:3 rows": (fam[disk], grid.weights[disk])}
     rows = []
     for name, (rows_in, weights) in cases.items():
-        timing, gram = _timed(lambda: tr.weighted_gram(rows_in, weights))
-        rows.append({"kernel": "transform.weighted_gram", "grid": "spectra", "K": len(rows_in), "N": ctx.n_dim,
+        timing, gram = _timed(lambda: wh.weighted_gram(rows_in, weights))
+        rows.append({"kernel": "wh_model.weighted_gram", "grid": "spectra", "K": len(rows_in), "N": ctx.n_dim,
                      "weights": name, **timing,
                      "max_abs_diff_oracle": float(np.max(np.abs(gram - _gram_oracle(rows_in, weights))))})
     return rows
