@@ -5,8 +5,9 @@ Submodules:
 - ``lie_cohomology``: exact-rational Chevalley-Eilenberg machinery
   (closed/exact 2-forms, kernel subalgebras, phase-space dimensions).
 - ``wh_model``: truncated Fock space, displacement operators, phase-space
-  grids and their sampled functions, resolution generators, the family
-  store with its Gram products and frame operator, admissibility checks.
+  grids and their sampled functions, resolution generators, displaced
+  overlaps read off the displacement table, the family store with its
+  Gram products and frame operator, admissibility checks.
 - ``transform``: coherent-state transform, reconstruction, orthogonality
   relation; only ``cli`` imports it.
 - ``localization``: phase-space quantization A(f), localization spectra,

@@ -1,10 +1,12 @@
 """Coherent-state transform between the Fock space and grid functions.
 
 The transform sends a state phi to the function x -> <D(alpha_x) eta, phi>
-on the phase-space grid; its adjoint (with respect to the weighted inner
-product) and the frame operator S = sum_k mu_k |u_k><u_k| invert it.  On
-a grid that covers the occupied phase-space region, S is close to the
-identity and the transform is nearly isometric.
+on the phase-space grid, read off the displacement table ring by ring
+(``wh_model.displaced_overlaps``); its adjoint (with respect to the
+weighted inner product) and the frame operator S = sum_k mu_k |u_k><u_k|
+invert it, and they sum over the coherent family.  On a grid that covers
+the occupied phase-space region, S is close to the identity and the
+transform is nearly isometric.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .wh_model import (FockContext, GammaFunctionSamples, PhaseGrid, autocorrelation_integrand, coherent_family,
-                       frame_operator)
+                       displaced_overlaps, frame_operator)
 
 # largest frame-operator condition number _solve_frame inverts
 MAX_FRAME_CONDITION = 1e6
@@ -27,12 +29,8 @@ class FrameConditionError(ValueError):
 
 
 def w_transform(eta, grid: PhaseGrid, phi, ctx: FockContext) -> GammaFunctionSamples:
-    """Sample <D(alpha_k) eta, phi> over the grid."""
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape != (ctx.n_dim,):
-        raise ValueError(f"state has shape {phi.shape}, context dim is {ctx.n_dim}")
-    fam = coherent_family(eta, grid, ctx)
-    return GammaFunctionSamples(values=fam.conj() @ phi, grid=grid)
+    """Sample <D(alpha_k) eta, phi> over the grid; no coherent family is built."""
+    return GammaFunctionSamples(values=displaced_overlaps(eta, phi, grid, ctx), grid=grid)
 
 
 def _solve_frame(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -102,12 +100,10 @@ def orthogonality_check(
     v2 = np.asarray(eta2, dtype=complex)
     phi1 = np.asarray(phi1, dtype=complex)
     phi2 = np.asarray(phi2, dtype=complex)
-    # eta1's family first: the grid keeps the family of its latest
-    # generator only, so eta2's build comes after every use of eta1's
     integral = float(np.sum(grid.weights * autocorrelation_integrand(v1, grid, ctx)))
     d_used = float(np.linalg.norm(v1) ** 4 / integral)
-    f1 = coherent_family(v1, grid, ctx).conj() @ phi1
-    f2 = coherent_family(v2, grid, ctx).conj() @ phi2
+    f1 = displaced_overlaps(v1, phi1, grid, ctx)
+    f2 = displaced_overlaps(v2, phi2, grid, ctx)
     lhs = complex(np.sum(grid.weights * np.conj(f1) * f2))
 
     rhs = complex(np.vdot(v2, v1) * np.vdot(phi1, phi2) / d_used)

@@ -23,6 +23,14 @@ distinct radii (92.5 KB at R 13, h 0.35, N 24, where U is 482 and all 24
 columns take 2.2 MB; 429 KB at R 7, h 0.098, N 32), at most 8 MiB of
 kept columns.  A new generator at the same N then costs a gather of the
 table and one phase per row and level, and no Laguerre evaluation.
+
+A function on the grid needs no family: on each ring of equal |alpha| the
+overlap <D(alpha) eta, phi> is a short Fourier series in theta whose
+coefficients come from the table (:func:`displaced_overlaps`, which the
+autocorrelation, the transform and the orthogonality check read).  An
+operator, a sum of rank-one projectors over the grid, needs the family
+(:func:`coherent_family`), and the Gram products and frame operator S
+that are kept next to it.
 """
 
 from __future__ import annotations
@@ -103,8 +111,15 @@ def _real_displacement(r, m, n):
     # each power of each radius once, not once per entry
     powers = (r[..., None] ** np.arange(k.max() + 1))[..., k]
     sign = np.where((m < n) & (k % 2 == 1), -1.0, 1.0)
-    r = r.reshape(r.shape + (1,) * k.ndim)
-    return _radial(r * r, m, n) * (powers * sign)
+    x = (r * r).reshape(r.shape + (1,) * k.ndim)
+    if k.ndim == 2 and np.array_equal(m, n.T):
+        # a square whose entry (j, i) swaps the levels of (i, j): _radial is symmetric
+        # in m and n, so it is evaluated once per unordered pair and mirrored
+        i, j = np.tril_indices(len(m))
+        radial = np.empty(r.shape + k.shape)
+        radial[..., i, j] = radial[..., j, i] = _radial(x[..., 0], m[i, j], n[i, j])
+        return radial * (powers * sign)
+    return _radial(x, m, n) * (powers * sign)
 
 
 def _unit(alpha, r):
@@ -329,19 +344,21 @@ class FamilyStore:
     column is kept while the kept columns fit ``_RADIAL_BYTES`` (see
     :func:`_column`).  ``family`` is K x N complex and read-only: row k
     holds D(alpha_k) eta where ``built[k]`` and zeros elsewhere (pages no
-    built row reached are never touched).  ``frame`` is the frame operator
-    S of the whole family, read-only, once :func:`frame_operator` has
-    formed it.  A new generator replaces the family, ``built`` and S and
-    keeps the table; a new N replaces the store.  Only
-    :func:`coherent_family` makes a store or builds its rows.
+    built row reached are never touched); a store that only
+    :func:`displaced_overlaps` has read has no family and no row built.
+    ``frame`` is the frame operator S of the whole family, read-only, once
+    :func:`frame_operator` has formed it.  A new generator replaces the
+    family, ``built`` and S and keeps the table; a new N replaces the
+    store.  Only :func:`_store` makes a store, and only
+    :func:`coherent_family` builds its rows.
     """
 
     n_dim: int
     reach: int
+    built: np.ndarray
     table: dict = field(default_factory=dict)
     eta: bytes | None = None
     family: np.ndarray | None = None
-    built: np.ndarray | None = None
     frame: np.ndarray | None = None
 
 
@@ -381,11 +398,6 @@ def _fill_rows(vec, grid: PhaseGrid, store: FamilyStore, todo: np.ndarray) -> No
         return
     radius_index = grid.radius_index[todo]
     count = radius_index.max() + 1
-    if count > store.reach:
-        raise ValueError(
-            f"grid point at radius {SQRT2 * grid.radii[count - 1]:.3g} overflows alpha**{n_dim - 1}; "
-            f"N = {n_dim} allows grid radii up to {SQRT2 * _max_amplitude(n_dim):.3g}"
-        )
     squares = _squares(_unit(grid.alpha[todo], grid.radii[radius_index]), n_dim)
     blocks = []
     for part in row_blocks(todo.size, 16 * n_dim):
@@ -409,6 +421,25 @@ def _fill_rows(vec, grid: PhaseGrid, store: FamilyStore, todo: np.ndarray) -> No
             fam[dest] = rows
 
 
+def _store(vec: np.ndarray, grid: PhaseGrid, n_dim: int, rows=slice(0)) -> FamilyStore:
+    """The grid's :class:`FamilyStore` for N, a new one (with no family) if the grid keeps
+    none for this N, once the generator ``vec`` has N levels and no point of ``rows``
+    (indices, a mask or a slice into the grid) lies past the store's ``reach``."""
+    if vec.shape != (n_dim,):
+        raise ValueError(f"generator has dim {vec.shape}, context has {n_dim}")
+    store = grid._family
+    if store is None or store.n_dim != n_dim:
+        reach = int(np.searchsorted(grid.radii, _max_amplitude(n_dim), side="right"))
+        store = grid._family = FamilyStore(n_dim=n_dim, reach=reach, built=np.zeros(len(grid), dtype=bool))
+    count = grid.radius_index[rows].max(initial=-1) + 1
+    if count > store.reach:
+        raise ValueError(
+            f"grid point at radius {SQRT2 * grid.radii[count - 1]:.3g} overflows alpha**{n_dim - 1}; "
+            f"N = {n_dim} allows grid radii up to {SQRT2 * _max_amplitude(n_dim):.3g}"
+        )
+    return store
+
+
 def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.ndarray:
     """Row k holds D(alpha_k) eta: the displaced-generator family over the grid.
 
@@ -425,12 +456,7 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.nda
     """
     vec = np.asarray(eta, dtype=complex)
     n_dim = ctx.n_dim
-    if vec.shape != (n_dim,):
-        raise ValueError(f"generator has dim {vec.shape}, context has {n_dim}")
-    store = grid._family
-    if store is None or store.n_dim != n_dim:
-        reach = int(np.searchsorted(grid.radii, _max_amplitude(n_dim), side="right"))
-        store = grid._family = FamilyStore(n_dim=n_dim, reach=reach)
+    store = _store(vec, grid, n_dim)
     if store.eta != vec.tobytes():
         family = np.zeros((len(grid), n_dim), dtype=complex)
         family.flags.writeable = False
@@ -440,6 +466,8 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.nda
     wanted[slice(None) if rows is None else rows] = True
     todo = np.flatnonzero(wanted & ~store.built)
     if todo.size:
+        # refused once the family is allocated: a family too large to hold fails first
+        _store(vec, grid, n_dim, todo)
         store.family.flags.writeable = True
         try:
             _fill_rows(vec, grid, store, todo)
@@ -447,6 +475,52 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.nda
             store.family.flags.writeable = False
         store.built[todo] = True
     return store.family
+
+
+def displaced_overlaps(eta, phi, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
+    """<D(alpha_k) eta, phi> at every grid point, read off the real displacement table
+    without building the coherent family.
+
+    With <m|D(r e^(i theta))|n> = T_mn(r) e^(i (m - n) theta), the overlap is
+    sum_d e^(-i d theta) G_d(r) over the offsets d = m - n of a level m of
+    phi's support and a level n of eta's, with
+    G_d(r_u) = sum_(m - n = d) T[u, m, n] conj(eta_n) phi_m.  G is formed
+    once, over the grid's distinct radii, from the table columns of eta's
+    support (see :func:`_column`); each row block of about 128 KiB then
+    gathers it by radius and sums it against the powers of its unit
+    amplitudes (see :func:`_phases`), conjugated for d > 0.  Refuses what
+    :func:`coherent_family` refuses, with the same messages.
+    """
+    vec = np.asarray(eta, dtype=complex)
+    phi = np.asarray(phi, dtype=complex)
+    n_dim = ctx.n_dim
+    if phi.shape != (n_dim,):
+        raise ValueError(f"state has shape {phi.shape}, context dim is {n_dim}")
+    store = _store(vec, grid, n_dim, slice(None))
+    out = np.zeros(len(grid), dtype=complex)
+    left, right = np.flatnonzero(vec), np.flatnonzero(phi)
+    if not (left.size and right.size):
+        return out
+    # the offsets m - n that occur (the even ones alone for two even generators)
+    offsets = np.unique(right[None, :] - left[:, None])
+    count = len(grid.radii)
+    g = np.zeros((count, offsets.size), dtype=complex)
+    for n in left:
+        column = _column(store, grid.radii, n, count)
+        g[:, np.searchsorted(offsets, right - n)] += column[:, right] * (np.conj(vec[n]) * phi[right])
+    powers = np.abs(offsets)
+    width = powers.max() + 1
+    turned = offsets > 0
+    for part in row_blocks(len(grid), 16 * offsets.size):
+        radius_index = grid.radius_index[part]
+        unit = _unit(grid.alpha[part], grid.radii[radius_index])
+        terms = np.empty((unit.size, offsets.size), dtype=complex)
+        np.take(_phases(_squares(unit, width), width).T, powers, axis=1, out=terms)
+        np.conjugate(terms, out=terms, where=turned)
+        terms *= g.take(radius_index, axis=0)
+        # one row's terms summed along the row, so no blocking changes a bit
+        out[part] = terms.sum(axis=1)
+    return out
 
 
 def weighted_gram(fam: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -479,9 +553,8 @@ def frame_operator(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
 
 
 def autocorrelation_integrand(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
-    """|<D(alpha_k) eta, eta>|^2 sampled over the grid."""
-    vec = np.asarray(eta, dtype=complex)
-    return np.abs(coherent_family(vec, grid, ctx).conj() @ vec) ** 2
+    """|<D(alpha_k) eta, eta>|^2 sampled over the grid (see :func:`displaced_overlaps`)."""
+    return np.abs(displaced_overlaps(eta, eta, grid, ctx)) ** 2
 
 
 def _commutator_sample_radius(ctx: FockContext, eta_vec: np.ndarray) -> float:

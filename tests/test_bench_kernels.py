@@ -69,3 +69,15 @@ def test_family_rows_time_a_fresh_grid_and_a_second_generator(bench, monkeypatch
         assert row["kernel"] == "wh_model.coherent_family" and row["generator"] == "ground"
         assert row["median_s"] > 0 and row["minor_faults"] >= 0
         assert row["max_abs_err_mpmath"] < 5e-15
+
+
+def test_overlap_rows_take_a_new_generator_on_every_call(bench, monkeypatch):
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    rows = bench.bench_overlaps()
+    assert [(row["grid"], row["K"], row["generator"], row["state"]) for row in rows] == [
+        ("roundtrips", 4344, "9-column", "9-column"), ("transform", 6828, "ground", "13-level"),
+    ]
+    for row in rows:
+        assert row["kernel"] == "wh_model.displaced_overlaps" and row["N"] == 24
+        assert row["median_s"] > 0 and row["minor_faults"] >= 0
+        assert row["max_abs_err_mpmath"] < 5e-15

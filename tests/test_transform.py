@@ -340,10 +340,8 @@ def test_orthogonality_constant_is_the_admissibility_constant(ctx24, grid_wide, 
     assert rep.d_used == wh.admissibility(eta, grid_wide, ctx24, trials=1).d_constant
 
 
-def test_orthogonality_builds_each_family_once(ctx24, monkeypatch):
-    # eta1's family must be used up before eta2's replaces it in the grid's
-    # one-family store: one row build per family (the table's columns would
-    # be kept across a rebuild, so the builds themselves are counted)
+def test_transform_values_build_no_family(ctx24, monkeypatch):
+    # functions on the grid are read off the displacement table: no family row is built
     calls = []
     fill_rows = wh._fill_rows
 
@@ -358,7 +356,9 @@ def test_orthogonality_builds_each_family_once(ctx24, monkeypatch):
     rng = np.random.default_rng(4)
     phi1, phi2 = random_low_block(rng, 24), random_low_block(rng, 24)
     tr.orthogonality_check(eta1, eta2, phi1, phi2, grid, ctx24)
-    assert len(calls) == 2
+    wh.admissibility(eta2, grid, ctx24)
+    tr.w_transform(eta1, grid, phi1, ctx24)
+    assert calls == [] and grid._family.family is None
 
 
 def test_orthogonality_random_quadruples_on_adequate_grid(ctx24, grid_wide):

@@ -661,3 +661,95 @@ def test_symbol_on_some_radii_quantizes_exactly_from_the_closed_form():
     rows = np.flatnonzero(symbol)
     expected = wh.weighted_gram(_per_column_sum(vec, grid, 24)[rows], grid.weights[rows] * symbol[rows])
     assert np.array_equal(loc.quantize(symbol, vec, grid, ctx), expected)
+
+
+# ---------------------------------------------------------------------------
+# displaced overlaps, read off the table without a family
+# ---------------------------------------------------------------------------
+
+
+def _overlap_pairs(ctx):
+    """(eta, phi) pairs: each named generator against itself, and two seeded
+    9-column vectors and two seeded full-support ones."""
+    n_dim = ctx.n_dim
+    rng = np.random.default_rng(29 + n_dim)
+
+    def drawn(levels):
+        vec = np.zeros(n_dim, dtype=complex)
+        vec[:levels] = rng.normal(size=levels) + 1j * rng.normal(size=levels)
+        return vec / np.linalg.norm(vec)
+
+    pairs = {}
+    for name in ("ground", "fock:3", "squeezed:0.5"):
+        vec = _exactness_generator(name, ctx)
+        pairs[name] = (vec, vec)
+    pairs["9-column"] = (drawn(min(9, n_dim)), drawn(min(9, n_dim)))
+    pairs["full"] = (drawn(n_dim), drawn(n_dim))
+    return pairs
+
+
+def _relative(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_dim", [8, 24, 32])
+@pytest.mark.parametrize("config", [(13.0, 0.35), (5.0, 0.18)])
+def test_displaced_overlaps_match_the_closed_form_and_the_family(config, n_dim):
+    ctx = wh.fock_space(n_dim)
+    pairs = _overlap_pairs(ctx)
+    grid = wh.build_grid(*config)
+    # the complex-power oracle, 256 points at a time
+    idx = np.arange(n_dim)
+    oracle = {name: [] for name in pairs}
+    for start in range(0, len(grid), 256):
+        d = closed_form_displacement(grid.alpha[start : start + 256, None, None], idx[:, None], idx[None, :])
+        for name, (eta, phi) in pairs.items():
+            oracle[name].append((d @ eta).conj() @ phi)
+    for name, (eta, phi) in pairs.items():
+        got = wh.displaced_overlaps(eta, phi, grid, ctx)
+        assert grid._family.family is None
+        assert _relative(got, np.concatenate(oracle[name])) <= 1e-13, name
+        family = wh.coherent_family(eta, wh.build_grid(*config), ctx)
+        assert _relative(got, family.conj() @ phi) <= 1e-14, name
+
+
+def test_displaced_overlaps_of_a_zero_vector_are_zero(ctx24):
+    grid = wh.build_grid(6.0, 0.4)
+    vec = random_low_block(np.random.default_rng(3), 24)
+    for eta, phi in ((np.zeros(24), vec), (vec, np.zeros(24))):
+        out = wh.displaced_overlaps(eta, phi, grid, ctx24)
+        assert out.dtype == complex and out.shape == (len(grid),) and not out.any()
+
+
+def test_displaced_overlaps_do_not_depend_on_the_row_blocks(ctx24, monkeypatch):
+    grid = wh.build_grid(6.0, 0.4)
+    rng = np.random.default_rng(11)
+    eta, phi = random_low_block(rng, 24, 23), random_low_block(rng, 24, 23)
+    whole = wh.displaced_overlaps(eta, phi, grid, ctx24)
+    for step in (1, 37):
+        monkeypatch.setattr(wh, "row_blocks", lambda n_rows, _, step=step: (
+            slice(start, start + step) for start in range(0, n_rows, step)))
+        assert np.array_equal(wh.displaced_overlaps(eta, phi, grid, ctx24), whole)
+
+
+def test_displaced_overlaps_refuse_what_the_family_refuses():
+    # alpha**31 overflows past |alpha| = 8.6e9, a grid radius of 1.21e10 at N = 32
+    grid = wh.build_grid(2e10, 1e9)
+    ctx = wh.fock_space(32)
+    vec = wh.resolution_generator("ground", ctx)
+
+    def refusals(build):
+        messages = []
+        for v in (vec, np.zeros(32), np.ones(31)):
+            with pytest.raises(ValueError) as refused:
+                build(v)
+            messages.append(str(refused.value))
+        return messages
+
+    overlaps = refusals(lambda v: wh.displaced_overlaps(v, vec, grid, ctx))
+    assert grid._family.family is None
+    assert refusals(lambda v: wh.coherent_family(v, grid, ctx)) == overlaps
+    assert "N = 32 allows grid radii up to 1.21e+10" in overlaps[0] and overlaps[1] == overlaps[0]
+    assert overlaps[2] == "generator has dim (31,), context has 32"
+    with pytest.raises(ValueError, match=r"state has shape \(31,\), context dim is 32"):
+        wh.displaced_overlaps(vec, np.ones(31), grid, ctx)
