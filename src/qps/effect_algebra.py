@@ -198,18 +198,17 @@ def projection_scan(eta, grid: PhaseGrid, ctx: FockContext, deltas) -> Projectio
     total = float(np.sum(grid.weights))
     entries = []
     for delta in deltas:
-        mu = delta.measure(grid)
-        if not 0.0 < mu < total:
-            raise ValueError(
-                f"region {delta.label!r} has measure {mu}; need 0 < mu < {total}"
-            )
         spec = localization_spectrum(delta, eta, grid, ctx)
+        if not 0.0 < spec.mu_delta < total:
+            raise ValueError(
+                f"region {delta.label!r} has measure {spec.mu_delta}; need 0 < mu < {total}"
+            )
         lam = spec.eigenvalues
         gap = float(np.max(lam * (1.0 - lam)))
         entries.append(
             ProjectionScanEntry(
                 label=delta.label,
-                mu_delta=mu,
+                mu_delta=spec.mu_delta,
                 max_spectral_gap=gap,
                 passes=gap >= PROJECTION_GAP,
             )

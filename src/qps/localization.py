@@ -69,9 +69,6 @@ class RegionSpec:
             return self.grid_mask
         raise ValueError(f"unknown region kind {self.kind!r}")
 
-    def measure(self, grid: PhaseGrid) -> float:
-        return float(np.sum(grid.weights[self.mask(grid)]))
-
 
 def symbol_values(f, grid: PhaseGrid) -> np.ndarray:
     """One finite real value per grid point, from an array or a callable f(q, p).

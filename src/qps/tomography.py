@@ -30,6 +30,8 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density operator must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("density operator has a NaN or infinite entry")
         if np.max(np.abs(m - m.conj().T)) > 1e-9:
             raise ValueError("density operator must be Hermitian")
         evals = np.linalg.eigvalsh(m)

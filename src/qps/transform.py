@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wh_model import (FockContext, GammaFunctionSamples, PhaseGrid, autocorrelation_integrand, coherent_family,
+from .wh_model import (FockContext, GammaFunctionSamples, PhaseGrid, autocorrelation, coherent_family,
                        displaced_overlaps, frame_operator)
 
 # largest frame-operator condition number _solve_frame inverts
@@ -90,8 +90,8 @@ def orthogonality_check(
 ) -> OrthogonalityReport:
     """Quadrature of <phi1, u1(x)><u2(x), phi2> against (1/d) <eta2,eta1><phi1,phi2>.
 
-    d comes from the admissibility integral of eta1, recomputed on this
-    grid rather than assumed; for unit generators of this family d = 1.
+    d is eta1's ``wh_model.autocorrelation`` constant, which ``admissibility``
+    reports, recomputed on this grid; on the plane d = 1 up to quadrature error.
     The relative error uses max(|lhs|, |rhs|, ORTHOGONALITY_EPS_FLOOR *
     scale) as denominator so near-orthogonal quadruples do not divide by
     zero.
@@ -100,8 +100,7 @@ def orthogonality_check(
     v2 = np.asarray(eta2, dtype=complex)
     phi1 = np.asarray(phi1, dtype=complex)
     phi2 = np.asarray(phi2, dtype=complex)
-    integral = float(np.sum(grid.weights * autocorrelation_integrand(v1, grid, ctx)))
-    d_used = float(np.linalg.norm(v1) ** 4 / integral)
+    _, _, d_used = autocorrelation(v1, grid, ctx)
     f1 = displaced_overlaps(v1, phi1, grid, ctx)
     f2 = displaced_overlaps(v2, phi2, grid, ctx)
     lhs = complex(np.sum(grid.weights * np.conj(f1) * f2))

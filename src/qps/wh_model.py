@@ -27,10 +27,10 @@ table and one phase per row and level, and no Laguerre evaluation.
 A function on the grid needs no family: on each ring of equal |alpha| the
 overlap <D(alpha) eta, phi> is a short Fourier series in theta whose
 coefficients come from the table (:func:`displaced_overlaps`, which the
-autocorrelation, the transform and the orthogonality check read).  An
-operator, a sum of rank-one projectors over the grid, needs the family
-(:func:`coherent_family`), and the Gram products and frame operator S
-that are kept next to it.
+transform reads, and :func:`autocorrelation`, the one home of the
+orthogonality constant d).  An operator, a sum of rank-one projectors
+over the grid, needs the family (:func:`coherent_family`), and the Gram
+products and frame operator S that are kept next to it.
 """
 
 from __future__ import annotations
@@ -122,21 +122,17 @@ def _real_displacement(r, m, n):
     return _radial(x, m, n) * (powers * sign)
 
 
-def _unit(alpha, r):
-    """alpha / r with r = |alpha|, component by component; 1 where alpha is 0."""
+def _squares(alpha, r, n_dim: int) -> np.ndarray:
+    """unit**(2**j) for 2**j < n_dim, on a new first axis, with unit = alpha / r and
+    r = |alpha| component by component (1 where alpha is 0): repeated squares of
+    ``unit``, each scaled back to modulus 1, so its modulus does not drift."""
     nonzero = r > 0
     safe = np.where(nonzero, r, 1.0)
-    unit = np.empty(np.shape(alpha), dtype=complex)
+    # never 0-d: a 0-d square would be a numpy scalar, whose division rounds otherwise
+    unit = np.empty((1,) + np.shape(alpha), dtype=complex)
     unit.real = np.where(nonzero, alpha.real / safe, 1.0)
     unit.imag = alpha.imag / safe
-    return unit
-
-
-def _squares(unit, n_dim: int) -> np.ndarray:
-    """unit**(2**j) for 2**j < n_dim, on a new first axis: repeated squares of
-    ``unit``, each scaled back to modulus 1, so its modulus does not drift."""
-    # never 0-d: a 0-d square would be a numpy scalar, whose division rounds otherwise
-    squares = [np.asarray(unit, dtype=complex)[None]]
+    squares = [unit]
     while 2 ** len(squares) < n_dim:
         square = squares[-1] * squares[-1]
         squares.append(square / np.abs(square))
@@ -161,43 +157,35 @@ def _phases(squares, n_dim: int) -> np.ndarray:
     return ph
 
 
-def _displacement_elements(alpha, n_dim: int) -> np.ndarray:
-    """<m|D(alpha)|n> for m, n < n_dim of the infinite-dimensional operator, on two new last axes.
-
-    Rotation covariance: with alpha = r e^(i theta),
-    D(alpha) = e^(i theta a*a) D(r) e^(-i theta a*a), so the entry is
-    ``_real_displacement(r, m, n)`` times e^(i (m - n) theta), the power
-    (alpha / r)**|m - n|, conjugated above the diagonal.  Broadcasts over
-    ``alpha``.
-    """
-    alpha = np.asarray(alpha, dtype=complex)
-    r = np.abs(alpha)
-    idx = np.arange(n_dim)
-    m, n = idx[:, None], idx[None, :]
-    rotation = np.moveaxis(_phases(_squares(_unit(alpha, r), n_dim), n_dim)[np.abs(m - n)], (0, 1), (-2, -1))
-    rotation = np.where(m >= n, rotation, rotation.conj())
-    # C order whatever the layout of alpha, so that products with the matrices keep their bits
-    out = np.empty(alpha.shape + (n_dim, n_dim), dtype=complex)
-    return np.multiply(_real_displacement(r, m, n), rotation, out=out)
-
-
-def displacement(alpha: complex, ctx: FockContext) -> np.ndarray:
-    """N x N displacement matrix for coherent amplitude ``alpha``.
+def displacement(alpha, ctx: FockContext) -> np.ndarray:
+    """N x N displacement matrices D(alpha), on two new last axes: broadcasts over ``alpha``.
 
     Entries are the exact infinite-dimensional matrix elements; column 0
-    is the coherent-state expansion of the displaced vacuum.  Emits a
-    :class:`TruncationWarning` once the mean photon number |alpha|^2
+    is the coherent-state expansion of the displaced vacuum.  Rotation
+    covariance: with alpha = r e^(i theta),
+    D(alpha) = e^(i theta a*a) D(r) e^(-i theta a*a), so the entry is
+    ``_real_displacement(r, m, n)`` times e^(i (m - n) theta), the power
+    (alpha / r)**|m - n|, conjugated above the diagonal.  Emits one
+    :class:`TruncationWarning` when any mean photon number |alpha|^2
     exceeds the cutoff, where columns lose substantial norm.
     """
-    alpha = complex(alpha)
-    if abs(alpha) ** 2 > ctx.n_dim:
+    alpha = np.asarray(alpha, dtype=complex)
+    n_dim = ctx.n_dim
+    r = np.abs(alpha)
+    if (peak := float(r.max(initial=0.0)) ** 2) > n_dim:
         warnings.warn(
-            f"|alpha|^2 = {abs(alpha) ** 2:.2f} exceeds n_dim = {ctx.n_dim}; "
+            f"|alpha|^2 = {peak:.2f} exceeds n_dim = {n_dim}; "
             "matrix columns are strongly truncated",
             TruncationWarning,
             stacklevel=2,
         )
-    return _displacement_elements(alpha, ctx.n_dim)
+    idx = np.arange(n_dim)
+    m, n = idx[:, None], idx[None, :]
+    rotation = np.moveaxis(_phases(_squares(alpha, r, n_dim), n_dim)[np.abs(m - n)], (0, 1), (-2, -1))
+    rotation = np.where(m >= n, rotation, rotation.conj())
+    # C order whatever the layout of alpha, so that products with the matrices keep their bits
+    out = np.empty(alpha.shape + (n_dim, n_dim), dtype=complex)
+    return np.multiply(_real_displacement(r, m, n), rotation, out=out)
 
 
 @dataclass(eq=False)
@@ -393,12 +381,12 @@ def _fill_rows(vec, grid: PhaseGrid, store: FamilyStore, todo: np.ndarray) -> No
     formed for this build only.
     """
     n_dim = len(vec)
-    support = np.nonzero(np.abs(vec) > 0)[0]
+    support = np.flatnonzero(vec)
     if not (support.size and todo.size):
         return
     radius_index = grid.radius_index[todo]
     count = radius_index.max() + 1
-    squares = _squares(_unit(grid.alpha[todo], grid.radii[radius_index]), n_dim)
+    squares = _squares(grid.alpha[todo], grid.radii[radius_index], n_dim)
     blocks = []
     for part in row_blocks(todo.size, 16 * n_dim):
         dest = todo[part]
@@ -423,10 +411,13 @@ def _fill_rows(vec, grid: PhaseGrid, store: FamilyStore, todo: np.ndarray) -> No
 
 def _store(vec: np.ndarray, grid: PhaseGrid, n_dim: int, rows=slice(0)) -> FamilyStore:
     """The grid's :class:`FamilyStore` for N, a new one (with no family) if the grid keeps
-    none for this N, once the generator ``vec`` has N levels and no point of ``rows``
+    none for this N, once the generator ``vec`` has N finite levels and no point of ``rows``
     (indices, a mask or a slice into the grid) lies past the store's ``reach``."""
     if vec.shape != (n_dim,):
         raise ValueError(f"generator has dim {vec.shape}, context has {n_dim}")
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise ValueError(f"generator is {vec[bad[0]]} at level {bad[0]}; it must be finite at every level")
     store = grid._family
     if store is None or store.n_dim != n_dim:
         reach = int(np.searchsorted(grid.radii, _max_amplitude(n_dim), side="right"))
@@ -451,8 +442,8 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.nda
     ``rows`` (indices or a mask into the grid, None for all) the store
     lacks and returns the stored K x N array, read-only, in which a row
     not built yet is zero.  Built rows are never written again, so a row
-    once built never changes.  Raises ``ValueError`` if a row to build
-    lies so far out that |alpha|**(N - 1) would overflow.
+    once built never changes.  Raises ``ValueError`` if eta is not finite or
+    a row to build lies so far out that |alpha|**(N - 1) would overflow.
     """
     vec = np.asarray(eta, dtype=complex)
     n_dim = ctx.n_dim
@@ -513,9 +504,9 @@ def displaced_overlaps(eta, phi, grid: PhaseGrid, ctx: FockContext) -> np.ndarra
     turned = offsets > 0
     for part in row_blocks(len(grid), 16 * offsets.size):
         radius_index = grid.radius_index[part]
-        unit = _unit(grid.alpha[part], grid.radii[radius_index])
-        terms = np.empty((unit.size, offsets.size), dtype=complex)
-        np.take(_phases(_squares(unit, width), width).T, powers, axis=1, out=terms)
+        squares = _squares(grid.alpha[part], grid.radii[radius_index], width)
+        terms = np.empty((radius_index.size, offsets.size), dtype=complex)
+        np.take(_phases(squares, width).T, powers, axis=1, out=terms)
         np.conjugate(terms, out=terms, where=turned)
         terms *= g.take(radius_index, axis=0)
         # one row's terms summed along the row, so no blocking changes a bit
@@ -552,9 +543,13 @@ def frame_operator(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
     return store.frame
 
 
-def autocorrelation_integrand(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
-    """|<D(alpha_k) eta, eta>|^2 sampled over the grid (see :func:`displaced_overlaps`)."""
-    return np.abs(displaced_overlaps(eta, eta, grid, ctx)) ** 2
+def autocorrelation(eta, grid: PhaseGrid, ctx: FockContext):
+    """(integrand, integral, d): |<D(alpha_k) eta, eta>|^2 over the grid (see :func:`displaced_overlaps`),
+    its integral over the invariant measure, and the orthogonality constant d = |eta|^4 / integral."""
+    vec = np.asarray(eta, dtype=complex)
+    integrand = np.abs(displaced_overlaps(vec, vec, grid, ctx)) ** 2
+    integral = float(np.sum(grid.weights * integrand))
+    return integrand, integral, float(np.linalg.norm(vec) ** 4 / integral)
 
 
 def _commutator_sample_radius(ctx: FockContext, eta_vec: np.ndarray) -> float:
@@ -603,8 +598,7 @@ def admissibility(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     vec = np.asarray(eta, dtype=complex)
-    norm = np.linalg.norm(vec)
-    integrand = autocorrelation_integrand(vec, grid, ctx)
+    integrand, integral, d_constant = autocorrelation(vec, grid, ctx)
 
     r = np.hypot(grid.q, grid.p)
     rim = r >= grid.radius - grid.spacing
@@ -616,9 +610,6 @@ def admissibility(
             f"integrand at the grid boundary is {rim_max:.3e} > {BOUNDARY_TOL:.1e}; "
             f"increase the grid radius to about {needed:.1f}"
         )
-
-    integral = float(np.sum(grid.weights * integrand))
-    d_constant = float(norm**4 / integral)
 
     rng = np.random.default_rng(seed)
     r_beta = _commutator_sample_radius(ctx, vec)
@@ -632,7 +623,7 @@ def admissibility(
         amps = r_beta * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
         # to the point (q, p) = sqrt(2) (Re a, Im a) and back, as the pinned report bits were drawn
         alphas = (SQRT2 * amps.real + 1j * (SQRT2 * amps.imag)) / SQRT2
-        dx, dy = _displacement_elements(alphas.T, ctx.n_dim)
+        dx, dy = displacement(alphas.T, ctx)
         # D(-x) D(-y) D(x) D(y) eta for every pair at once
         v = vec[:, None]
         for d in (dy, dx, flip * dy, flip * dx):

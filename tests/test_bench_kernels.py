@@ -81,3 +81,15 @@ def test_overlap_rows_take_a_new_generator_on_every_call(bench, monkeypatch):
         assert row["kernel"] == "wh_model.displaced_overlaps" and row["N"] == 24
         assert row["median_s"] > 0 and row["minor_faults"] >= 0
         assert row["max_abs_err_mpmath"] < 5e-15
+
+
+def test_displacement_rows_time_one_block_of_the_commutator_check(bench, monkeypatch):
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    rows = bench.bench_displacement()
+    assert [(row["kernel"], row["N"], row["amplitudes"]) for row in rows] == [
+        ("wh_model.displacement", 24, [2, 32]), ("wh_model.displacement", 64, [2, 32]),
+    ]
+    assert rows[1]["sample_radius"] == 1.0
+    for row in rows:
+        assert row["median_s"] > 0 and row["minor_faults"] >= 0
+        assert 0 < row["sample_radius"] <= 1 and row["max_abs_err_mpmath"] < 5e-15

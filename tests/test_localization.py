@@ -379,9 +379,9 @@ def test_capacity_count_comes_from_the_spectrum(ctx32, grid_ref, eta32):
 
 def test_region_measures(grid_ref):
     disk = loc.RegionSpec.disk(2.0)
-    assert disk.measure(grid_ref) == pytest.approx(2.0, abs=0.02)
+    assert np.sum(grid_ref.weights[disk.mask(grid_ref)]) == pytest.approx(2.0, abs=0.02)
     rect = loc.RegionSpec.rect(0.0, np.inf, -np.inf, np.inf)
-    assert rect.measure(grid_ref) == pytest.approx(np.sum(grid_ref.weights) / 2, abs=0.1)
+    assert np.sum(grid_ref.weights[rect.mask(grid_ref)]) == pytest.approx(np.sum(grid_ref.weights) / 2, abs=0.1)
 
 
 @pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan, np.inf, -np.inf])

@@ -25,6 +25,17 @@ def test_density_validation():
         tom.DensityOperator(np.diag([0.7, 0.7]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+def test_density_refuses_a_non_finite_entry(entry):
+    # the later checks are comparisons, and a comparison with NaN is False
+    with pytest.raises(ValueError, match="density operator has a NaN or infinite entry"):
+        tom.DensityOperator(np.full((2, 2), entry))
+    m = np.eye(3, dtype=complex) / 3
+    m[1, 1] = entry
+    with pytest.raises(ValueError, match="density operator has a NaN or infinite entry"):
+        tom.DensityOperator(m)
+
+
 def test_random_density_properties():
     rng = np.random.default_rng(0)
     rho = tom.random_density(rng, 5, rank=2)

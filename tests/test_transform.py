@@ -340,6 +340,30 @@ def test_orthogonality_constant_is_the_admissibility_constant(ctx24, grid_wide, 
     assert rep.d_used == wh.admissibility(eta, grid_wide, ctx24, trials=1).d_constant
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_every_reader_of_the_generator_refuses_a_non_finite_coefficient(ctx24, entry):
+    # (NaN, 1, 0, ...) once built the family of |1>, as if the NaN were not there
+    grid = wh.build_grid(6.0, 0.4)
+    eta = np.zeros(24, dtype=complex)
+    eta[:2] = entry, 1.0
+    phi = wh.resolution_generator("ground", ctx24)
+    calls = {
+        "coherent_family": lambda: wh.coherent_family(eta, grid, ctx24),
+        "displaced_overlaps": lambda: wh.displaced_overlaps(eta, phi, grid, ctx24),
+        "frame_operator": lambda: wh.frame_operator(eta, grid, ctx24),
+        "quantize": lambda: loc.quantize(np.ones(len(grid)), eta, grid, ctx24),
+        "admissibility": lambda: wh.admissibility(eta, grid, ctx24),
+        "w_transform": lambda: tr.w_transform(eta, grid, phi, ctx24),
+        "orthogonality_check eta1": lambda: tr.orthogonality_check(eta, phi, phi, phi, grid, ctx24),
+        "orthogonality_check eta2": lambda: tr.orthogonality_check(phi, eta, phi, phi, grid, ctx24),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == f"generator is {eta[0]} at level 0; it must be finite at every level", name
+    assert grid._family.family is None
+
+
 def test_transform_values_build_no_family(ctx24, monkeypatch):
     # functions on the grid are read off the displacement table: no family row is built
     calls = []

@@ -121,6 +121,28 @@ def test_truncation_warning_for_large_amplitude():
         wh.displacement(4.0, ctx)
 
 
+def test_stacked_displacements_equal_the_one_amplitude_calls_bit_for_bit():
+    ctx = wh.fock_space(24)
+    rng = np.random.default_rng(7)
+    # a transposed, so not C-ordered, stack of amplitudes, one of them 0
+    alphas = (rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))).T
+    alphas[0, 1] = 0.0
+    stacked = wh.displacement(alphas, ctx)
+    assert stacked.shape == (5, 2, 24, 24) and stacked.flags.c_contiguous
+    for index in np.ndindex(alphas.shape):
+        assert np.array_equal(stacked[index], wh.displacement(alphas[index], ctx))
+
+
+def test_stacked_displacements_warn_once_when_any_amplitude_exceeds_the_cutoff():
+    ctx = wh.fock_space(8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        wh.displacement(np.array([0.5, 4.0, 3.5j]), ctx)
+        wh.displacement(np.array([0.5, 2.0, 2.0j]), ctx)  # |alpha|^2 = 4 <= 8: no warning
+    assert [w.category for w in caught] == [wh.TruncationWarning]
+    assert str(caught[0].message).startswith("|alpha|^2 = 16.00 exceeds n_dim = 8")
+
+
 # ---------------------------------------------------------------------------
 # build_grid
 # ---------------------------------------------------------------------------
@@ -398,9 +420,24 @@ def test_admissibility_deviation_matches_the_per_pair_oracle_bit_for_bit(
     assert report.beta_max_deviation == _per_pair_max_deviation(vec, ctx24, trials, 5)
 
 
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+def test_formal_degree_does_not_depend_on_the_scale_of_the_generator(ctx24, grid_wide, scale):
+    # the integral scales by |c|^4, and so does |eta|^4: d is a property of the direction of eta
+    eta = wh.resolution_generator("squeezed", ctx24, r=0.5)
+    _, integral, d = wh.autocorrelation(eta, grid_wide, ctx24)
+    _, scaled_integral, scaled_d = wh.autocorrelation(scale * eta, grid_wide, ctx24)
+    assert scaled_integral == pytest.approx(scale**4 * integral, rel=1e-12, abs=0)
+    assert abs(scaled_d - d) <= 1e-12
+    with warnings.catch_warnings():
+        # the commutator check's amplitudes stay below 1, so no displacement warns
+        warnings.simplefilter("error")
+        report = wh.admissibility(scale * eta, grid_wide, ctx24, trials=1)
+    assert abs(report.d_constant - d) <= 1e-12
+
+
 def test_admissibility_integral_phase_invariant(ctx24, grid_ref, eta24):
-    base = wh.autocorrelation_integrand(eta24, grid_ref, ctx24)
-    rotated = wh.autocorrelation_integrand(np.exp(0.7j) * eta24, grid_ref, ctx24)
+    base = wh.autocorrelation(eta24, grid_ref, ctx24)[0]
+    rotated = wh.autocorrelation(np.exp(0.7j) * eta24, grid_ref, ctx24)[0]
     assert np.max(np.abs(base - rotated)) < 1e-14
 
 
@@ -456,7 +493,7 @@ def _per_column_sum(vec, grid, n_dim):
     """The factored form summed over the whole grid: ph * sum_n T[r(k), :, n] vec_n conj(ph_n)
     over the support columns n in order, with T the real displacement and ph_m = e^(i m theta_k)."""
     r = np.abs(grid.alpha)
-    ph = wh._phases(wh._squares(wh._unit(grid.alpha, r), n_dim), n_dim).T
+    ph = wh._phases(wh._squares(grid.alpha, r, n_dim), n_dim).T
     acc = np.zeros((len(grid), n_dim), dtype=complex)
     for n0 in np.nonzero(np.abs(vec) > 0)[0]:
         acc += wh._real_displacement(r, np.arange(n_dim), n0) * (vec[n0] * ph[:, n0].conj())[:, None]

@@ -61,11 +61,25 @@ rank-3 state on the ``spectra`` frame (N 32) and on the ``roundtrips``
 tomography grid (R 6, h 0.4, N 16), family stored, next to a digest of the
 values, which two trees must share.
 
+Displacement matrices: at N 24 and N 64 it times ``wh_model.displacement``
+of one 2 x 32 block of amplitudes: the first block of pairs that the
+commutator check of ``admissibility`` draws for the ground generator at
+its default seed, drawn as it draws them (sample radius 0.61 at N 24,
+1 at N 64).  Next to each time it records the largest |error| of 16
+seeded entries against the closed form in mpmath at 50 digits.
+
 Admissibility: for ground, fock:3 and squeezed:0.5 on the ``roundtrips``
 orthogonality grid (N 24, K 4,344) it times ``wh_model.admissibility``
 at its defaults, which builds no family.  Next to each time it records
 the commutator sample radius and a digest of the exact bits of
 ``beta_max_deviation`` and ``d_constant``, which two trees must share.
+These rows and the displacement rows run after the family, Gram and
+classical-density rows, so the process has freed blocks of several MB
+(the ``spectra`` families), and glibc no longer maps the commutator
+check's matrix blocks (0.6 MB at N 24, 4.2 MB at N 64) afresh.  In a
+fresh process it does: run alone, the admissibility rows read about
+900 minor faults per call, and the displacement rows 403 (N 24) and
+2,018 (N 64).
 
 Tomography solve: it times ``tomography.reconstruct_state`` of the
 ground generator's densities of a seeded full-rank state at N 4, 8, 12
@@ -436,6 +450,37 @@ def bench_cli(tmp: Path) -> list:
     return rows
 
 
+def _mp_matrix_error(mats, alphas) -> float:
+    """Largest |error| of 16 seeded entries of ``mats``, the stacked matrices D(alphas),
+    against <m|D(alpha)|n> from the closed form in mpmath at 50 digits."""
+    rng = np.random.default_rng(31)
+    n_dim = mats.shape[-1]
+    worst = 0.0
+    with mpmath.workdps(50):
+        for _ in range(16):
+            index = tuple(int(rng.integers(size)) for size in alphas.shape)
+            m, n = (int(level) for level in rng.integers(n_dim, size=2))
+            exact = _mp_displaced(alphas[index], np.eye(n_dim)[n], m)
+            got = mats[index + (m, n)]
+            worst = max(worst, float(abs(mpmath.mpc(got.real, got.imag) - exact)))
+    return worst
+
+
+def bench_displacement() -> list:
+    rows = []
+    for n_dim in (24, 64):
+        ctx = wh.fock_space(n_dim)
+        radius = wh._commutator_sample_radius(ctx, wh.resolution_generator("ground", ctx))
+        # one block of the commutator check's pairs at its default seed, drawn as it draws them
+        u = np.random.default_rng(0).uniform(size=(wh._PAIR_BLOCK, 2, 2))
+        amps = radius * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+        alphas = ((wh.SQRT2 * amps.real + 1j * (wh.SQRT2 * amps.imag)) / wh.SQRT2).T
+        timing, mats = _timed(lambda: wh.displacement(alphas, ctx))
+        rows.append({"kernel": "wh_model.displacement", "N": n_dim, "amplitudes": list(alphas.shape),
+                     "sample_radius": radius, **timing, "max_abs_err_mpmath": _mp_matrix_error(mats, alphas)})
+    return rows
+
+
 def bench_admissibility() -> list:
     ctx, grid, _ = _frame(*GRIDS["roundtrips"])
     rows = []
@@ -572,8 +617,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         kernels = (bench_quantize() + bench_family() + bench_overlaps() + bench_gram() + bench_eigensolve()
-                   + bench_frame_solve() + bench_classical_density() + bench_admissibility() + bench_tomography()
-                   + bench_cohomology() + bench_axioms() + bench_transform_grid(Path(tmp)) + bench_cli(Path(tmp)))
+                   + bench_frame_solve() + bench_classical_density() + bench_displacement() + bench_admissibility()
+                   + bench_tomography() + bench_cohomology() + bench_axioms() + bench_transform_grid(Path(tmp))
+                   + bench_cli(Path(tmp)))
     Path(args.out).write_text(json.dumps({"machine": _machine(), "kernels": kernels}, indent=2) + "\n",
                               encoding="utf-8")
     for row in kernels:
