@@ -114,22 +114,23 @@ def unvectorize_hermitian(v: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-def _family_rows(eta, grid: PhaseGrid, ctx: FockContext, diagonal: np.ndarray, off_diagonal: np.ndarray) -> None:
-    """Write the vectorized rank-one densities |u_k><u_k| as rows: their N diagonal
-    coordinates into ``diagonal`` (K x N) and the N^2 - N others into ``off_diagonal``."""
+def _family_rows(eta, grid: PhaseGrid, ctx: FockContext, points=slice(None)):
+    """The vectorized rank-one densities |u_k><u_k| of the grid points ``points`` (indices
+    into the grid, all by default), a block of about 128 KiB of rows at a time: yields
+    (part, diagonal, off_diagonal), the block's slice of ``points`` and its rows' N
+    diagonal and N^2 - N other coordinates."""
     required = ctx.n_dim**2
     if len(grid) < required:
         raise ValueError(
             f"grid has {len(grid)} points but {required} operators are needed "
             "to span the Hermitian space"
         )
-    fam = coherent_family(eta, grid, ctx)
+    fam = coherent_family(eta, grid, ctx, rows=points)[points]
     n = ctx.n_dim
     iu, ju = np.triu_indices(n, k=1)
-    for part in row_blocks(len(grid), 8 * n * n):
-        diagonal[part] = np.abs(fam[part]) ** 2
+    for part in row_blocks(len(fam), 8 * n * n):
         cross = fam[part, iu] * fam[part, ju].conj()
-        off_diagonal[part] = np.concatenate([SQRT2 * cross.real, SQRT2 * cross.imag], axis=1)
+        yield part, np.abs(fam[part]) ** 2, np.concatenate([SQRT2 * cross.real, SQRT2 * cross.imag], axis=1)
 
 
 @dataclass
@@ -145,12 +146,11 @@ class CompletenessReport:
 def operator_family_rank(operators) -> CompletenessReport:
     """Numerical rank of a family of Hermitian operators in operator space."""
     rows = np.array([vectorize_hermitian(op) for op in operators])
-    return _rank_report(rows)
+    return _rank_report(np.linalg.svd(rows, compute_uv=False), rows.shape[1])
 
 
-def _rank_report(matrix: np.ndarray) -> CompletenessReport:
-    nsq = matrix.shape[1]
-    svals = np.linalg.svd(matrix, compute_uv=False)
+def _rank_report(svals: np.ndarray, nsq: int) -> CompletenessReport:
+    """Rank report of a matrix with ``nsq`` columns from its singular values, descending."""
     kept = svals > SVD_CUTOFF * svals[0]
     rank = int(np.sum(kept))
     smallest_kept = float(svals[rank - 1]) if rank else 0.0
@@ -173,8 +173,9 @@ def completeness_rank(eta, grid: PhaseGrid, ctx: FockContext) -> CompletenessRep
     """Rank test of the displaced-generator POVM densities over the grid."""
     n = ctx.n_dim
     rows = np.empty((len(grid), n * n))
-    _family_rows(eta, grid, ctx, rows[:, :n], rows[:, n:])
-    return _rank_report(rows)
+    for part, diagonal, off_diagonal in _family_rows(eta, grid, ctx):
+        rows[part, :n], rows[part, n:] = diagonal, off_diagonal
+    return _rank_report(np.linalg.svd(rows, compute_uv=False), n * n)
 
 
 class IncompleteFamilyError(ValueError):
@@ -193,6 +194,28 @@ class ReconstructionResult:
     completeness: CompletenessReport
 
 
+# The characters of the reflection group {1, Pi, C, Pi C}, Pi: alpha -> -alpha and
+# C: alpha -> conj(alpha), one a row, over the images x, -x, conj(x), -conj(x) of a
+# point.  Row c combines the four image rows into 2 x the row of x on the coordinates
+# of class c and zero elsewhere: (even, Re) with the diagonal, (odd, Re), (even, Im)
+# and (odd, Im), by the parity of i + j of the entry (i, j).
+_CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+
+
+def _reflection_images(eta, grid: PhaseGrid):
+    """The grid indices of the images x, -x, conj(x), -conj(x) of the points x with
+    q, p > 0, one image a row, or None when they do not split the solve: eta is
+    complex or has support in both parities, or the grid is not the union of these
+    orbits of four points."""
+    vec = np.asarray(eta, dtype=complex)
+    if vec.imag.any() or np.unique(np.flatnonzero(vec) % 2).size > 1:
+        return None
+    quadrant = (grid.q > 0) & (grid.p > 0)
+    sq, sp = np.array([[1, -1, 1, -1], [1, -1, -1, 1]])[..., None]
+    images, miss = grid.locate(sq * grid.q[quadrant], sp * grid.p[quadrant])
+    return images if 4 * images.shape[1] == len(grid) and (images >= 0).all() and not miss.any() else None
+
+
 def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> ReconstructionResult:
     """Trace-constrained least squares for rho from Tr(rho T(x_k)) samples.
 
@@ -203,30 +226,88 @@ def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> 
     from the singular values of its leading N^2 triangle, and y, by back
     substitution, so the condition number of the rows is never squared.
 
+    The lattice is invariant under Pi: alpha -> -alpha and C: alpha ->
+    conj(alpha).  For a real eta of parity s, u(-alpha) = s Pi u(alpha)
+    and u(conj(alpha)) = conj(u(alpha)), so the row at -x is the row at x
+    with the coordinates of odd i + j negated, and the row at conj(x) the
+    row at x with the imaginary ones negated.  Combining the four image
+    rows of each point of the quadrant q, p > 0 by 1/2 the characters of
+    {1, Pi, C, Pi C} (an orthogonal map of the rows) splits the system
+    into four blocks, one per coordinate class: (even, Re) with the
+    diagonal and the trace column, (odd, Re), (even, Im) and (odd, Im),
+    each of K/4 rows, 2 x the quadrant rows, and about N^2/4 unknowns.
+    Each block takes its own QR, triangle SVD and back substitution; the
+    rank report is the sorted union of the blocks' singular values, which
+    are those of the whole system.  The split applies when eta is real
+    with support in one parity and the grid is the union of these orbits
+    of four points (every ``build_grid`` lattice); otherwise the solve is
+    one block, the whole system.  Only the rows of the blocks' points are
+    built.
+
     After the solve, the estimate is repaired onto the density cone
     (negative eigenvalues clipped, trace renormalized); noiseless inputs
     pass through the repair unchanged.  The returned residual is the
-    post-repair misfit, so heavily inconsistent inputs show up loudly.
+    post-repair misfit, the root of the blocks' summed squared misfits,
+    so heavily inconsistent inputs show up loudly.  Raises ``ValueError``
+    naming the first grid point whose probability is NaN or infinite.
     """
     probs = np.asarray(probabilities, dtype=float)
     if probs.shape != (len(grid),):
         raise ValueError("need one probability value per grid point")
+    bad = np.flatnonzero(~np.isfinite(probs))
+    if bad.size:
+        raise ValueError(f"probability is {probs[bad[0]]} at grid point {bad[0]}; it must be finite everywhere")
     n, nsq = ctx.n_dim, ctx.n_dim**2
-    # the off-diagonal coordinates go straight into the system; the diagonal ones change basis
-    system = np.empty((len(grid), nsq + 1), order="F")
-    diagonal = np.empty((len(grid), n))
-    _family_rows(eta, grid, ctx, diagonal, system[:, n - 1 : nsq - 1])
+    images = _reflection_images(eta, grid)
+    if images is None:
+        # one block: every point and every coordinate, the probabilities as given
+        points, scale, rhs, classes = slice(None), 1.0, probs[None], np.zeros(nsq - n, dtype=int)
+    else:
+        iu, ju = np.triu_indices(n, k=1)
+        odd = (iu + ju) % 2
+        points, scale, rhs = images[0], 2.0, 0.5 * (_CHARACTERS @ probs[images])
+        classes = np.concatenate([odd, 2 + odd])
+    # per block: its first off-diagonal column (block 0 leads with the n - 1 traceless
+    # diagonal coordinates and ends with the trace column), the off-diagonal
+    # coordinates it solves for, and its system [rows | rhs]
+    blocks = []
+    for c, b in enumerate(rhs):
+        cols = np.flatnonzero(classes == c)
+        first = n - 1 if c == 0 else 0
+        system = np.empty((b.size, first + cols.size + (c == 0) + 1), order="F")
+        system[:, -1] = b
+        blocks.append((first, cols, system))
+    diagonal = np.empty((rhs.shape[1], n))
+    for part, diag, off in _family_rows(eta, grid, ctx, points):
+        np.multiply(diag, scale, out=diagonal[part])
+        for first, cols, system in blocks:
+            np.multiply(off[:, cols], scale, out=system[part, first : first + cols.size])
     traceless = np.linalg.svd(np.ones((1, n)))[2][1:].T
+    system = blocks[0][2]
     np.matmul(diagonal, traceless, out=system[:, : n - 1])
     trace = diagonal.sum(axis=1)
-    system[:, nsq - 1], system[:, nsq] = trace / np.sqrt(n), probs - trace / n
-    r = np.linalg.qr(system, mode="r")
-    report = _rank_report(r[:nsq, :nsq])
+    system[:, -2] = trace / np.sqrt(n)
+    system[:, -1] -= trace / n
+
+    triangles, svals = [], []
+    for _, _, system in blocks:
+        width = system.shape[1] - 1
+        r = np.linalg.qr(system, mode="r")
+        triangles.append(r)
+        svals.append(np.linalg.svd(r[:width, :width], compute_uv=False))
+    # a block with fewer rows than unknowns lacks its zero singular values
+    svals = np.concatenate([*svals, np.zeros(nsq - sum(map(len, svals)))])
+    report = _rank_report(np.sort(svals)[::-1], nsq)
     if not report.complete:
         raise IncompleteFamilyError(report)
 
-    y = np.linalg.solve(r[: nsq - 1, : nsq - 1], r[: nsq - 1, nsq])
-    solution = np.concatenate([1.0 / n + traceless @ y[: n - 1], y[n - 1 :]])
+    solution = np.empty(nsq)
+    for (first, cols, _), r in zip(blocks, triangles):
+        unknowns = first + cols.size
+        y = np.linalg.solve(r[:unknowns, :unknowns], r[:unknowns, -1])
+        if first:
+            solution[:n] = 1.0 / n + traceless @ y[:first]
+        solution[n + cols] = y[first:]
 
     estimate = unvectorize_hermitian(solution, n)
     evals, evecs = np.linalg.eigh(estimate)
@@ -236,7 +317,11 @@ def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> 
     repaired = 0.5 * (repaired + repaired.conj().T)
 
     coords = vectorize_hermitian(repaired)
-    residual = float(np.linalg.norm(diagonal @ coords[:n] + system[:, n - 1 : nsq - 1] @ coords[n:] - probs))
+    misfit = []
+    for (first, cols, system), b in zip(blocks, rhs):
+        fit = system[:, first : first + cols.size] @ coords[n + cols]
+        misfit.append((diagonal @ coords[:n] + fit if first else fit) - b)
+    residual = float(np.linalg.norm(np.concatenate(misfit)))
     return ReconstructionResult(
         rho=DensityOperator(repaired), residual=residual, completeness=report
     )

@@ -409,15 +409,20 @@ def _fill_rows(vec, grid: PhaseGrid, store: FamilyStore, todo: np.ndarray) -> No
             fam[dest] = rows
 
 
+def _finite_levels(vec: np.ndarray, name: str) -> None:
+    """Refuse a vector with a NaN or infinite level, in one line that names the first."""
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise ValueError(f"{name} is {vec[bad[0]]} at level {bad[0]}; it must be finite at every level")
+
+
 def _store(vec: np.ndarray, grid: PhaseGrid, n_dim: int, rows=slice(0)) -> FamilyStore:
     """The grid's :class:`FamilyStore` for N, a new one (with no family) if the grid keeps
     none for this N, once the generator ``vec`` has N finite levels and no point of ``rows``
     (indices, a mask or a slice into the grid) lies past the store's ``reach``."""
     if vec.shape != (n_dim,):
         raise ValueError(f"generator has dim {vec.shape}, context has {n_dim}")
-    bad = np.flatnonzero(~np.isfinite(vec))
-    if bad.size:
-        raise ValueError(f"generator is {vec[bad[0]]} at level {bad[0]}; it must be finite at every level")
+    _finite_levels(vec, "generator")
     store = grid._family
     if store is None or store.n_dim != n_dim:
         reach = int(np.searchsorted(grid.radii, _max_amplitude(n_dim), side="right"))
@@ -480,7 +485,8 @@ def displaced_overlaps(eta, phi, grid: PhaseGrid, ctx: FockContext) -> np.ndarra
     support (see :func:`_column`); each row block of about 128 KiB then
     gathers it by radius and sums it against the powers of its unit
     amplitudes (see :func:`_phases`), conjugated for d > 0.  Refuses what
-    :func:`coherent_family` refuses, with the same messages.
+    :func:`coherent_family` refuses, with the same messages, and a phi with
+    a NaN or infinite level.
     """
     vec = np.asarray(eta, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
@@ -488,6 +494,7 @@ def displaced_overlaps(eta, phi, grid: PhaseGrid, ctx: FockContext) -> np.ndarra
     if phi.shape != (n_dim,):
         raise ValueError(f"state has shape {phi.shape}, context dim is {n_dim}")
     store = _store(vec, grid, n_dim, slice(None))
+    _finite_levels(phi, "state")
     out = np.zeros(len(grid), dtype=complex)
     left, right = np.flatnonzero(vec), np.flatnonzero(phi)
     if not (left.size and right.size):
@@ -545,10 +552,13 @@ def frame_operator(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
 
 def autocorrelation(eta, grid: PhaseGrid, ctx: FockContext):
     """(integrand, integral, d): |<D(alpha_k) eta, eta>|^2 over the grid (see :func:`displaced_overlaps`),
-    its integral over the invariant measure, and the orthogonality constant d = |eta|^4 / integral."""
+    its integral over the invariant measure, and the orthogonality constant d = |eta|^4 / integral.
+    Refuses an integral of 0 (eta = 0), for which d is not defined."""
     vec = np.asarray(eta, dtype=complex)
     integrand = np.abs(displaced_overlaps(vec, vec, grid, ctx)) ** 2
     integral = float(np.sum(grid.weights * integrand))
+    if not integral > 0:
+        raise ValueError(f"generator autocorrelation integrates to {integral}; d = |eta|^4 / integral is undefined")
     return integrand, integral, float(np.linalg.norm(vec) ** 4 / integral)
 
 

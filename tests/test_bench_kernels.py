@@ -93,3 +93,16 @@ def test_displacement_rows_time_one_block_of_the_commutator_check(bench, monkeyp
     for row in rows:
         assert row["median_s"] > 0 and row["minor_faults"] >= 0
         assert 0 < row["sample_radius"] <= 1 and row["max_abs_err_mpmath"] < 5e-15
+
+
+def test_tomography_rows_name_their_generator(bench, monkeypatch):
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    rows = bench.bench_tomography()
+    assert [(row["generator"], row["grid"], row["K"], row["N"]) for row in rows] == [
+        ("ground", "roundtrips", 716, 4), ("ground", "roundtrips", 716, 8), ("ground", "roundtrips", 716, 12),
+        ("ground", "roundtrips", 716, 16), ("ground", "transform", 6828, 4),
+        ("squeezed:0.5", "roundtrips", 716, 16), ("9-column", "roundtrips", 716, 16),
+    ]
+    for row in rows:
+        assert row["kernel"] == "tomography.reconstruct_state" and row["median_s"] > 0
+        assert row["rank"] == row["N"] ** 2 and row["frobenius_error"] < 1e-8 and row["residual"] < 1e-12

@@ -242,7 +242,8 @@ def _family_rows(eta, grid, ctx):
     """The K x N^2 vectorized densities, diagonal coordinates first."""
     n = ctx.n_dim
     rows = np.empty((len(grid), n * n))
-    tom._family_rows(eta, grid, ctx, rows[:, :n], rows[:, n:])
+    for part, diagonal, off_diagonal in tom._family_rows(eta, grid, ctx):
+        rows[part, :n], rows[part, n:] = diagonal, off_diagonal
     return rows
 
 
@@ -374,11 +375,28 @@ def _svd_lstsq_estimate(probs, eta, grid, ctx):
     return tom.unvectorize_hermitian(x0 + traceless @ y, n)
 
 
-@pytest.mark.parametrize("n_dim", [4, 8, 12, 16])
-def test_rank_report_matches_the_svd_of_the_rows(grid716, n_dim):
-    # the QR triangle is an orthogonal rotation of the rows
+def _generator(name, ctx):
+    """A CLI generator by name, which splits the solve, or ``complex``: a seeded complex
+    vector on every level, which does not."""
+    if name == "complex":
+        return random_low_block(np.random.default_rng(ctx.n_dim), ctx.n_dim, top=ctx.n_dim - 1)
+    kind = name.partition(":")[0]
+    return wh.resolution_generator(kind, ctx, **{"fock": {"n": 3}, "squeezed": {"r": 0.5}}.get(kind, {}))
+
+
+# every N for each generator; the ground cases keep the ids they had before the generator axis
+GENERATOR_CASES = [
+    pytest.param(n_dim, name, id=str(n_dim) if name == "ground" else f"{name}-{n_dim}")
+    for name in ("ground", "fock:3", "squeezed:0.5", "complex") for n_dim in (4, 8, 12, 16)
+]
+
+
+@pytest.mark.parametrize("n_dim,generator", GENERATOR_CASES)
+def test_rank_report_matches_the_svd_of_the_rows(grid716, n_dim, generator):
+    # the QR triangles are orthogonal rotations of the rows, or of the four blocks
+    # that the reflections split them into, whose singular values are those of the rows
     ctx = wh.fock_space(n_dim)
-    eta = wh.resolution_generator("ground", ctx)
+    eta = _generator(generator, ctx)
     rho = tom.random_density(np.random.default_rng(n_dim), n_dim)
     probs = tom.classical_density(rho, eta, grid716, ctx).values
     report = tom.reconstruct_state(probs, eta, grid716, ctx).completeness
@@ -389,13 +407,13 @@ def test_rank_report_matches_the_svd_of_the_rows(grid716, n_dim):
     assert report.complete and reference.complete
 
 
-@pytest.mark.parametrize("n_dim", [4, 8, 12, 16])
-def test_reconstruction_error_within_twice_the_svd_oracle(grid716, n_dim):
+@pytest.mark.parametrize("n_dim,generator", GENERATOR_CASES)
+def test_reconstruction_error_within_twice_the_svd_oracle(grid716, n_dim, generator):
     # at N = 4 and 8 both errors sit at the rounding floor, where single
     # states scatter by a factor of about 2 either way; the worst of ten
     # states is compared
     ctx = wh.fock_space(n_dim)
-    eta = wh.resolution_generator("ground", ctx)
+    eta = _generator(generator, ctx)
     rng = np.random.default_rng(100 + n_dim)
     errors, oracle_errors = [], []
     for _ in range(10):
@@ -439,3 +457,13 @@ def test_inconsistent_input_flagged_by_residual(ctx4, grid4, eta4):
 def test_probability_length_validation(ctx4, grid4, eta4):
     with pytest.raises(ValueError, match="per grid point"):
         tom.reconstruct_state(np.zeros(3), eta4, grid4, ctx4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_probability_names_the_first_grid_point(ctx4, grid4, eta4, bad):
+    # it used to leak LinAlgError "Eigenvalues did not converge" out of the repair's eigh
+    probs = tom.classical_density(tom.DensityOperator(np.eye(4) / 4), eta4, grid4, ctx4).values
+    probs[[30, 200]] = bad
+    with pytest.raises(ValueError) as refused:
+        tom.reconstruct_state(probs, eta4, grid4, ctx4)
+    assert str(refused.value) == f"probability is {bad} at grid point 30; it must be finite everywhere"

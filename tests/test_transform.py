@@ -1,5 +1,7 @@
 """Transform, frame inversion, grid translations, orthogonality relation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -362,6 +364,42 @@ def test_every_reader_of_the_generator_refuses_a_non_finite_coefficient(ctx24, e
             call()
         assert str(refused.value) == f"generator is {eta[0]} at level 0; it must be finite at every level", name
     assert grid._family.family is None
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_a_state_with_a_non_finite_level_is_refused(ctx24, entry):
+    # a NaN level of phi once gave NaN values, with no error
+    grid = wh.build_grid(6.0, 0.4)
+    eta = wh.resolution_generator("ground", ctx24)
+    phi = np.zeros(24, dtype=complex)
+    phi[:3] = 1.0, 0.5, entry
+    calls = {
+        "w_transform": lambda: tr.w_transform(eta, grid, phi, ctx24),
+        "orthogonality_check phi1": lambda: tr.orthogonality_check(eta, eta, phi, eta, grid, ctx24),
+        "orthogonality_check phi2": lambda: tr.orthogonality_check(eta, eta, eta, phi, grid, ctx24),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == f"state is {phi[2]} at level 2; it must be finite at every level", name
+
+
+def test_a_zero_generator_is_refused_for_want_of_d(ctx24):
+    # its autocorrelation integrates to 0, and d = |eta|^4 / 0 was NaN with a RuntimeWarning only
+    grid = wh.build_grid(6.0, 0.4)
+    zero = np.zeros(24, dtype=complex)
+    phi = wh.resolution_generator("ground", ctx24)
+    calls = {
+        "admissibility": lambda: wh.admissibility(zero, grid, ctx24),
+        "orthogonality_check": lambda: tr.orthogonality_check(zero, phi, phi, phi, grid, ctx24),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                call()
+        assert str(refused.value) == (
+            "generator autocorrelation integrates to 0.0; d = |eta|^4 / integral is undefined"), name
 
 
 def test_transform_values_build_no_family(ctx24, monkeypatch):

@@ -82,11 +82,14 @@ fresh process it does: run alone, the admissibility rows read about
 2,018 (N 64).
 
 Tomography solve: it times ``tomography.reconstruct_state`` of the
-ground generator's densities of a seeded full-rank state at N 4, 8, 12
-and 16 on the ``roundtrips`` tomography grid (R 6, h 0.4, K 716) and at
-N 4 on the ``qps transform`` grid (R 7, h 0.15, K 6,828), family already
-stored.  Next to each time it records the Frobenius error of the
-reconstructed state, the rank the solve found and the residual.
+densities of a seeded full-rank state, family already stored: for the
+ground generator at N 4, 8, 12 and 16 on the ``roundtrips`` tomography
+grid (R 6, h 0.4, K 716) and at N 4 on the ``qps transform`` grid (R 7,
+h 0.15, K 6,828), and at N 16 on the tomography grid for squeezed:0.5,
+which splits into four reflection blocks as ground does, and for the
+complex 9-column generator, which is solved as one block.  Next to each
+time it records the Frobenius error of the reconstructed state, the rank
+the solve found and the residual.
 
 Cohomology: on so(8), so(9), so(10) and h13 in a dense unimodular basis
 (the benchmark's ``perfbench.inputs`` constructions) it times the Jacobi
@@ -507,14 +510,18 @@ def bench_admissibility() -> list:
 
 def bench_tomography() -> list:
     rows = []
-    configs = [(n, "roundtrips", 6.0, 0.4) for n in (4, 8, 12, 16)] + [(4, "transform", 7.0, 0.15)]
-    for n_dim, grid_name, radius, spacing in configs:
+    configs = ([("ground", n, "roundtrips", 6.0, 0.4) for n in (4, 8, 12, 16)]
+               + [("ground", 4, "transform", 7.0, 0.15)]
+               + [(name, 16, "roundtrips", 6.0, 0.4) for name in ("squeezed:0.5", "9-column")])
+    for gen_name, n_dim, grid_name, radius, spacing in configs:
         ctx, grid, eta = _frame(radius, spacing, n_dim)
+        if gen_name != "ground":
+            eta = _generators(n_dim)[gen_name]
         rho = inputs.density_matrix(np.random.default_rng(17), n_dim, n_dim)
         probs = tom.classical_density(tom.DensityOperator(rho), eta, grid, ctx).values
         timing, result = _timed(lambda: tom.reconstruct_state(probs, eta, grid, ctx))
         rows.append({"kernel": "tomography.reconstruct_state", "grid": grid_name, "K": len(grid),
-                     "N": n_dim, **timing,
+                     "N": n_dim, "generator": gen_name, **timing,
                      "frobenius_error": float(np.linalg.norm(result.rho.matrix - rho)),
                      "rank": result.completeness.gram_rank, "residual": result.residual})
     return rows
