@@ -9,6 +9,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 import qps
 from qps import rational_linalg as rla
+from qps import tomography as tom
 from qps import wh_model as wh
 
 
@@ -70,6 +71,15 @@ def random_low_block(rng, n_dim: int, top: int = 8) -> np.ndarray:
     v = np.zeros(n_dim, dtype=complex)
     v[: top + 1] = rng.normal(size=top + 1) + 1j * rng.normal(size=top + 1)
     return v / np.linalg.norm(v)
+
+
+def tomography_rows(eta, grid, ctx) -> np.ndarray:
+    """The K x N^2 vectorized densities |u_k><u_k| of the whole grid, diagonal coordinates first."""
+    n = ctx.n_dim
+    rows = np.empty((len(grid), n * n))
+    for part, diagonal, off_diagonal in tom._family_rows(eta, grid, ctx):
+        rows[part, :n], rows[part, n:] = diagonal, off_diagonal
+    return rows
 
 
 def quadratures(n_dim: int):

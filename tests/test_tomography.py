@@ -8,7 +8,7 @@ import pytest
 from qps import tomography as tom
 from qps import wh_model as wh
 
-from conftest import random_low_block
+from conftest import random_low_block, tomography_rows
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +238,6 @@ def test_coherent_family_is_informationally_complete(ctx4, grid4, eta4):
     assert report.singular_values[0] / report.smallest_kept_singular_value <= 1e3
 
 
-def _family_rows(eta, grid, ctx):
-    """The K x N^2 vectorized densities, diagonal coordinates first."""
-    n = ctx.n_dim
-    rows = np.empty((len(grid), n * n))
-    for part, diagonal, off_diagonal in tom._family_rows(eta, grid, ctx):
-        rows[part, :n], rows[part, n:] = diagonal, off_diagonal
-    return rows
-
-
 @pytest.mark.parametrize("n_dim", [8, 12, 16])
 def test_family_rows_match_the_unblocked_products_bit_for_bit(n_dim):
     # K = 716 rows in blocks of 2**17 / (8 N^2) rows: the last block is partial
@@ -261,7 +252,7 @@ def test_family_rows_match_the_unblocked_products_bit_for_bit(n_dim):
     left, right = fam[:, iu], fam[:, ju].conj()
     cross = left * right
     expected = np.concatenate([np.abs(fam) ** 2, wh.SQRT2 * cross.real, wh.SQRT2 * cross.imag], axis=1)
-    assert np.array_equal(_family_rows(eta, grid, ctx), expected)
+    assert np.array_equal(tomography_rows(eta, grid, ctx), expected)
 
 
 def test_position_projectors_are_incomplete():
@@ -366,7 +357,7 @@ def grid716():
 
 def _svd_lstsq_estimate(probs, eta, grid, ctx):
     """Unit-trace least squares by lstsq (SVD) on rows @ Q, no repair: the oracle."""
-    rows = _family_rows(eta, grid, ctx)
+    rows = tomography_rows(eta, grid, ctx)
     n = ctx.n_dim
     trace_row = tom.vectorize_hermitian(np.eye(n))
     x0 = trace_row / n

@@ -12,25 +12,16 @@ import pytest
 from qps import tomography as tom
 from qps import wh_model as wh
 
-from conftest import random_low_block
+from conftest import random_low_block, tomography_rows
 
 GENERATORS = {"ground": {}, "fock": {"n": 3}, "squeezed": {"r": 0.5}}
-
-
-def _rows(eta, grid, ctx):
-    """The K x N^2 vectorized densities, diagonal coordinates first."""
-    n = ctx.n_dim
-    rows = np.empty((len(grid), n * n))
-    for part, diagonal, off_diagonal in tom._family_rows(eta, grid, ctx):
-        rows[part, :n], rows[part, n:] = diagonal, off_diagonal
-    return rows
 
 
 @pytest.mark.parametrize("kind", GENERATORS, ids=["ground", "fock:3", "squeezed:0.5"])
 def test_image_rows_are_the_sign_flipped_and_conjugated_quadrant_rows(kind):
     grid = wh.build_grid(6.0, 0.4)  # K = 716
     ctx = wh.fock_space(16)
-    rows = _rows(wh.resolution_generator(kind, ctx, **GENERATORS[kind]), grid, ctx)
+    rows = tomography_rows(wh.resolution_generator(kind, ctx, **GENERATORS[kind]), grid, ctx)
     quadrant = np.flatnonzero((grid.q > 0) & (grid.p > 0))
     assert 4 * quadrant.size == len(grid)
     q, p = grid.q[quadrant], grid.p[quadrant]
@@ -78,6 +69,6 @@ def test_residual_is_the_misfit_of_the_whole_system(name):
         np.random.default_rng(8), 8, top=7)
     grid, ctx, probs = _fresh_grid_and_densities(eta, 8)
     result = tom.reconstruct_state(-probs, eta, grid, ctx)
-    misfit = np.linalg.norm(_rows(eta, grid, ctx) @ tom.vectorize_hermitian(result.rho.matrix) + probs)
+    misfit = np.linalg.norm(tomography_rows(eta, grid, ctx) @ tom.vectorize_hermitian(result.rho.matrix) + probs)
     assert result.residual > 1.0
     assert result.residual == pytest.approx(misfit, rel=1e-13)
