@@ -170,12 +170,8 @@ def _rank_report(svals: np.ndarray, nsq: int) -> CompletenessReport:
 
 
 def completeness_rank(eta, grid: PhaseGrid, ctx: FockContext) -> CompletenessReport:
-    """Rank test of the displaced-generator POVM densities over the grid."""
-    n = ctx.n_dim
-    rows = np.empty((len(grid), n * n))
-    for part, diagonal, off_diagonal in _family_rows(eta, grid, ctx):
-        rows[part, :n], rows[part, n:] = diagonal, off_diagonal
-    return _rank_report(np.linalg.svd(rows, compute_uv=False), n * n)
+    """Rank test of the POVM densities over the grid: the report of the solve's factorization."""
+    return _factor(np.zeros(len(grid)), eta, grid, ctx)[-1]
 
 
 class IncompleteFamilyError(ValueError):
@@ -203,60 +199,16 @@ _CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1
 
 
 def _reflection_images(eta, grid: PhaseGrid):
-    """The grid indices of the images x, -x, conj(x), -conj(x) of the points x with
-    q, p > 0, one image a row, or None when they do not split the solve: eta is
-    complex or has support in both parities, or the grid is not the union of these
-    orbits of four points."""
+    """The grid's reflections when they split the solve (eta real, of one parity), else None."""
     vec = np.asarray(eta, dtype=complex)
     if vec.imag.any() or np.unique(np.flatnonzero(vec) % 2).size > 1:
         return None
-    quadrant = (grid.q > 0) & (grid.p > 0)
-    sq, sp = np.array([[1, -1, 1, -1], [1, -1, -1, 1]])[..., None]
-    images, miss = grid.locate(sq * grid.q[quadrant], sp * grid.p[quadrant])
-    return images if 4 * images.shape[1] == len(grid) and (images >= 0).all() and not miss.any() else None
+    return grid.reflections()
 
 
-def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> ReconstructionResult:
-    """Trace-constrained least squares for rho from Tr(rho T(x_k)) samples.
-
-    The unit-trace constraint is eliminated: x = x0 + Q y with x0 the
-    minimum-norm unit-trace point and Q an orthonormal basis of the
-    traceless coordinates (only the diagonal ones change basis).  One QR
-    of [rows @ Q | trace column | probs - rows @ x0] gives the rank report,
-    from the singular values of its leading N^2 triangle, and y, by back
-    substitution, so the condition number of the rows is never squared.
-
-    The lattice is invariant under Pi: alpha -> -alpha and C: alpha ->
-    conj(alpha).  For a real eta of parity s, u(-alpha) = s Pi u(alpha)
-    and u(conj(alpha)) = conj(u(alpha)), so the row at -x is the row at x
-    with the coordinates of odd i + j negated, and the row at conj(x) the
-    row at x with the imaginary ones negated.  Combining the four image
-    rows of each point of the quadrant q, p > 0 by 1/2 the characters of
-    {1, Pi, C, Pi C} (an orthogonal map of the rows) splits the system
-    into four blocks, one per coordinate class: (even, Re) with the
-    diagonal and the trace column, (odd, Re), (even, Im) and (odd, Im),
-    each of K/4 rows, 2 x the quadrant rows, and about N^2/4 unknowns.
-    Each block takes its own QR, triangle SVD and back substitution; the
-    rank report is the sorted union of the blocks' singular values, which
-    are those of the whole system.  The split applies when eta is real
-    with support in one parity and the grid is the union of these orbits
-    of four points (every ``build_grid`` lattice); otherwise the solve is
-    one block, the whole system.  Only the rows of the blocks' points are
-    built.
-
-    After the solve, the estimate is repaired onto the density cone
-    (negative eigenvalues clipped, trace renormalized); noiseless inputs
-    pass through the repair unchanged.  The returned residual is the
-    post-repair misfit, the root of the blocks' summed squared misfits,
-    so heavily inconsistent inputs show up loudly.  Raises ``ValueError``
-    naming the first grid point whose probability is NaN or infinite.
-    """
-    probs = np.asarray(probabilities, dtype=float)
-    if probs.shape != (len(grid),):
-        raise ValueError("need one probability value per grid point")
-    bad = np.flatnonzero(~np.isfinite(probs))
-    if bad.size:
-        raise ValueError(f"probability is {probs[bad[0]]} at grid point {bad[0]}; it must be finite everywhere")
+def _factor(probs, eta, grid: PhaseGrid, ctx: FockContext):
+    """(blocks, rhs, diagonal, traceless, triangles, report): the unit-trace system of ``probs``
+    in reflection blocks and their QRs, as :func:`reconstruct_state` describes."""
     n, nsq = ctx.n_dim, ctx.n_dim**2
     images = _reflection_images(eta, grid)
     if images is None:
@@ -298,10 +250,56 @@ def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> 
     # a block with fewer rows than unknowns lacks its zero singular values
     svals = np.concatenate([*svals, np.zeros(nsq - sum(map(len, svals)))])
     report = _rank_report(np.sort(svals)[::-1], nsq)
+    return blocks, rhs, diagonal, traceless, triangles, report
+
+
+def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> ReconstructionResult:
+    """Trace-constrained least squares for rho from Tr(rho T(x_k)) samples.
+
+    The unit-trace constraint is eliminated: x = x0 + Q y with x0 the
+    minimum-norm unit-trace point and Q an orthonormal basis of the
+    traceless coordinates (only the diagonal ones change basis).  One QR
+    of [rows @ Q | trace column | probs - rows @ x0] gives the rank report,
+    from the singular values of its leading N^2 triangle, and y, by back
+    substitution, so the condition number of the rows is never squared.
+
+    The lattice is invariant under Pi: alpha -> -alpha and C: alpha ->
+    conj(alpha).  For a real eta of parity s, u(-alpha) = s Pi u(alpha)
+    and u(conj(alpha)) = conj(u(alpha)), so the row at -x is the row at x
+    with the coordinates of odd i + j negated, and the row at conj(x) the
+    row at x with the imaginary ones negated.  Combining the four image
+    rows of each point of the quadrant q, p > 0 by 1/2 the characters of
+    {1, Pi, C, Pi C} (an orthogonal map of the rows) splits the system
+    into four blocks, one per coordinate class: (even, Re) with the
+    diagonal and the trace column, (odd, Re), (even, Im) and (odd, Im),
+    each of K/4 rows, 2 x the quadrant rows, and about N^2/4 unknowns.
+    Each block takes its own QR, triangle SVD and back substitution; the
+    rank report is the sorted union of the blocks' singular values, which
+    are those of the whole system (:func:`completeness_rank` reports it).
+    The split applies when eta is real with support in one parity; every
+    ``build_grid`` lattice is a union of these orbits, as its site -1-i is
+    site i negated.  Otherwise the solve is one block, the whole system.
+    Only the rows of the blocks' points are built.
+
+    After the solve, the estimate is repaired onto the density cone
+    (negative eigenvalues clipped, trace renormalized); noiseless inputs
+    pass through the repair unchanged.  The returned residual is the
+    post-repair misfit, the root of the blocks' summed squared misfits,
+    so heavily inconsistent inputs show up loudly.  Raises ``ValueError``
+    naming the first grid point whose probability is NaN or infinite.
+    """
+    probs = np.asarray(probabilities, dtype=float)
+    if probs.shape != (len(grid),):
+        raise ValueError("need one probability value per grid point")
+    bad = np.flatnonzero(~np.isfinite(probs))
+    if bad.size:
+        raise ValueError(f"probability is {probs[bad[0]]} at grid point {bad[0]}; it must be finite everywhere")
+    blocks, rhs, diagonal, traceless, triangles, report = _factor(probs, eta, grid, ctx)
     if not report.complete:
         raise IncompleteFamilyError(report)
 
-    solution = np.empty(nsq)
+    n = ctx.n_dim
+    solution = np.empty(n * n)
     for (first, cols, _), r in zip(blocks, triangles):
         unknowns = first + cols.size
         y = np.linalg.solve(r[:unknowns, :unknowns], r[:unknowns, -1])

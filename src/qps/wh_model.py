@@ -223,20 +223,6 @@ class PhaseGrid:
     def p(self) -> np.ndarray:
         return self.points[:, 1]
 
-    def indices(self, iq, ip) -> np.ndarray:
-        """Index of each lattice point (iq, ip), -1 where it is not on the grid.
-
-        The coordinates broadcast, and may be integral floats of any size
-        (an infinity or NaN reads -1).
-        """
-        half = len(self.slots) // 2
-        i = np.asarray(iq) + half
-        j = np.asarray(ip) + half
-        inside = (i >= 0) & (i < 2 * half) & (j >= 0) & (j < 2 * half)
-        out = np.full(inside.shape, -1, dtype=np.intp)
-        out[inside] = self.slots[i[inside].astype(np.intp), j[inside].astype(np.intp)]
-        return out
-
     def locate(self, q, p):
         """(index, miss): the grid point each (q, p) snaps to, and where the snap misses.
 
@@ -244,6 +230,7 @@ class PhaseGrid:
         finite or lies more than 1e-9 * max(1, |x|) from it.  The index is -1 where the
         site is off the grid, or so far out that i overflows.
         """
+        half = len(self.slots) // 2
         sites, miss = [], False
         with np.errstate(invalid="ignore", over="ignore"):
             for x in (np.asarray(q, dtype=float), np.asarray(p, dtype=float)):
@@ -251,8 +238,19 @@ class PhaseGrid:
                 far = np.abs((i + 0.5) * self.spacing - x) > 1e-9 * np.maximum(1.0, np.abs(x))
                 # a finite x whose coordinate overflows is off the grid, not a miss
                 miss = miss | ~np.isfinite(x) | (np.isfinite(i) & far)
-                sites.append(i)
-        return self.indices(*sites), miss
+                sites.append(i + half)
+        inside = np.all([(s >= 0) & (s < 2 * half) for s in sites], axis=0)
+        index = np.full(inside.shape, -1, dtype=np.intp)
+        index[inside] = self.slots[tuple(s[inside].astype(np.intp) for s in sites)]
+        return index, miss
+
+    def reflections(self) -> np.ndarray:
+        """The indices of the points x with q, p > 0, in grid order, and of their images -x,
+        conj(x) and -conj(x), one image a row.  Site -1-i is site i negated bit for bit, as
+        (-1-i + 1/2) h = -(i + 1/2) h, so reflecting an axis reverses that axis of ``slots``."""
+        half = len(self.slots) // 2
+        images = [self.slots[::sq, ::sp][half:, half:] for sq, sp in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
+        return np.array([image[images[0] >= 0] for image in images])
 
 
 @dataclass

@@ -106,3 +106,14 @@ def test_tomography_rows_name_their_generator(bench, monkeypatch):
     for row in rows:
         assert row["kernel"] == "tomography.reconstruct_state" and row["median_s"] > 0
         assert row["rank"] == row["N"] ** 2 and row["frobenius_error"] < 1e-8 and row["residual"] < 1e-12
+
+
+def test_completeness_rows_sit_next_to_the_svd_of_the_rows(bench, monkeypatch):
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    rows = bench.bench_completeness()
+    assert [(row["generator"], row["K"], row["N"]) for row in rows] == [
+        ("ground", 716, 4), ("ground", 716, 16), ("9-column", 716, 16),
+    ]
+    for row in rows:
+        assert row["kernel"] == "tomography.completeness_rank" and row["median_s"] > 0
+        assert row["rank"] == row["N"] ** 2 and row["max_rel_diff_svd"] <= 1e-13

@@ -19,16 +19,27 @@ def _imported(node) -> set:
     return set()
 
 
+def _names(path: Path, name: str) -> bool:
+    """True when the module at ``path`` names the attribute ``name``: ``x.name``, read or
+    written, or ``name`` as a string for getattr and setattr."""
+    return any(
+        (isinstance(node, ast.Attribute) and node.attr == name) or (isinstance(node, ast.Constant) and node.value == name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    )
+
+
 def test_only_wh_model_touches_the_family_store_and_only_cli_imports_transform():
     store, transform = set(), set()
     for path in sorted(SRC.glob("*.py")):
+        if _names(path, "_family"):
+            store.add(path.stem)
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            # grid._family, read or written, or named as a string for getattr and setattr
-            if (isinstance(node, ast.Attribute) and node.attr == "_family") or (
-                isinstance(node, ast.Constant) and node.value == "_family"
-            ):
-                store.add(path.stem)
             if "transform" in _imported(node):
                 transform.add(path.stem)
     assert store == {"wh_model"}
     assert transform == {"cli"}
+
+
+def test_only_wh_model_reads_the_grid_slots():
+    # the slot layout is read by PhaseGrid.locate and PhaseGrid.reflections alone
+    assert {path.stem for path in sorted(SRC.glob("*.py")) if _names(path, "slots")} == {"wh_model"}

@@ -382,6 +382,12 @@ GENERATOR_CASES = [
 ]
 
 
+def _svd_of_rows(eta, grid, ctx):
+    """(singular values, rank) of the K x N^2 rows themselves: the reference rank report."""
+    svals = np.linalg.svd(tomography_rows(eta, grid, ctx), compute_uv=False)
+    return svals, int(np.sum(svals > tom.SVD_CUTOFF * svals[0]))
+
+
 @pytest.mark.parametrize("n_dim,generator", GENERATOR_CASES)
 def test_rank_report_matches_the_svd_of_the_rows(grid716, n_dim, generator):
     # the QR triangles are orthogonal rotations of the rows, or of the four blocks
@@ -391,11 +397,48 @@ def test_rank_report_matches_the_svd_of_the_rows(grid716, n_dim, generator):
     rho = tom.random_density(np.random.default_rng(n_dim), n_dim)
     probs = tom.classical_density(rho, eta, grid716, ctx).values
     report = tom.reconstruct_state(probs, eta, grid716, ctx).completeness
-    reference = tom.completeness_rank(eta, grid716, ctx)  # the SVD of the rows themselves
-    svals = reference.singular_values
+    svals, rank = _svd_of_rows(eta, grid716, ctx)
     assert np.max(np.abs(report.singular_values - svals)) <= 1e-13 * svals[0]
-    assert report.gram_rank == reference.gram_rank == n_dim**2
-    assert report.complete and reference.complete
+    assert report.gram_rank == rank == n_dim**2
+    assert report.complete
+    # completeness_rank is the report of the same factorization on zero probabilities; a
+    # zero right-hand side moves the QR's last bits, since LAPACK skips trailing zero columns
+    alone = tom.completeness_rank(eta, grid716, ctx)
+    assert np.max(np.abs(alone.singular_values - report.singular_values)) <= 2e-15 * svals[0]
+    assert (alone.gram_rank, alone.complete) == (report.gram_rank, True)
+
+
+@pytest.mark.parametrize(
+    "n_dim,generator,radius,spacing,expected",
+    [pytest.param(*case.values, 6.0, 0.4, case.values[0] ** 2, id=case.id) for case in GENERATOR_CASES]
+    + [pytest.param(4, "ground", 0.05, 0.002, 15, id="crowded-ground"),
+       pytest.param(4, "squeezed:0.5", 0.05, 0.002, 16, id="crowded-squeezed:0.5")],
+)
+def test_completeness_rank_matches_the_svd_of_the_rows(n_dim, generator, radius, spacing, expected):
+    # on the crowded grid (K 1,976 in a disk of radius 0.05) ground loses one dimension
+    grid, ctx = wh.build_grid(radius, spacing), wh.fock_space(n_dim)
+    eta = _generator(generator, ctx)
+    report = tom.completeness_rank(eta, grid, ctx)
+    svals, rank = _svd_of_rows(eta, grid, ctx)
+    assert np.max(np.abs(report.singular_values - svals)) <= 1e-13 * svals[0]
+    assert report.gram_rank == rank == expected
+    assert report.complete == (expected == n_dim**2)
+
+
+def test_completeness_rank_holds_less_than_the_rows(grid716):
+    # N = 16, ground, family stored: the four K/4-row blocks and their QR copies, one at a
+    # time; the K x N^2 row matrix it used to form, and its SVD, took 1.43 x its bytes
+    ctx = wh.fock_space(16)
+    eta = wh.resolution_generator("ground", ctx)
+    tom.completeness_rank(eta, grid716, ctx)
+    tracemalloc.start()
+    try:
+        tom.completeness_rank(eta, grid716, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows_bytes = len(grid716) * 16**2 * 8
+    assert peak <= 1.0 * rows_bytes, f"peak {peak / rows_bytes:.2f} x K x N^2 x 8 bytes"
 
 
 @pytest.mark.parametrize("n_dim,generator", GENERATOR_CASES)

@@ -34,6 +34,18 @@ def test_image_rows_are_the_sign_flipped_and_conjugated_quadrant_rows(kind):
         assert np.array_equal(rows[images], rows[quadrant] * sign)
 
 
+@pytest.mark.parametrize("radius,spacing", [(6.0, 0.4), (5.0, 0.4), (7.0, 0.15), (7.0, 0.098), (13.0, 0.35),
+                                            (1.0, 0.5), (3.3, 0.7), (1e154, 3e153)])
+def test_reflections_read_off_the_slots_are_the_located_images(radius, spacing):
+    # the images found by snapping the reflected coordinates, against those read by index
+    grid = wh.build_grid(radius, spacing)
+    quadrant = (grid.q > 0) & (grid.p > 0)
+    sq, sp = np.array([[1, -1, 1, -1], [1, -1, -1, 1]])[..., None]
+    images, miss = grid.locate(sq * grid.q[quadrant], sp * grid.p[quadrant])
+    assert not miss.any() and (images >= 0).all() and 4 * images.shape[1] == len(grid)
+    assert np.array_equal(grid.reflections(), images)
+
+
 def _fresh_grid_and_densities(eta, n_dim):
     """A fresh K = 716 grid, the context and the densities of a seeded state, read off
     another grid so that only the solve builds rows on the fresh one."""

@@ -267,7 +267,7 @@ def test_v_action_norm_loss_equals_exiting_mass(ctx24, grid_ref, eta24):
     lost = 0.0
     s = grid_ref.spacing
     for k, (q, p) in enumerate(grid_ref.points.tolist()):
-        if grid_ref.indices(round(q / s - 0.5) + 2, round(p / s - 0.5) - 3) < 0:
+        if grid_ref.locate(q + 2 * s, p - 3 * s)[0] < 0:
             lost += grid_ref.weights[k] * abs(f.values[k]) ** 2
     assert f.weighted_norm_sq() - vf.weighted_norm_sq() == pytest.approx(lost, abs=1e-12)
 

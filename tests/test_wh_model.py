@@ -212,8 +212,8 @@ def test_grid_whose_outer_sites_overflow_builds_without_a_warning():
 def test_grid_lookup_indexes_every_lattice_point():
     grid = wh.build_grid(3.0, 0.4)
     for k, (q, p) in enumerate(grid.points.tolist()):
-        assert int(grid.indices(round(q / 0.4 - 0.5), round(p / 0.4 - 0.5))) == k
-    assert int(grid.indices(100, 0)) == -1
+        assert int(grid.locate(q, p)[0]) == k
+    assert int(grid.locate(100.5 * 0.4, 0.2)[0]) == -1
 
 
 def test_locate_snaps_each_grid_point_to_itself_and_misses_off_the_lattice():

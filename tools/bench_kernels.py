@@ -1,9 +1,10 @@
 """Per-kernel bench of the coherent family build, the displaced overlaps,
 the weighted Gram product, the localization operator, the Hermitian
 eigensolve, the frame solve, the classical density, the admissibility
-check, the tomography solve, the exact cohomology kernels, the
-effect-algebra axiom check, the lattice translation, the CSV layer and the
-``qps`` subcommands, each time with a paired accuracy figure.
+check, the tomography solve and its completeness rank, the exact
+cohomology kernels, the effect-algebra axiom check, the lattice
+translation, the CSV layer and the ``qps`` subcommands, each time with a
+paired accuracy figure.
 
 Coherent family: for each generator (ground, fock:3, squeezed:0.5 and a
 9-column low-block vector) on two grids (the ``roundtrips`` orthogonality
@@ -90,6 +91,15 @@ which splits into four reflection blocks as ground does, and for the
 complex 9-column generator, which is solved as one block.  Next to each
 time it records the Frobenius error of the reconstructed state, the rank
 the solve found and the residual.
+
+Completeness rank: it times ``tomography.completeness_rank``, the rank
+report of the tomography solve's own block factorization, family already
+stored, on the ``roundtrips`` tomography grid (R 6, h 0.4, K 716) for the
+ground generator at N 4 and 16 and for the complex 9-column generator at
+N 16, which is one block.  Next to each time it records the rank and the
+largest |s - s_ref| / s_ref[0] of its singular values s against those of
+the K x N^2 rows, built from ``coherent_family`` with
+``vectorize_hermitian`` and passed to ``numpy.linalg.svd``.
 
 Cohomology: on so(8), so(9), so(10) and h13 in a dense unimodular basis
 (the benchmark's ``perfbench.inputs`` constructions) it times the Jacobi
@@ -527,6 +537,21 @@ def bench_tomography() -> list:
     return rows
 
 
+def bench_completeness() -> list:
+    rows = []
+    for gen_name, n_dim in (("ground", 4), ("ground", 16), ("9-column", 16)):
+        ctx, grid, eta = _frame(6.0, 0.4, n_dim)
+        if gen_name != "ground":
+            eta = _generators(n_dim)[gen_name]
+        timing, report = _timed(lambda: tom.completeness_rank(eta, grid, ctx))
+        family = wh.coherent_family(eta, grid, ctx)
+        svals = np.linalg.svd([tom.vectorize_hermitian(np.outer(u, u.conj())) for u in family], compute_uv=False)
+        rows.append({"kernel": "tomography.completeness_rank", "grid": "roundtrips", "K": len(grid), "N": n_dim,
+                     "generator": gen_name, **timing, "rank": report.gram_rank,
+                     "max_rel_diff_svd": float(np.max(np.abs(report.singular_values - svals)) / svals[0])})
+    return rows
+
+
 def _gram_oracle(fam, weights) -> np.ndarray:
     """sum_k w_k u_k u_k^H accumulated in extended precision."""
     f = np.asarray(fam, dtype=np.clongdouble)
@@ -625,7 +650,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         kernels = (bench_quantize() + bench_family() + bench_overlaps() + bench_gram() + bench_eigensolve()
                    + bench_frame_solve() + bench_classical_density() + bench_displacement() + bench_admissibility()
-                   + bench_tomography() + bench_cohomology() + bench_axioms() + bench_transform_grid(Path(tmp))
+                   + bench_tomography() + bench_completeness() + bench_cohomology() + bench_axioms() + bench_transform_grid(Path(tmp))
                    + bench_cli(Path(tmp)))
     Path(args.out).write_text(json.dumps({"machine": _machine(), "kernels": kernels}, indent=2) + "\n",
                               encoding="utf-8")
