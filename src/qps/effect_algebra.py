@@ -93,10 +93,10 @@ class AxiomReport:
 def verify_axioms(sampler, trials: int) -> AxiomReport:
     """Randomized check of the effect-algebra axioms that rounding can break.
 
-    All 3 * trials samples (a, b, c per trial) are drawn first, then each
-    test runs as one stacked eigvalsh, and each failure stores a witness (up
-    to five, in trial order).  The first sample that fails the effect gate
-    raises: the axioms only speak about effects.
+    All 3 * trials samples (a, b, c per trial) are drawn first, into a stack
+    sized by the first, then each test runs as one stacked eigvalsh, and each
+    failure stores a witness (up to five, in trial order).  The first sample
+    that fails the effect gate raises: the axioms only speak about effects.
 
     Commutativity and complement uniqueness are theorems here, so their
     counts stay 0.  :func:`oplus` forms a + b, and IEEE addition is
@@ -110,7 +110,9 @@ def verify_axioms(sampler, trials: int) -> AxiomReport:
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    mats = np.array([np.asarray(sampler(), dtype=complex) for _ in range(3 * trials)])
+    mats = np.empty((3 * trials,) + np.shape(first := sampler()), dtype=complex)  # too large a stack fails here
+    for i in range(3 * trials):
+        mats[i] = sampler() if i else first
     skew, ok, _, _ = _effect_gate(mats, 3)
     bad = np.flatnonzero(skew | ~ok)
     if bad.size:  # the first sample, in draw order, that is not an effect

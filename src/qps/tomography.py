@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .localization import quantize, symbol_values
 from .wh_model import SQRT2, FockContext, GammaFunctionSamples, PhaseGrid, coherent_family, row_blocks
@@ -207,8 +208,8 @@ def _reflection_images(eta, grid: PhaseGrid):
 
 
 def _factor(probs, eta, grid: PhaseGrid, ctx: FockContext):
-    """(blocks, rhs, diagonal, traceless, triangles, report): the unit-trace system of ``probs``
-    in reflection blocks and their QRs, as :func:`reconstruct_state` describes."""
+    """(blocks, traceless, report): the unit-trace system of ``probs`` in reflection blocks (see
+    :func:`reconstruct_state`) as (first, cols, r), r its QR triangle; the diagonal's traceless basis; the report."""
     n, nsq = ctx.n_dim, ctx.n_dim**2
     images = _reflection_images(eta, grid)
     if images is None:
@@ -241,16 +242,18 @@ def _factor(probs, eta, grid: PhaseGrid, ctx: FockContext):
     system[:, -2] = trace / np.sqrt(n)
     system[:, -1] -= trace / n
 
-    triangles, svals = [], []
-    for _, _, system in blocks:
-        width = system.shape[1] - 1
-        r = np.linalg.qr(system, mode="r")
-        triangles.append(r)
-        svals.append(np.linalg.svd(r[:width, :width], compute_uv=False))
+    for i, (first, cols, system) in enumerate(blocks):
+        # in place on system.T, its C-ordered view, with the workspace np.linalg.qr queries: its bits
+        m, width = system.shape
+        tau, work = np.empty(min(m, width)), np.empty(1)
+        lapack_lite.dgeqrf(m, width, system.T, m, tau, work, -1, 0)
+        work = np.empty(int(work[0]))
+        lapack_lite.dgeqrf(m, width, system.T, m, tau, work, work.size, 0)
+        blocks[i] = first, cols, np.triu(system[:width])
+    svals = [np.linalg.svd(r[: r.shape[1] - 1, : r.shape[1] - 1], compute_uv=False) for _, _, r in blocks]
     # a block with fewer rows than unknowns lacks its zero singular values
     svals = np.concatenate([*svals, np.zeros(nsq - sum(map(len, svals)))])
-    report = _rank_report(np.sort(svals)[::-1], nsq)
-    return blocks, rhs, diagonal, traceless, triangles, report
+    return blocks, traceless, _rank_report(np.sort(svals)[::-1], nsq)
 
 
 def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> ReconstructionResult:
@@ -258,10 +261,12 @@ def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> 
 
     The unit-trace constraint is eliminated: x = x0 + Q y with x0 the
     minimum-norm unit-trace point and Q an orthonormal basis of the
-    traceless coordinates (only the diagonal ones change basis).  One QR
-    of [rows @ Q | trace column | probs - rows @ x0] gives the rank report,
-    from the singular values of its leading N^2 triangle, and y, by back
-    substitution, so the condition number of the rows is never squared.
+    traceless coordinates (only the diagonal ones change basis).  One QR of
+    [rows @ Q | trace column | probs - rows @ x0], in place by numpy's own
+    LAPACK (scipy's would start a second BLAS thread pool), kept as its
+    triangle r, gives the rank report, from the singular values of its
+    leading N^2 triangle, and y, by back substitution: the rows' condition
+    number is never squared.
 
     The lattice is invariant under Pi: alpha -> -alpha and C: alpha ->
     conj(alpha).  For a real eta of parity s, u(-alpha) = s Pi u(alpha)
@@ -284,9 +289,10 @@ def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> 
     After the solve, the estimate is repaired onto the density cone
     (negative eigenvalues clipped, trace renormalized); noiseless inputs
     pass through the repair unchanged.  The returned residual is the
-    post-repair misfit, the root of the blocks' summed squared misfits,
-    so heavily inconsistent inputs show up loudly.  Raises ``ValueError``
-    naming the first grid point whose probability is NaN or infinite.
+    post-repair misfit, read off the triangles: |A z - b| = |r (z, -1)| for
+    a block [A | b] and the estimate's coordinates z in it, so heavily
+    inconsistent inputs show up loudly.  Raises ``ValueError`` naming the
+    first grid point whose probability is NaN or infinite.
     """
     probs = np.asarray(probabilities, dtype=float)
     if probs.shape != (len(grid),):
@@ -294,13 +300,13 @@ def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> 
     bad = np.flatnonzero(~np.isfinite(probs))
     if bad.size:
         raise ValueError(f"probability is {probs[bad[0]]} at grid point {bad[0]}; it must be finite everywhere")
-    blocks, rhs, diagonal, traceless, triangles, report = _factor(probs, eta, grid, ctx)
+    blocks, traceless, report = _factor(probs, eta, grid, ctx)
     if not report.complete:
         raise IncompleteFamilyError(report)
 
     n = ctx.n_dim
     solution = np.empty(n * n)
-    for (first, cols, _), r in zip(blocks, triangles):
+    for first, cols, r in blocks:
         unknowns = first + cols.size
         y = np.linalg.solve(r[:unknowns, :unknowns], r[:unknowns, -1])
         if first:
@@ -316,10 +322,10 @@ def reconstruct_state(probabilities, eta, grid: PhaseGrid, ctx: FockContext) -> 
 
     coords = vectorize_hermitian(repaired)
     misfit = []
-    for (first, cols, system), b in zip(blocks, rhs):
-        fit = system[:, first : first + cols.size] @ coords[n + cols]
-        misfit.append((diagonal @ coords[:n] + fit if first else fit) - b)
+    for first, cols, r in blocks:
+        z = coords[n + cols]
+        if first:  # the trace coordinate less the unit trace that x0 put into the right-hand side
+            z = np.concatenate([traceless.T @ coords[:n], z, [(coords[:n].sum() - 1.0) / np.sqrt(n)]])
+        misfit.append(r @ np.append(z, -1.0))
     residual = float(np.linalg.norm(np.concatenate(misfit)))
-    return ReconstructionResult(
-        rho=DensityOperator(repaired), residual=residual, completeness=report
-    )
+    return ReconstructionResult(rho=DensityOperator(repaired), residual=residual, completeness=report)

@@ -16,16 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .wh_model import (FockContext, GammaFunctionSamples, PhaseGrid, autocorrelation, coherent_family,
-                       displaced_overlaps, frame_operator)
+                       displaced_overlaps, frame_solve)
 
-# largest frame-operator condition number _solve_frame inverts
-MAX_FRAME_CONDITION = 1e6
 # floor of the orthogonality relative-error denominator, in units of the norm product
 ORTHOGONALITY_EPS_FLOOR = 1e-2
-
-
-class FrameConditionError(ValueError):
-    """Frame operator too ill-conditioned to invert; enlarge the grid."""
 
 
 def w_transform(eta, grid: PhaseGrid, phi, ctx: FockContext) -> GammaFunctionSamples:
@@ -33,22 +27,10 @@ def w_transform(eta, grid: PhaseGrid, phi, ctx: FockContext) -> GammaFunctionSam
     return GammaFunctionSamples(values=displaced_overlaps(eta, phi, grid, ctx), grid=grid)
 
 
-def _solve_frame(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    evals = np.linalg.eigvalsh(s)
-    smallest = max(evals[0], 0.0)
-    if smallest <= 0 or evals[-1] / smallest > MAX_FRAME_CONDITION:
-        raise FrameConditionError(
-            f"frame operator condition number exceeds {MAX_FRAME_CONDITION:.0e}; "
-            "the grid does not cover the truncated Fock space - increase the radius "
-            "or lower the dimension"
-        )
-    return np.linalg.solve(s, rhs)
-
-
 def reconstruct(eta, grid: PhaseGrid, samples: GammaFunctionSamples, ctx: FockContext) -> np.ndarray:
-    """Invert the transform: phi = S^-1 sum_k mu_k F_k D(alpha_k) eta."""
+    """Invert the transform: phi = S^-1 sum_k mu_k F_k D(alpha_k) eta (see ``wh_model.frame_solve``)."""
     fam = coherent_family(eta, grid, ctx)
-    return _solve_frame(frame_operator(eta, grid, ctx), fam.T @ (grid.weights * samples.values))
+    return frame_solve(eta, grid, ctx, fam.T @ (grid.weights * samples.values))
 
 
 def projection_P(eta, grid: PhaseGrid, samples: GammaFunctionSamples, ctx: FockContext) -> GammaFunctionSamples:

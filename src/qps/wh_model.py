@@ -44,10 +44,16 @@ from scipy.special import eval_genlaguerre, gammaincinv, gammaln
 SQRT2 = np.sqrt(2.0)
 # the least float whose square is not finite
 SQUARE_OVERFLOW = 2.0**512
+# largest frame-operator condition number frame_solve inverts
+MAX_FRAME_CONDITION = 1e6
 
 
 class TruncationWarning(UserWarning):
     """A displacement amplitude reaches photon numbers near the cutoff."""
+
+
+class FrameConditionError(ValueError):
+    """Frame operator too ill-conditioned to invert; enlarge the grid."""
 
 
 @dataclass(eq=False)
@@ -332,11 +338,12 @@ class FamilyStore:
     holds D(alpha_k) eta where ``built[k]`` and zeros elsewhere (pages no
     built row reached are never touched); a store that only
     :func:`displaced_overlaps` has read has no family and no row built.
-    ``frame`` is the frame operator S of the whole family, read-only, once
-    :func:`frame_operator` has formed it.  A new generator replaces the
-    family, ``built`` and S and keeps the table; a new N replaces the
-    store.  Only :func:`_store` makes a store, and only
-    :func:`coherent_family` builds its rows.
+    ``frame`` is the frame operator S of the whole family, read-only, and
+    ``condition`` its condition number, once :func:`frame_operator` has
+    formed them.  A new generator replaces the family, ``built``, S and
+    its condition number and keeps the table; a new N replaces the store.
+    Only :func:`_store` makes a store, and only :func:`coherent_family`
+    builds its rows.
     """
 
     n_dim: int
@@ -346,6 +353,7 @@ class FamilyStore:
     eta: bytes | None = None
     family: np.ndarray | None = None
     frame: np.ndarray | None = None
+    condition: float | None = None
 
 
 def _max_amplitude(n_dim: int) -> float:
@@ -454,7 +462,7 @@ def coherent_family(eta, grid: PhaseGrid, ctx: FockContext, rows=None) -> np.nda
     if store.eta != vec.tobytes():
         family = np.zeros((len(grid), n_dim), dtype=complex)
         family.flags.writeable = False
-        store.eta, store.family, store.frame = vec.tobytes(), family, None
+        store.eta, store.family, store.frame, store.condition = vec.tobytes(), family, None, None
         store.built = np.zeros(len(grid), dtype=bool)
     wanted = np.zeros(len(grid), dtype=bool)
     wanted[slice(None) if rows is None else rows] = True
@@ -537,15 +545,25 @@ def weighted_gram(fam: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def frame_operator(eta, grid: PhaseGrid, ctx: FockContext) -> np.ndarray:
-    """S = sum_k mu_k |D(alpha_k) eta><D(alpha_k) eta|, Hermitian positive and read-only: formed once
-    per family by :func:`weighted_gram` and kept next to it in the grid's :class:`FamilyStore`."""
+    """S = sum_k mu_k |D(alpha_k) eta><D(alpha_k) eta|, Hermitian positive and read-only: formed once per family
+    by :func:`weighted_gram` and kept next to it in the grid's :class:`FamilyStore`, with its condition number."""
     fam = coherent_family(eta, grid, ctx)
     store = grid._family  # the store coherent_family just returned fam from
     if store.frame is None:
         frame = weighted_gram(fam, grid.weights)
         frame.flags.writeable = False
-        store.frame = frame
+        evals = np.linalg.eigvalsh(frame)
+        store.frame, store.condition = frame, evals[-1] / evals[0] if evals[0] > 0 else np.inf
     return store.frame
+
+
+def frame_solve(eta, grid: PhaseGrid, ctx: FockContext, rhs: np.ndarray) -> np.ndarray:
+    """S^-1 rhs by one LU solve; raises :class:`FrameConditionError` if cond(S) > ``MAX_FRAME_CONDITION``."""
+    frame = frame_operator(eta, grid, ctx)
+    if not grid._family.condition <= MAX_FRAME_CONDITION:
+        raise FrameConditionError(f"frame operator condition number exceeds {MAX_FRAME_CONDITION:.0e}; the grid does "
+                                  "not cover the truncated Fock space - increase the radius or lower the dimension")
+    return np.linalg.solve(frame, rhs)
 
 
 def autocorrelation(eta, grid: PhaseGrid, ctx: FockContext):

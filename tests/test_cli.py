@@ -867,11 +867,12 @@ def test_out_that_is_the_algebra_file_exit_2(tmp_path, capsys):
     [
         (["spectrum", "--dim", "10000000"], "2.33 TiB"),
         (["spectrum", "--radius", "1e100", "--spacing", "1e88"], "14.6 TiB"),
+        (["effects", "--trials", "1000000000000"], "1.53 PiB"),
     ],
-    ids=["dim", "grid"],
+    ids=["dim", "grid", "trials"],
 )
 def test_unallocatable_configuration_exit_1(tmp_path, capsys, argv, size):
-    # both fail at their first allocation, before any memory is touched
+    # each fails at its first allocation, before any memory is touched
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err

@@ -460,8 +460,8 @@ def test_reconstruction_error_within_twice_the_svd_oracle(grid716, n_dim, genera
 
 
 def test_reconstruction_holds_two_system_buffers(grid716):
-    # N = 16, family stored: the K x (N^2 + 1) system and the QR's copy of it,
-    # the K x N diagonal block, R and row-block temporaries; no third K x N^2 buffer
+    # N = 16, family stored: the four blocks of the K x (N^2 + 1) system, each factored
+    # in place, the K x N diagonal block, R and row-block temporaries; no third K x N^2 buffer
     ctx = wh.fock_space(16)
     eta = wh.resolution_generator("ground", ctx)
     rho = tom.random_density(np.random.default_rng(17), 16)
@@ -475,6 +475,27 @@ def test_reconstruction_holds_two_system_buffers(grid716):
         tracemalloc.stop()
     rows_bytes = len(grid716) * 16**2 * 8
     assert peak <= 2.75 * rows_bytes, f"peak {peak / rows_bytes:.2f} x K x N^2 x 8 bytes"
+
+
+@pytest.mark.parametrize("call", ["reconstruct_state", "completeness_rank"])
+def test_one_block_system_is_factored_in_place(grid716, call):
+    # N = 16, complex generator (one block), family stored: the K x (N^2 + 1) system, which
+    # dgeqrf overwrites with its QR, the K x N diagonal block and row-block temporaries;
+    # np.linalg.qr's copy of the system took the peak to 2.55 x K x N^2 x 8 bytes
+    ctx = wh.fock_space(16)
+    eta = _generator("complex", ctx)
+    probs = tom.classical_density(tom.random_density(np.random.default_rng(17), 16), eta, grid716, ctx).values
+    run = {"reconstruct_state": lambda: tom.reconstruct_state(probs, eta, grid716, ctx),
+           "completeness_rank": lambda: tom.completeness_rank(eta, grid716, ctx)}[call]
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows_bytes = len(grid716) * 16**2 * 8
+    assert peak <= 1.7 * rows_bytes, f"peak {peak / rows_bytes:.2f} x K x N^2 x 8 bytes"
 
 
 def test_inconsistent_input_flagged_by_residual(ctx4, grid4, eta4):

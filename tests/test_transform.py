@@ -211,8 +211,23 @@ def test_ill_conditioned_frame_rejected_with_advice(eta24):
     eta = wh.resolution_generator("ground", ctx)
     small = wh.build_grid(3.0, 0.1)
     samples = wh.GammaFunctionSamples(values=np.zeros(len(small), complex), grid=small)
-    with pytest.raises(tr.FrameConditionError, match="radius"):
+    with pytest.raises(wh.FrameConditionError, match="radius"):
         tr.reconstruct(eta, small, samples, ctx)
+
+
+def test_frame_condition_is_kept_next_to_the_frame(monkeypatch):
+    # S's spectrum is formed once per family, with S: a second reconstruct runs no eigensolve
+    ctx = wh.fock_space(8)
+    eta = wh.resolution_generator("ground", ctx)
+    grid = wh.build_grid(6.0, 0.4)
+    samples = tr.w_transform(eta, grid, random_low_block(np.random.default_rng(3), 8, top=4), ctx)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    tr.reconstruct(eta, grid, samples, ctx)
+    assert calls == [(8, 8)]
+    tr.reconstruct(eta, grid, samples, ctx)
+    assert calls == [(8, 8)]
 
 
 def test_projection_fixes_transform_range(ctx24, grid_ref, eta24):

@@ -53,9 +53,12 @@ Eigensolve and frame solve: it times ``numpy.linalg.eigvalsh`` of the
 ``disk:3`` localization operator on the ``spectra`` frame, next to the
 largest |lambda_n - P(n + 1, 4.5)| over its N = 32 eigenvalues (the
 Daubechies values for the vacuum generator), and ``transform.reconstruct``
-of a low-block state on the ``qps transform`` grid (R 7, h 0.15, N 24,
-family stored: the Gram, its eigenvalue check and the solve), next to the
-relative round-trip error.
+of a low-block state on the ``qps transform`` grid (R 7, h 0.15, N 24),
+family stored, so ``wh_model.frame_solve`` finds S and its condition
+number kept next to it and runs only the LU solve.  Next to it the row
+records the relative round-trip error and the ``numpy.linalg.eigvalsh``
+calls of one more call, counted outside the timing: 0 while S's condition
+number is kept, 1 where it is formed on every call.
 
 Classical density: it times ``tomography.classical_density`` of a seeded
 rank-3 state on the ``spectra`` frame (N 32) and on the ``roundtrips``
@@ -96,10 +99,13 @@ Completeness rank: it times ``tomography.completeness_rank``, the rank
 report of the tomography solve's own block factorization, family already
 stored, on the ``roundtrips`` tomography grid (R 6, h 0.4, K 716) for the
 ground generator at N 4 and 16 and for the complex 9-column generator at
-N 16, which is one block.  Next to each time it records the rank and the
+N 16, which is one block.  Next to each time it records the rank, the
 largest |s - s_ref| / s_ref[0] of its singular values s against those of
 the K x N^2 rows, built from ``coherent_family`` with
-``vectorize_hermitian`` and passed to ``numpy.linalg.svd``.
+``vectorize_hermitian`` and passed to ``numpy.linalg.svd``, and the
+``tracemalloc`` peak of one more call in units of K N^2 8 bytes, measured
+outside the timing: each block system is factored in place, so a peak
+near 1 is the one-block system and no copy of it.
 
 Cohomology: on so(8), so(9), so(10) and h13 in a dense unimodular basis
 (the benchmark's ``perfbench.inputs`` constructions) it times the Jacobi
@@ -164,6 +170,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -544,11 +551,18 @@ def bench_completeness() -> list:
         if gen_name != "ground":
             eta = _generators(n_dim)[gen_name]
         timing, report = _timed(lambda: tom.completeness_rank(eta, grid, ctx))
+        tracemalloc.start()
+        try:
+            tom.completeness_rank(eta, grid, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         family = wh.coherent_family(eta, grid, ctx)
         svals = np.linalg.svd([tom.vectorize_hermitian(np.outer(u, u.conj())) for u in family], compute_uv=False)
         rows.append({"kernel": "tomography.completeness_rank", "grid": "roundtrips", "K": len(grid), "N": n_dim,
                      "generator": gen_name, **timing, "rank": report.gram_rank,
-                     "max_rel_diff_svd": float(np.max(np.abs(report.singular_values - svals)) / svals[0])})
+                     "max_rel_diff_svd": float(np.max(np.abs(report.singular_values - svals)) / svals[0]),
+                     "peak_ratio": peak / (len(grid) * n_dim**2 * 8)})
     return rows
 
 
@@ -615,8 +629,11 @@ def bench_frame_solve() -> list:
     phi = inputs.low_block_vector(np.random.default_rng(19), ctx.n_dim, ctx.n_dim // 2)
     samples = tr.w_transform(eta, grid, phi, ctx)
     timing, back = _timed(lambda: tr.reconstruct(eta, grid, samples, ctx))
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        tr.reconstruct(eta, grid, samples, ctx)
     return [{"kernel": "transform.reconstruct", "grid": "transform", "K": len(grid), "N": ctx.n_dim, **timing,
-             "relative_error": float(np.linalg.norm(back - phi) / np.linalg.norm(phi))}]
+             "relative_error": float(np.linalg.norm(back - phi) / np.linalg.norm(phi)),
+             "eigvalsh_calls": eigvalsh.call_count}]
 
 
 def bench_axioms() -> list:
